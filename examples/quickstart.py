@@ -13,13 +13,20 @@ Builds a 3-DC cluster (Virginia, Oregon, Ireland) with partial replication
 Run:  python examples/quickstart.py
 """
 
-from repro import ConsistencyOracle, build_cluster, small_test_config
+from repro import (
+    StreamingChecker,
+    StreamingOracle,
+    build_cluster,
+    small_test_config,
+)
 from repro.clocks.hlc import timestamp_to_seconds
 
 
 def main() -> None:
     config = small_test_config(n_dcs=3, machines_per_dc=2)
-    oracle = ConsistencyOracle()
+    # Every read and commit the clients report is judged as it happens.
+    checker = StreamingChecker()
+    oracle = StreamingOracle(checker=checker)
     cluster = build_cluster(config, protocol="paris", oracle=oracle)
     sim = cluster.sim
 
@@ -66,11 +73,8 @@ def main() -> None:
     if not process.done:
         raise RuntimeError("session did not finish; increase the run horizon")
 
-    from repro import ConsistencyChecker
-
-    violations = ConsistencyChecker(oracle).check_all()
-    print(f"consistency check: {len(oracle.commits)} commits, "
-          f"{len(violations)} violations")
+    print(f"consistency check: {checker.commits_checked} commits, "
+          f"{len(checker.violations)} violations")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ Run:  python examples/social_network.py
 """
 
 from repro import (
-    ConsistencyChecker,
-    ConsistencyOracle,
+    StreamingChecker,
+    StreamingOracle,
     build_cluster,
     small_test_config,
 )
@@ -32,7 +32,8 @@ REPLY_KEY = "p1:replies:alice"
 
 def main() -> None:
     config = small_test_config(n_dcs=3, machines_per_dc=2, keys_per_partition=10)
-    oracle = ConsistencyOracle()
+    checker = StreamingChecker()
+    oracle = StreamingOracle(checker=checker)
     cluster = build_cluster(config, protocol="paris", oracle=oracle)
     sim = cluster.sim
 
@@ -106,8 +107,8 @@ def main() -> None:
           f"fractured (reply without post): {len(fractured)}")
     assert not fractured, "causal violation observed!"
 
-    violations = ConsistencyChecker(oracle).check_all()
-    print(f"checker: {len(oracle.reads)} reads verified, {len(violations)} violations")
+    print(f"checker: {checker.reads_checked} reads verified, "
+          f"{len(checker.violations)} violations")
 
 
 if __name__ == "__main__":

@@ -35,12 +35,11 @@ from .config import (
     WorkloadConfig,
     small_test_config,
 )
-from .consistency.checker import ConsistencyChecker, Violation
-from .consistency.oracle import ConsistencyOracle
+from .consistency.streaming import StreamingChecker, StreamingOracle, Violation
 from .core.client import PaRiSClient, ReadResult, TransactionHandle
-from .core.server import PaRiSServer
-from .baselines.bpr import BPRClient, BPRServer
 from .protocols import ProtocolServer, ProtocolSpec, get_protocol, protocol_names
+from .protocols.bpr import BPRClient, BPRServer
+from .protocols.paris import PaRiSServer
 from .faults import FaultEvent, FaultInjector, FaultPlan
 
 __version__ = "1.0.0"
@@ -51,8 +50,6 @@ __all__ = [
     "ClockConfig",
     "Cluster",
     "ClusterSpec",
-    "ConsistencyChecker",
-    "ConsistencyOracle",
     "ExperimentResult",
     "FaultEvent",
     "FaultInjector",
@@ -65,6 +62,8 @@ __all__ = [
     "ReadResult",
     "ServiceModel",
     "SimulationConfig",
+    "StreamingChecker",
+    "StreamingOracle",
     "TransactionHandle",
     "Violation",
     "WorkloadConfig",

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..config import SimulationConfig, WorkloadConfig
-from ..consistency.checker import ConsistencyChecker
-from ..consistency.oracle import ConsistencyOracle
+from ..consistency.streaming import StreamingChecker, StreamingOracle
 from ..faults.plan import FaultEvent, FaultPlan
 from .harness import ExperimentResult, run_experiment
 
@@ -560,7 +559,7 @@ def partition_stall(
     )
     rows: List[PartitionStallResult] = []
     for protocol in protocols:
-        oracle = ConsistencyOracle()
+        checker = StreamingChecker()
         config = SimulationConfig(
             cluster=ClusterSpec.from_machines(
                 n_dcs=scale.n_dcs,
@@ -573,7 +572,7 @@ def partition_stall(
             duration=scale.duration,
             faults=plan,
         )
-        cluster = build_cluster(config, protocol=protocol, oracle=oracle)
+        cluster = build_cluster(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
             driver.start()
@@ -595,7 +594,6 @@ def partition_stall(
             for server in cluster.all_servers()
             for sample in server.metrics.blocking.samples
         ]
-        violations = ConsistencyChecker(oracle).check_all()
         rows.append(
             PartitionStallResult(
                 protocol=protocol,
@@ -607,7 +605,7 @@ def partition_stall(
                 blocked_slices=len(blocking_samples),
                 blocking_max=max(blocking_samples) if blocking_samples else 0.0,
                 ust_staleness_at_heal=staleness_at_heal,
-                violations=len(violations),
+                violations=len(checker.violations),
             )
         )
     return rows
@@ -733,8 +731,7 @@ def reconfig_soak(
     for protocol in protocols:
         from ..config import ReconfigConfig
 
-        level = get_protocol(protocol).consistency
-        oracle = ConsistencyOracle()
+        checker = StreamingChecker(level=get_protocol(protocol).consistency)
         config = SimulationConfig(
             cluster=spec,
             workload=workload,
@@ -744,7 +741,7 @@ def reconfig_soak(
             faults=plan,
             reconfig=ReconfigConfig(drain_delay=min(0.25, 0.1 * scale.duration)),
         )
-        cluster = build_cluster(config, protocol=protocol, oracle=oracle)
+        cluster = build_cluster(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
             driver.start()
@@ -754,7 +751,6 @@ def reconfig_soak(
         sim.run(until=churn_end)
         committed_during = stats.meter.completed_total - committed_before
         sim.run(until=drain_until)
-        violations = ConsistencyChecker(oracle).check_level(level)
         rows.append(
             ReconfigSoakResult(
                 protocol=protocol,
@@ -764,7 +760,7 @@ def reconfig_soak(
                 committed_total=stats.meter.completed_total,
                 committed_during_churn=committed_during,
                 final_epoch=cluster.membership.epoch,
-                violations=len(violations),
+                violations=len(checker.violations),
             )
         )
     return rows
@@ -1039,7 +1035,7 @@ def ablation_client_cache(scale: Optional[BenchScale] = None) -> List[CacheAblat
     scale = scale or current_scale()
     rows = []
     for label, client_cls in (("paris", None), ("paris-no-cache", NoCacheClient)):
-        oracle = ConsistencyOracle()
+        checker = StreamingChecker()
         config = base_config(scale, threads=1, seed=11)
         # Hot keys + few keys maximise re-reads of own writes.
         config = config.with_(
@@ -1058,17 +1054,16 @@ def ablation_client_cache(scale: Optional[BenchScale] = None) -> List[CacheAblat
                 )
             )
         try:
-            run_experiment(config, protocol=protocol, oracle=oracle)
+            run_experiment(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
         finally:
             if client_cls is not None:
                 unregister(protocol)
-        violations = ConsistencyChecker(oracle).check_all()
         rows.append(
             CacheAblationResult(
                 protocol_variant=label,
-                commits=len(oracle.commits),
-                violations=len(violations),
-                violation_kinds=tuple(sorted({v.kind for v in violations})),
+                commits=checker.commits_checked,
+                violations=len(checker.violations),
+                violation_kinds=tuple(sorted({v.kind for v in checker.violations})),
             )
         )
     return rows

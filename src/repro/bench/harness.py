@@ -20,7 +20,7 @@ from ..clocks.hlc import timestamp_to_seconds
 from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec
 from ..config import SimulationConfig
-from ..consistency.oracle import ConsistencyOracle
+from ..consistency.streaming import StreamingOracle
 from ..core.client import PaRiSClient
 from ..faults.engine import FaultInjector
 from ..protocols import get_protocol
@@ -51,7 +51,7 @@ class Cluster:
     #: Live placement shared by every server and client; membership events
     #: from the fault plane mutate it mid-run.
     membership: Optional[Membership] = None
-    oracle: Optional[ConsistencyOracle] = None
+    oracle: Optional[StreamingOracle] = None
     #: Set when the configuration carries a fault plan (see repro.faults).
     injector: Optional[FaultInjector] = None
     clients: List[PaRiSClient] = field(default_factory=list)
@@ -92,7 +92,7 @@ class Cluster:
         return self.sim.now - timestamp_to_seconds(self.min_ust())
 
     def crash_server(self, dc_id: int, partition: int) -> None:
-        """Fail-stop one replica (see :meth:`repro.core.server.PaRiSServer.crash`).
+        """Fail-stop one replica (see :meth:`repro.protocols.engine.ProtocolServer.crash`).
 
         Models Section III-C: durable state (store, 2PC logs, own watermark)
         survives, volatile state is dropped, and peers (TCP) retransmit — but
@@ -141,7 +141,7 @@ class Cluster:
 def build_cluster(
     config: SimulationConfig,
     protocol: Optional[str] = None,
-    oracle: Optional[ConsistencyOracle] = None,
+    oracle: Optional[StreamingOracle] = None,
     preload: bool = True,
     local_dcs: Optional[Iterable[int]] = None,
 ) -> Cluster:
@@ -340,7 +340,7 @@ class ExperimentResult:
 def run_experiment(
     config: SimulationConfig,
     protocol: Optional[str] = None,
-    oracle: Optional[ConsistencyOracle] = None,
+    oracle: Optional[StreamingOracle] = None,
 ) -> ExperimentResult:
     """Build, warm up, measure, and summarise one configuration."""
     cluster = build_cluster(config, protocol=protocol, oracle=oracle)

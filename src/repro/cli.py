@@ -12,9 +12,10 @@ Commands
 ``compare``   Run PaRiS and BPR on the same configuration, side by side.
 ``check``     Run a workload under the consistency oracle and report
               violations (exit status 1 if any are found); also accepts
-              ``--faults``.  ``--trace-out`` persists the checked history
+              ``--faults``.  ``--trace-out`` spills the checked events
               as a JSONL trace; ``--trace-in`` skips the simulation and
-              re-checks a persisted trace instead.
+              re-checks a persisted trace instead; ``--window`` bounds
+              the checker's memory either way.
 ``chaos``     Generate (or load) a fault schedule, run a workload under it,
               and verify consistency survived.
 ``sweep``     Execute a declarative experiment grid (JSON spec) across worker
@@ -46,17 +47,17 @@ import argparse
 import pathlib
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .bench import experiments as exp
 from .bench import report, results, sweep
 from .bench.harness import ExperimentResult, run_experiment
 from .cluster.topology import ClusterSpec
 from .config import SimulationConfig
-from .consistency.checker import ConsistencyChecker
-from .consistency.oracle import ConsistencyOracle
+from .consistency.streaming import StreamingChecker, StreamingOracle, Violation, check_trace
 from .faults import FaultPlan, random_plan
-from .protocols import is_registered, protocol_names
+from .protocols import get_protocol, is_registered, protocol_names
+from .sim.trace import TraceWriter
 
 #: Figure/table names accepted by ``repro figure``.
 FIGURES = (
@@ -99,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--big",
         action="store_true",
-        help="big-run tier: stream consistency events through the windowed "
-        "checker (O(window) memory) instead of the in-memory oracle; "
-        "exits 1 on violations (docs/scaling.md)",
+        help="big-run tier: judge the run's consistency events inline with "
+        "a windowed checker (O(window) memory); exits 1 on violations "
+        "(docs/scaling.md)",
     )
     run_cmd.add_argument(
         "--window",
@@ -171,16 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="TRACE_JSONL",
         default=None,
-        help="persist the run's consistency events to this JSONL file "
-        "after checking",
+        help="spill the run's consistency events to this JSONL file as "
+        "they are checked",
     )
     check_cmd.add_argument(
         "--window",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="visibility window for --trace-in re-checks (default: "
-        "unbounded, exactly equivalent to the in-memory checker)",
+        help="bound the checker's memory to this many simulated seconds of "
+        "commit time, on live runs and --trace-in re-checks alike "
+        "(default: unbounded)",
     )
 
     chaos_cmd = commands.add_parser(
@@ -562,10 +564,6 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
             _save_to_repository(args, result)
         return 0
 
-    from .consistency.streaming import StreamingChecker, StreamingOracle, check_trace
-    from .protocols import get_protocol
-    from .sim.trace import TraceWriter
-
     level = get_protocol(args.protocol).consistency
     trace_path: Optional[str] = None
     if args.shards > 1:
@@ -594,23 +592,13 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
                 profile_path=args.profile,
             )
             checker = check_trace(trace_path, window=args.window, level=level)
-            with open(trace_path, "rb") as handle:
-                trace_events = sum(1 for _ in handle)
         finally:
             if scratch is not None:
                 scratch.cleanup()
                 trace_path = None
     else:
-        checker = StreamingChecker(window=args.window, level=level)
-        sink = TraceWriter(args.trace_out) if args.trace_out else None
-        try:
-            oracle = StreamingOracle(sink=sink, checker=checker)
-            result = run_experiment(config, protocol=args.protocol, oracle=oracle)
-        finally:
-            if sink is not None:
-                sink.close()
-        trace_path = args.trace_out if sink is not None else None
-        trace_events = sink.count if sink is not None else 0
+        result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
+        trace_path = args.trace_out or None
     violations = checker.violations
     if args.json:
         print(result.to_json())
@@ -623,14 +611,44 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
         f"{checker.state_size} in window, {len(violations)} violations"
     )
     if trace_path is not None:
+        # Every line of the trace is one event the checker consumed.
+        trace_events = checker.commits_checked + checker.reads_checked
         print(f"trace: {trace_events} events -> {trace_path}")
     _report_profile(args)
-    for violation in violations[:20]:
-        print(f"  {violation}")
+    status = _report_violations(violations)
     if args.save:
         # The run completed either way; a violating run is still worth
         # persisting (and replaying while debugging it).
         _save_to_repository(args, result, trace_path=trace_path)
+    return status
+
+
+def _run_checked(
+    config: SimulationConfig,
+    protocol: str,
+    window: Optional[float] = None,
+    trace_out: Optional[str] = None,
+) -> Tuple[ExperimentResult, StreamingChecker]:
+    """One run judged inline, at the level ``protocol`` claims.
+
+    Every event the oracle records goes straight to the checker and, with
+    ``trace_out``, to a JSONL spill as well.
+    """
+    checker = StreamingChecker(window=window, level=get_protocol(protocol).consistency)
+    sink = TraceWriter(trace_out) if trace_out else None
+    try:
+        oracle = StreamingOracle(sink=sink, checker=checker)
+        result = run_experiment(config, protocol=protocol, oracle=oracle)
+    finally:
+        if sink is not None:
+            sink.close()
+    return result, checker
+
+
+def _report_violations(violations: Sequence[Violation]) -> int:
+    """Print the first violations; the exit status of a checking command."""
+    for violation in violations[:20]:
+        print(f"  {violation}")
     return 1 if violations else 0
 
 
@@ -709,45 +727,38 @@ def cmd_check(args: argparse.Namespace) -> int:
     docs/design_space.md).
 
     ``--trace-in TRACE`` skips the simulation entirely and re-checks a
-    persisted JSONL trace through the streaming checker (``--window``
-    bounds its memory; unbounded re-checks are exactly equivalent to the
-    in-memory checker).  ``--trace-out TRACE`` persists the just-checked
-    history for later re-checking.
+    persisted JSONL trace.  ``--trace-out TRACE`` spills the events of a
+    live run as they are judged.  ``--window`` bounds the checker's memory
+    either way (default: unbounded).
     """
-    from .protocols import get_protocol
-
     level = get_protocol(args.protocol).consistency
     if args.trace_in is not None:
-        from .consistency.streaming import check_trace
-
         checker = check_trace(args.trace_in, window=args.window, level=level)
-        violations = checker.violations
         window_text = "unbounded" if args.window is None else f"{args.window:g}s"
         print(
             f"re-checked {args.trace_in}: {checker.commits_checked} commits / "
             f"{checker.reads_checked} reads ({window_text} window, level "
-            f"'{level}'): {len(violations)} violations"
+            f"'{level}'): {len(checker.violations)} violations"
         )
-        for violation in violations[:20]:
-            print(f"  {violation}")
-        return 1 if violations else 0
+        return _report_violations(checker.violations)
 
-    oracle = ConsistencyOracle()
-    result = run_experiment(config_from_args(args), protocol=args.protocol, oracle=oracle)
-    violations = ConsistencyChecker(oracle).check_level(level)
+    config = config_from_args(args)
+    result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
     print(
-        f"checked {len(oracle.commits)} commits / {len(oracle.reads)} reads "
+        f"checked {checker.commits_checked} commits / {checker.reads_checked} reads "
         f"({result.throughput:,.0f} tx/s) at level '{level}': "
-        f"{len(violations)} violations"
+        f"{len(checker.violations)} violations"
     )
-    for violation in violations[:20]:
-        print(f"  {violation}")
+    if args.window is not None:
+        print(
+            f"window {args.window:g}s: {checker.versions_retired} versions "
+            f"retired, {checker.state_size} in window"
+        )
+    status = _report_violations(checker.violations)
     if args.trace_out is not None:
-        from .consistency.streaming import dump_trace
-
-        count = dump_trace(oracle, args.trace_out)
-        print(f"trace: {count} events -> {args.trace_out}")
-    return 1 if violations else 0
+        trace_events = checker.commits_checked + checker.reads_checked
+        print(f"trace: {trace_events} events -> {args.trace_out}")
+    return status
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -756,9 +767,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     Like ``repro check``, violations are judged against the protocol's
     registered consistency level.
     """
-    from .protocols import get_protocol
-
-    level = get_protocol(args.protocol).consistency
     config = config_from_args(args)
     if args.plan is not None:
         plan = FaultPlan.load(args.plan)
@@ -780,19 +788,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.plan_out:
         plan.dump(args.plan_out)
         print(f"plan written to {args.plan_out}")
-    oracle = ConsistencyOracle()
-    result = run_experiment(config, protocol=args.protocol, oracle=oracle)
-    violations = ConsistencyChecker(oracle).check_level(level)
-    applied = len(plan)
+    result, checker = _run_checked(config, args.protocol)
     print(
-        f"\n{args.protocol} survived {applied} fault events: "
+        f"\n{args.protocol} survived {len(plan)} fault events: "
         f"{result.throughput:,.0f} tx/s in the window, "
-        f"{len(oracle.commits)} commits / {len(oracle.reads)} reads checked "
-        f"at level '{level}', {len(violations)} violations"
+        f"{checker.commits_checked} commits / {checker.reads_checked} reads checked "
+        f"at level '{checker.level}', {len(checker.violations)} violations"
     )
-    for violation in violations[:20]:
-        print(f"  {violation}")
-    return 1 if violations else 0
+    return _report_violations(checker.violations)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

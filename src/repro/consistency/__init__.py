@@ -1,38 +1,32 @@
 """Consistency verification: oracle recording + invariant checking.
 
-Two checking modes share one invariant suite: the in-memory
-:class:`ConsistencyChecker` over a :class:`ConsistencyOracle` (small runs),
-and the O(window) :class:`StreamingChecker` over spilled event streams
-(big runs; see docs/scaling.md).
+One oracle, one checker: :class:`StreamingOracle` turns client reports into
+an event stream and :class:`StreamingChecker` judges it one event at a time
+— unbounded (``window=None``) for small runs, O(window) for big ones (see
+docs/scaling.md).
 """
 
-from .checker import ConsistencyChecker, Violation
-from .events import CommitEvent, ReadEvent, decode_event, encode_commit, encode_read
-from .oracle import CommitRecord, ConsistencyOracle, ReadRecord, VersionId, version_id
-from .streaming import (
-    StreamingChecker,
-    StreamingOracle,
-    check_trace,
-    dump_trace,
-    oracle_events,
+from .events import (
+    CommitEvent,
+    ReadEvent,
+    VersionId,
+    decode_event,
+    encode_commit,
+    encode_read,
+    version_id,
 )
+from .streaming import StreamingChecker, StreamingOracle, Violation, check_trace
 
 __all__ = [
     "CommitEvent",
-    "CommitRecord",
-    "ConsistencyChecker",
-    "ConsistencyOracle",
     "ReadEvent",
-    "ReadRecord",
     "StreamingChecker",
     "StreamingOracle",
     "VersionId",
     "Violation",
     "check_trace",
     "decode_event",
-    "dump_trace",
     "encode_commit",
     "encode_read",
-    "oracle_events",
     "version_id",
 ]

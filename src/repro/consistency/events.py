@@ -1,7 +1,7 @@
 """Wire format of consistency events (the persisted trace of a run).
 
 The oracle observes two kinds of events — transactional reads and commits —
-and the checkers consume exactly those.  This module defines a compact,
+and the checker consumes exactly those.  This module defines a compact,
 self-contained JSON-line encoding of both so a run's consistency-relevant
 history can be spilled to disk (:class:`repro.sim.trace.TraceWriter`) and
 re-checked later (``repro check --trace-in``, docs/scaling.md).
@@ -23,7 +23,7 @@ Schema (one JSON object per line, sorted keys)::
      "deps": [["p1:k000002", 99, 3, 17, 0]]}
 
 A version id is ``[key, ut, tid_seq, tid_uid, sr]`` and decodes to the
-oracle's ``VersionId`` tuple ``(key, ut, (tid_seq, tid_uid), sr)``.
+:data:`VersionId` tuple ``(key, ut, (tid_seq, tid_uid), sr)``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-#: Mirrors :data:`repro.consistency.oracle.VersionId` without importing the
-#: oracle module (the oracle imports this one to spill events).
-VersionId = Tuple[str, int, Tuple[int, int], int]
+from ..storage.version import PRELOAD_TID, TransactionId, Version
+
+#: A version identity: (key, ut, tid, sr) — hashable and totally ordered
+#: per-key via (ut, tid, sr).
+VersionId = Tuple[str, int, TransactionId, int]
+
+
+def version_id(version: Version) -> VersionId:
+    """The oracle identity of a version."""
+    return (version.key, version.ut, version.tid, version.sr)
+
+
+def is_preload(version: Version) -> bool:
+    """Whether a version is part of the preloaded (timestamp-zero) dataset."""
+    return version.tid == PRELOAD_TID
+
+
+def _vid_order(vid: VersionId) -> Tuple[int, TransactionId, int]:
+    """Per-key total order of version ids: (ut, tid, sr)."""
+    return (vid[1], vid[2], vid[3])
 
 
 @dataclass(frozen=True, slots=True)

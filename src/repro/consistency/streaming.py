@@ -1,33 +1,50 @@
-"""Windowed streaming consistency checking (the ``--big`` run tier).
+"""TCC invariant checking over a one-pass consistency event stream.
 
-The in-memory :class:`~repro.consistency.checker.ConsistencyChecker` holds
-the whole history — every read, commit, and dependency edge — so run size
-is bounded by RAM.  This module re-states the same five invariants over a
-one-pass *event stream* (:mod:`repro.consistency.events`) with O(window)
-state:
+The checker sits outside the protocol: clients report every transactional
+read and commit to a :class:`StreamingOracle`, which turns them into
+:mod:`repro.consistency.events` and hands each one to a
+:class:`StreamingChecker`, a :class:`repro.sim.trace.TraceWriter`, or both.
+Nothing in any protocol reads oracle state — it exists so the test suite
+can *verify* TCC rather than assume it.
 
-* :class:`StreamingOracle` replaces the in-memory oracle for big runs: it
-  keeps only per-session frontiers, computes each commit's direct
-  dependencies exactly like the in-memory oracle, and spills the resulting
-  events to a :class:`repro.sim.trace.TraceWriter` (and/or feeds an
-  attached :class:`StreamingChecker` inline) instead of retaining them.
-* :class:`StreamingChecker` consumes events in recording (sequence) order.
-  With ``window=None`` it runs the *identical* closure/frontier algorithms
-  over the identical data as the in-memory checker, so its verdicts and
-  violation multisets are equal on any trace that fits in RAM (proved
-  run-for-run in ``tests/test_checker_streaming.py``).  With a finite
-  window (seconds of commit time) it retires dependency and transaction
-  state older than ``watermark - window`` and keeps, per key, a *retired
-  tip digest* — the newest retired version's exact dependency frontier and
-  transaction siblings — so the classic violation shapes (stale reads,
-  causal fractures, lost read-modify-writes) are still caught even when
-  the violating version has crossed the retirement boundary.
+Five invariants are verified (Section II-B semantics):
 
-Memory profile with a finite window: dependency/closure/transaction maps
-are O(versions committed inside the window); per-client monotonic-read and
-own-write frontiers are O(clients x keys) — both independent of run
-length (regression-tested with ``tracemalloc`` in
-``tests/test_checker_memory.py``).
+* **Causal snapshot** — if a transactional read returns version X, and X
+  (transitively) depends on some version D of key y, then the read's returned
+  version of y (if y was read) is at least D in the per-key version order.
+* **Atomic visibility** — if a read returns a version written by transaction
+  T and also reads another key T wrote, it must return T's version of that
+  key or a newer one (never an older one).
+* **Read-your-writes** — a client's reads return its own prior committed
+  version of a key or something newer.
+* **Monotonic reads** — per client and key, returned versions never go
+  backwards across transactions.
+* **Dependency timestamps** — Proposition 1: if u1 -> u2 then u1.ut < u2.ut.
+
+Dependency tracking: per client session the oracle keeps an observed
+frontier — for each key, the newest version the client has read or written.
+When the client commits, the new versions' direct dependencies are the
+frontier values at commit time, which matches the causality definition of
+Section II-A: same-thread order, reads-from, and transitivity (recovered by
+the checker's closure walk).
+
+The checker is sound, not complete: the frontier keeps the newest observed
+version per key of a session, so a violation report is always a real
+violation, while some exotic violation shapes could in principle escape.
+Events are judged in recording (sequence) order, so a read that returns a
+version whose commit is recorded only later is not judged for causal
+snapshots or atomic visibility (its session invariants still are).
+
+``window=None`` (the default, and what ``repro check`` and the tests use)
+keeps every dependency edge, so run size is bounded by RAM.  With a finite
+window (seconds of commit time, the ``--big`` run tier) the checker retires
+dependency and transaction state older than ``watermark - window`` and
+keeps, per key, a *retired tip digest* — the newest retired version's exact
+dependency frontier and transaction siblings — so the classic violation
+shapes (stale reads, causal fractures, lost read-modify-writes) are still
+caught even when the violating version has crossed the retirement boundary.
+Windowed state is O(versions committed inside the window) plus O(clients x
+keys) of per-client frontiers — independent of run length (docs/scaling.md).
 """
 
 from __future__ import annotations
@@ -35,24 +52,46 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..clocks.hlc import micros_to_timestamp
 from ..sim.trace import TraceWriter, read_jsonl
 from ..storage.version import TransactionId, Version
-from .checker import Violation
 from .events import (
     CommitEvent,
     ReadEvent,
     TraceEvent,
+    VersionId,
+    _vid_order,
     decode_event,
     encode_commit,
     encode_read,
+    is_preload,
+    version_id,
 )
-from .oracle import ConsistencyOracle, VersionId, _vid_order, is_preload, version_id
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One detected consistency violation."""
+
+    kind: str
+    client: str
+    detail: str
+
+    def __str__(self) -> str:  # pragma: no cover - debugging aid
+        return f"[{self.kind}] client={self.client}: {self.detail}"
+
 
 #: How many commits between retirement sweeps (amortises the heap pops).
 RETIRE_EVERY = 256
+
+
+def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
+    """Raise ``frontier[key]`` to ``vid`` if ``vid`` is the newer version."""
+    current = frontier.get(key)
+    if current is None or _vid_order(vid) > _vid_order(current):
+        frontier[key] = vid
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,8 +103,8 @@ class RetiredTip:
     otherwise — transitive contributions below it were retired first), and
     ``siblings`` the full write set of its transaction.  Reads returning
     exactly this version are still checked for causal snapshots and atomic
-    visibility; reads returning versions retired even earlier are skipped,
-    the same sound-but-incomplete stance the in-memory checker documents.
+    visibility; reads returning versions retired even earlier are skipped
+    (sound, not complete).
     """
 
     vid: VersionId
@@ -77,10 +116,13 @@ class StreamingChecker:
     """One-pass invariant checker over a consistency event stream.
 
     ``window`` is in seconds of commit (HLC physical) time; ``None`` keeps
-    all state and is exactly equivalent to the in-memory checker.
-    ``level`` mirrors :meth:`ConsistencyChecker.check_level`: ``"tcc"``
-    runs all five invariants, ``"session"`` only read-your-writes,
-    monotonic reads, and dependency timestamps.
+    all state.  ``level`` is the consistency level a protocol claims in
+    :class:`repro.protocols.registry.ProtocolSpec`: ``"tcc"`` runs all five
+    invariants, ``"session"`` only read-your-writes, monotonic reads, and
+    dependency timestamps — what an eventually consistent protocol actually
+    promises (checking a protocol against guarantees it never claimed says
+    nothing, while a session-level pass is a real statement about its cache
+    and per-replica installation order).
     """
 
     def __init__(self, window: Optional[float] = None, level: str = "tcc") -> None:
@@ -157,10 +199,7 @@ class StreamingChecker:
                     )
             self._deps[vid] = deps
             heappush(self._version_queue, (vid[1], vid))
-            key = vid[0]
-            current = own.get(key)
-            if current is None or _vid_order(vid) > _vid_order(current):
-                own[key] = vid
+            _merge(own, vid[0], vid)
         if event.written:
             self._tx_writes[event.tid] = event.written
             heappush(
@@ -282,9 +321,10 @@ class StreamingChecker:
     def _closure(self, vid: VersionId) -> Dict[str, VersionId]:
         """Transitive per-key dependency frontier of ``vid`` (memoized).
 
-        The same iterative post-order walk as the in-memory checker's,
-        over the windowed dependency map: retired dependencies simply act
-        as leaves (their own frontier contributions were retired first).
+        Iterative post-order walk: dependency chains grow with session length
+        and would overflow Python's recursion limit if walked recursively.
+        Retired dependencies simply act as leaves (their own frontier
+        contributions were retired first).
         """
         cached = self._closures.get(vid)
         if cached is not None:
@@ -303,19 +343,13 @@ class StreamingChecker:
                 continue
             frontier: Dict[str, VersionId] = {}
             for dep in deps:
-                self._merge(frontier, dep[0], dep)
+                _merge(frontier, dep[0], dep)
                 inner = self._closures.get(dep)
                 if inner:
                     for key, inner_vid in inner.items():
-                        self._merge(frontier, key, inner_vid)
+                        _merge(frontier, key, inner_vid)
             self._closures[current] = frontier
         return self._closures[vid]
-
-    @staticmethod
-    def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
-        current = frontier.get(key)
-        if current is None or _vid_order(vid) > _vid_order(current):
-            frontier[key] = vid
 
     def _retire(self) -> None:
         """Drop dependency/transaction state older than the window.
@@ -345,13 +379,15 @@ class StreamingChecker:
 
 
 class StreamingOracle:
-    """Drop-in oracle for big runs: spills events instead of retaining them.
+    """Records reads/commits as events; holds only per-session frontiers.
 
-    Implements the same ``record_read`` / ``record_commit`` interface (and
-    dependency semantics) as :class:`ConsistencyOracle`, but holds only
-    per-session frontiers.  Each recorded event goes to ``sink`` (a
+    Each recorded event goes to ``sink`` (a
     :class:`~repro.sim.trace.TraceWriter`) as one JSON line, to ``checker``
-    (a :class:`StreamingChecker`) directly, or both.
+    (a :class:`StreamingChecker`, or anything with a ``feed(event)``
+    method) directly, or both.  ``results`` values passed to
+    :meth:`record_read` expose ``version`` (Optional[Version]) and
+    ``source`` (str) — the client's :class:`~repro.core.client.ReadResult`
+    qualifies.
     """
 
     def __init__(
@@ -387,7 +423,7 @@ class StreamingOracle:
             vid = version_id(version)
             returned[key] = (vid, result.source)
             if not is_preload(version):
-                self._observe(frontier, key, vid)
+                _merge(frontier, key, vid)
         event = ReadEvent(
             seq=next(self._seq),
             client=client,
@@ -415,11 +451,11 @@ class StreamingOracle:
         frontier = self._frontiers.setdefault(client, {})
         for version in read_versions:
             if not is_preload(version):
-                self._observe(frontier, version.key, version_id(version))
+                _merge(frontier, version.key, version_id(version))
         deps = tuple(sorted(frontier.values()))
         written_ids = tuple(version_id(version) for version in written.values())
         for vid in written_ids:
-            self._observe(frontier, vid[0], vid)
+            _merge(frontier, vid[0], vid)
         event = CommitEvent(
             seq=next(self._seq),
             client=client,
@@ -434,63 +470,6 @@ class StreamingOracle:
             self.sink.write(encode_commit(event))
         if self.checker is not None:
             self.checker.feed(event)
-
-    @staticmethod
-    def _observe(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
-        current = frontier.get(key)
-        if current is None or _vid_order(vid) > _vid_order(current):
-            frontier[key] = vid
-
-
-def oracle_events(oracle: ConsistencyOracle) -> Iterator[TraceEvent]:
-    """The event stream of an in-memory oracle, in recording order.
-
-    Lets any oracle-backed run be persisted (``repro check --trace-out``)
-    or replayed through the streaming checker; equivalence tests use it to
-    feed both checkers the same history.
-    """
-    merged: List[Union[ReadEvent, CommitEvent]] = [
-        ReadEvent(
-            seq=record.seq,
-            client=record.client,
-            tid=record.tid,
-            snapshot=record.snapshot,
-            returned=record.returned,
-            at=record.at,
-        )
-        for record in oracle.reads
-    ]
-    for record in oracle.commits:
-        merged.append(
-            CommitEvent(
-                seq=record.seq,
-                client=record.client,
-                tid=record.tid,
-                commit_ts=record.commit_ts,
-                written=record.written,
-                deps=tuple(sorted(oracle.dependencies.get(record.written[0], ())))
-                if record.written
-                else (),
-                at=record.at,
-            )
-        )
-    merged.sort(key=lambda event: event.seq)
-    return iter(merged)
-
-
-def dump_trace(oracle: ConsistencyOracle, path) -> int:
-    """Persist an in-memory oracle's history as a JSONL trace file.
-
-    Returns the number of events written.  The file is deterministic for a
-    deterministic run and re-checkable with ``repro check --trace-in``.
-    """
-    with TraceWriter(path) as sink:
-        for event in oracle_events(oracle):
-            if isinstance(event, ReadEvent):
-                sink.write(encode_read(event))
-            else:
-                sink.write(encode_commit(event))
-        return sink.count
 
 
 def check_trace(

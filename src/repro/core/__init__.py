@@ -1,13 +1,14 @@
-"""PaRiS core: the paper's protocol (client, server, UST, messages)."""
+"""PaRiS core: the client side of the paper's protocol, messages, metrics.
+
+The server side is :mod:`repro.protocols`.
+"""
 
 from .cache import WriteCache
 from .client import PaRiSClient, ReadResult, TransactionHandle, TransactionStateError
 from .metrics import ServerMetrics
-from .server import PaRiSServer
 
 __all__ = [
     "PaRiSClient",
-    "PaRiSServer",
     "ReadResult",
     "ServerMetrics",
     "TransactionHandle",

@@ -78,7 +78,7 @@ class PaRiSClient(Node):
         dc_id: int,
         coordinator_partition: int,
         client_index: int = 0,
-        oracle: Optional["ConsistencyOracle"] = None,
+        oracle: Optional["StreamingOracle"] = None,
         membership: Optional[Membership] = None,
     ) -> None:
         address = client_address(dc_id, coordinator_partition, client_index)

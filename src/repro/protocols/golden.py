@@ -16,13 +16,12 @@ Regenerate after an intentional behaviour change::
 
 and commit the diff with an explanation of why trajectories moved.
 
-A second golden file, ``tests/golden/checker_verdicts.json``, pins the
-consistency checker itself: for every registered protocol x three workload
-profiles x two seeds it records the history size and the checker's verdict
+``tests/golden/checker_verdicts.json`` pins the consistency checker itself:
+per protocol x workload profile x seed, the history size and the verdict
 (violation count, SHA-256 of the sorted ``(kind, client, detail)`` triples,
-and a short digest per triple) at the level the protocol claims *and* at
-level ``tcc``.  The file was first written by the in-memory checker this
-repository used to carry beside the streaming one, so it is the recorded
+a short digest per triple) at the level the protocol claims *and* at level
+``tcc``.  It was first written by the in-memory checker this repository
+used to carry beside :class:`StreamingChecker`, so it is the recorded
 reference any change to the checker's algorithms must reproduce::
 
     PYTHONPATH=src python -m repro.protocols.golden --verdicts           # compare
@@ -34,9 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig, small_test_config
+from ..consistency.events import CommitEvent, TraceEvent
+from ..consistency.streaming import StreamingChecker, StreamingOracle
 from ..sim.trace import GLOBAL_TRACER
 
 #: Trace categories digested by the golden runs (``net`` excluded: huge and
@@ -104,42 +106,19 @@ def update_goldens(
     return digests
 
 
-# ----------------------------------------------------------------------
-# Checker verdict goldens
-# ----------------------------------------------------------------------
 #: The committed checker verdicts, beside the protocol digests.
 VERDICTS_PATH = GOLDEN_PATH.with_name("checker_verdicts.json")
 
-#: Workload shapes of the verdict runs: the paper's zipfian read-heavy mix,
-#: the write-heavy YCSB-A mix, and YCSB-D's latest-biased distribution.
+#: Workload profiles x seeds of the verdict runs (x every registered
+#: protocol): the paper's zipfian read-heavy mix, the write-heavy YCSB-A
+#: mix, and YCSB-D's latest-biased distribution.
 VERDICT_PROFILES = ("default", "ycsb_a", "ycsb_d")
 VERDICT_SEEDS = (7, 23)
 
-#: One sorted violation fingerprint.
-Triple = Tuple[str, str, str]
 
-
-def verdict_runs() -> List[Tuple[str, str, int]]:
-    """Every (protocol, profile, seed) the verdict file covers."""
-    from .registry import protocol_names
-
-    return [
-        (protocol, profile, seed)
-        for protocol in sorted(protocol_names())
-        for profile in VERDICT_PROFILES
-        for seed in VERDICT_SEEDS
-    ]
-
-
-def verdict_key(protocol: str, profile: str, seed: int) -> str:
-    """The verdict file's key for one run."""
-    return f"{protocol}/{profile}/{seed}"
-
-
-def verdict_history(protocol: str, profile: str, seed: int):
-    """One tiny seeded live run, recorded through the consistency oracle."""
+def verdict_history(protocol: str, profile: str, seed: int) -> List[TraceEvent]:
+    """One tiny seeded live run's consistency events, in recording order."""
     from ..bench.harness import run_experiment  # local import: avoids a cycle
-    from ..consistency.oracle import ConsistencyOracle
 
     config = small_test_config(
         n_dcs=3,
@@ -149,102 +128,52 @@ def verdict_history(protocol: str, profile: str, seed: int):
         seed=seed,
         profile=profile,
     ).with_(warmup=0.3, duration=0.4)
-    oracle = ConsistencyOracle()
-    run_experiment(config, protocol=protocol, oracle=oracle)
-    return oracle
+    events: List[TraceEvent] = []
+    recorder = SimpleNamespace(feed=events.append)
+    run_experiment(config, protocol=protocol, oracle=StreamingOracle(checker=recorder))
+    return events
 
 
-def history_size(history) -> Tuple[int, int]:
-    """(commits, reads) of a recorded history."""
-    return len(history.commits), len(history.reads)
-
-
-def check_history(history, level: str) -> List[Triple]:
+def check_history(events: List[TraceEvent], level: str) -> List[Tuple[str, str, str]]:
     """The checker's verdict on a history: sorted (kind, client, detail)."""
-    from ..consistency.checker import ConsistencyChecker
-
-    violations = ConsistencyChecker(history).check_level(level)
+    violations = StreamingChecker(window=None, level=level).run(events)
     return sorted((v.kind, v.client, v.detail) for v in violations)
 
 
-def _triple_digest(triple: Triple) -> str:
+def triple_digest(triple: Tuple[str, str, str]) -> str:
+    """The short per-triple digest that lets a mismatch name its first triple."""
     return hashlib.sha256(json.dumps(triple).encode("utf-8")).hexdigest()[:8]
 
 
-def level_verdict(triples: List[Triple]) -> Dict[str, Any]:
+def level_verdict(triples: List[Tuple[str, str, str]]) -> Dict[str, Any]:
     """What the verdict file stores for one run at one level."""
     blob = json.dumps(triples, separators=(",", ":"))
     return {
         "violations": len(triples),
         "sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-        "triples": " ".join(_triple_digest(triple) for triple in triples),
+        "triples": " ".join(triple_digest(triple) for triple in triples),
     }
 
 
-def first_difference(expected: Dict[str, Any], triples: List[Triple]) -> str:
-    """Name the first triple on which a verdict departs from the golden."""
-    golden = expected["triples"].split()
-    for index, triple in enumerate(triples):
-        if index >= len(golden) or _triple_digest(triple) != golden[index]:
-            wanted = golden[index] if index < len(golden) else "nothing"
-            return (
-                f"triple {index} of {len(triples)} (golden has {len(golden)}): "
-                f"got {triple}, golden digest there is {wanted}"
-            )
-    return (
-        f"all {len(triples)} triples match the golden's first {len(triples)}; "
-        f"the golden has {len(golden)}"
-    )
+def checker_verdicts(names: Sequence[str] = ()) -> Dict[str, Dict[str, Any]]:
+    """Run the verdict scenarios (of ``names``; default: every protocol)."""
+    from .registry import get_protocol, protocol_names
 
-
-def checker_verdict(protocol: str, profile: str, seed: int) -> Dict[str, Any]:
-    """Run one verdict scenario and reduce it to its verdict-file entry."""
-    from .registry import get_protocol
-
-    history = verdict_history(protocol, profile, seed)
-    commits, reads = history_size(history)
-    level = get_protocol(protocol).consistency
-    return {
-        "commits": commits,
-        "reads": reads,
-        "level": level,
-        "claimed": level_verdict(check_history(history, level)),
-        "tcc": level_verdict(check_history(history, "tcc")),
-    }
-
-
-def load_verdicts(path: Optional[pathlib.Path] = None) -> Dict[str, Dict[str, Any]]:
-    """The committed run -> verdict map ({} when the file is absent)."""
-    return load_goldens(path or VERDICTS_PATH)
-
-
-def _main_verdicts(update: bool, names: Sequence[str]) -> int:
-    """``--verdicts``: compare against (or, with ``--update``, rewrite) the file."""
-    committed = load_verdicts()
-    status = 0
-    for protocol, profile, seed in verdict_runs():
-        if names and protocol not in names:
-            continue
-        key = verdict_key(protocol, profile, seed)
-        entry = checker_verdict(protocol, profile, seed)
-        match = committed.get(key) == entry
-        print(
-            f"{key:<24} {entry['commits']:>4} commits {entry['reads']:>5} reads  "
-            f"{entry['level']}: {entry['claimed']['violations']:>3}  "
-            f"tcc: {entry['tcc']['violations']:>3}  {'ok' if match else 'DIFFERS'}"
-        )
-        status |= 0 if match else 1
-        committed[key] = entry
-    if not update:
-        if status:
-            print(f"verdicts differ from {VERDICTS_PATH}; pass --update to overwrite it")
-        return status
-    VERDICTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    VERDICTS_PATH.write_text(
-        json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {VERDICTS_PATH}")
-    return 0
+    verdicts = {}
+    for protocol in sorted(names or protocol_names()):
+        level = get_protocol(protocol).consistency
+        for profile in VERDICT_PROFILES:
+            for seed in VERDICT_SEEDS:
+                events = verdict_history(protocol, profile, seed)
+                commits = sum(isinstance(event, CommitEvent) for event in events)
+                verdicts[f"{protocol}/{profile}/{seed}"] = {
+                    "commits": commits,
+                    "reads": len(events) - commits,
+                    "level": level,
+                    "claimed": level_verdict(check_history(events, level)),
+                    "tcc": level_verdict(check_history(events, "tcc")),
+                }
+    return verdicts
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -267,7 +196,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.verdicts:
-        return _main_verdicts(args.update, args.names)
+        committed = load_goldens(VERDICTS_PATH)
+        fresh = checker_verdicts(args.names)
+        for key, entry in fresh.items():
+            print(
+                f"{key:<24} {entry['commits']:>4} commits {entry['reads']:>5} reads  "
+                f"{entry['level']}: {entry['claimed']['violations']:>3}  "
+                f"tcc: {entry['tcc']['violations']:>3}  "
+                f"{'ok' if committed.get(key) == entry else 'DIFFERS'}"
+            )
+        if not args.update:
+            return int(any(committed.get(key) != entry for key, entry in fresh.items()))
+        committed.update(fresh)
+        VERDICTS_PATH.write_text(
+            json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(f"wrote {VERDICTS_PATH}")
+        return 0
     names = args.names or list(protocol_names())
     if args.update:
         digests = update_goldens(names)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import build_cluster, small_test_config
-from repro.consistency.oracle import ConsistencyOracle
+from repro.consistency.events import CommitEvent, ReadEvent
+from repro.consistency.streaming import StreamingChecker, StreamingOracle
 from repro.sim.kernel import Simulator
 
 
@@ -37,10 +38,45 @@ def tiny_bpr_cluster(tiny_config):
     return cluster
 
 
-@pytest.fixture
-def oracle():
-    """A fresh consistency oracle."""
-    return ConsistencyOracle()
+def checked_oracle(level: str = "tcc") -> StreamingOracle:
+    """An oracle judged inline; verdicts accrue in ``oracle.checker.violations``."""
+    return StreamingOracle(checker=StreamingChecker(level=level))
+
+
+def violations_of(oracle: StreamingOracle, kind: str):
+    """The inline checker's violations of one invariant."""
+    return [v for v in oracle.checker.violations if v.kind == kind]
+
+
+class EventLog:
+    """List-backed stand-in for the oracle's checker: keeps the raw history.
+
+    For tests that judge one run several ways (levels, windows) or inspect
+    the recorded events themselves.
+    """
+
+    def __init__(self) -> None:
+        self.events = []
+
+    def feed(self, event) -> None:
+        self.events.append(event)
+
+    @property
+    def commits(self):
+        return [e for e in self.events if isinstance(e, CommitEvent)]
+
+    @property
+    def reads(self):
+        return [e for e in self.events if isinstance(e, ReadEvent)]
+
+    def check(self, level: str = "tcc", window=None):
+        """Run the checker over the recorded history; returns its violations."""
+        return StreamingChecker(window=window, level=level).run(self.events)
+
+
+def recording_oracle(sink=None) -> StreamingOracle:
+    """An oracle whose ``checker`` is an :class:`EventLog`."""
+    return StreamingOracle(sink=sink, checker=EventLog())
 
 
 def drive(cluster, generator, horizon: float = 30.0):

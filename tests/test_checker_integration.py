@@ -18,15 +18,13 @@ import pytest
 
 from repro import build_cluster, small_test_config
 from repro.bench.harness import deploy_sessions
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
 from repro.core.client import PaRiSClient
 from repro.workload.runner import SessionStats
-from tests.conftest import drive, run_for
+from tests.conftest import checked_oracle, drive, recording_oracle, run_for
 
 
-def run_workload_with_oracle(config, protocol: str) -> ConsistencyOracle:
-    oracle = ConsistencyOracle()
+def run_workload_with_oracle(config, protocol: str, level: str = "tcc"):
+    oracle = checked_oracle(level)
     cluster = build_cluster(config, protocol=protocol, oracle=oracle)
     stats = SessionStats()
     for driver in deploy_sessions(cluster, stats):
@@ -42,8 +40,8 @@ class TestValidProtocolsAreClean:
             n_dcs=3, machines_per_dc=2, keys_per_partition=15, threads_per_client=1
         ).with_(warmup=0.6, duration=0.8)
         oracle = run_workload_with_oracle(config, protocol)
-        assert len(oracle.commits) > 20, "workload too small to be meaningful"
-        violations = ConsistencyChecker(oracle).check_all()
+        assert oracle.commits_recorded > 20, "workload too small to be meaningful"
+        violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:10])
 
     def test_cops_session_guarantees_hold(self):
@@ -51,9 +49,9 @@ class TestValidProtocolsAreClean:
         config = small_test_config(
             n_dcs=3, machines_per_dc=2, keys_per_partition=15, threads_per_client=1
         ).with_(warmup=0.6, duration=0.8)
-        oracle = run_workload_with_oracle(config, "cops")
-        assert len(oracle.commits) > 20, "workload too small to be meaningful"
-        violations = ConsistencyChecker(oracle).check_level("session")
+        oracle = run_workload_with_oracle(config, "cops", level="session")
+        assert oracle.commits_recorded > 20, "workload too small to be meaningful"
+        violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:10])
 
     def test_paris_clean_with_hot_keys_and_multi_dc(self):
@@ -67,7 +65,7 @@ class TestValidProtocolsAreClean:
             zipf_theta=0.9,
         ).with_(warmup=0.6, duration=0.8)
         oracle = run_workload_with_oracle(config, "paris")
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
 
 class TestBrokenProtocolsAreCaught:
@@ -129,20 +127,19 @@ class TestBrokenProtocolsAreCaught:
         """The registered eventual protocol is the Section III-A trap: the
         full TCC checker must catch its causal fractures (which is why its
         registered claim is only session-level consistency)."""
-        oracle = ConsistencyOracle()
+        oracle = recording_oracle()
         self._run_race("eventual", oracle)
-        violations = ConsistencyChecker(oracle).check_all()
-        kinds = {violation.kind for violation in violations}
+        kinds = {violation.kind for violation in oracle.checker.check()}
         assert "causal-snapshot" in kinds
         # ... while the guarantees eventual actually claims survive the race.
-        assert ConsistencyChecker(oracle).check_level("session") == []
+        assert oracle.checker.check("session") == []
 
     def test_same_race_is_clean_on_real_paris_even_with_slow_apply(self):
         """Identical racy scenario on real PaRiS: the stale-but-stable UST
         snapshot absorbs the apply skew; zero violations."""
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         self._run_race("paris", oracle)
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
     def test_occult_without_client_validation_is_caught(self):
         """Occult's servers are wait-free: the whole TCC obligation lives in
@@ -154,28 +151,27 @@ class TestBrokenProtocolsAreCaught:
         def disable_validation(client):
             client.validation_enabled = False
 
-        oracle = ConsistencyOracle()
+        oracle = recording_oracle()
         self._run_race("occult", oracle, tweak=disable_validation)
-        violations = ConsistencyChecker(oracle).check_all()
-        kinds = {violation.kind for violation in violations}
+        kinds = {violation.kind for violation in oracle.checker.check()}
         assert "causal-snapshot" in kinds
-        assert ConsistencyChecker(oracle).check_level("session") == []
+        assert oracle.checker.check("session") == []
 
     @pytest.mark.parametrize("protocol", ["occult", "cure"])
     def test_same_race_is_clean_on_validating_variants(self, protocol):
         """The identical race on the real variants: occult's validation
         retries the stale round, cure's vector snapshot pins both keys."""
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         self._run_race(protocol, oracle)
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
     def test_same_race_keeps_cops_session_clean(self):
         """cops never claims causal snapshots; its session guarantees must
         survive the race (its dep-gated replication is about apply order,
         not read-time snapshots)."""
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle("session")
         self._run_race("cops", oracle)
-        assert ConsistencyChecker(oracle).check_level("session") == []
+        assert oracle.checker.violations == []
 
     def test_cacheless_client_breaks_read_your_writes(self, tiny_config):
         class NoCacheClient(PaRiSClient):
@@ -184,7 +180,7 @@ class TestBrokenProtocolsAreCaught:
                 self.cache.prune(commit_ts)  # throw the cache away
                 return commit_ts
 
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(tiny_config, protocol="paris", oracle=oracle)
         cluster.sim.run(until=1.0)
         client = NoCacheClient(
@@ -209,13 +205,13 @@ class TestBrokenProtocolsAreCaught:
                 client.finish()
 
         drive(cluster, txs())
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         kinds = {violation.kind for violation in violations}
         assert "read-your-writes" in kinds
 
     def test_same_scenarios_clean_on_real_paris(self, tiny_config):
         """The exact broken-protocol scenario is clean under real PaRiS."""
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(tiny_config, protocol="paris", oracle=oracle)
         cluster.sim.run(until=1.0)
         writer = cluster.new_client(0, 0)
@@ -244,4 +240,4 @@ class TestBrokenProtocolsAreCaught:
         process = cluster.sim.spawn(reads())
         run_for(cluster, 5.0)
         assert process.done
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []

@@ -5,10 +5,9 @@ of histories it accepts.  These property tests generate a valid causal
 history (sequential sessions over shared keys), verify it is clean, then
 apply a random corruption — and assert the checker notices.
 
-The streaming-path mutations at the bottom repeat the exercise against the
-windowed :class:`~repro.consistency.streaming.StreamingChecker`, with the
-violating version deliberately pushed *across the retirement boundary*: the
-classic breakage shapes (stale read, lost read-modify-write, causal
+The windowed mutations at the bottom repeat the exercise with a finite
+``window`` and the violating version deliberately pushed *across the
+retirement boundary*: the classic breakage shapes (stale read, lost read-modify-write, causal
 fracture, fractured atomic write) must still be caught after the checker
 has dropped the version's in-window state (docs/scaling.md).
 """
@@ -21,12 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.events import CommitEvent, ReadEvent
-from repro.consistency.oracle import ConsistencyOracle
 from repro.consistency.streaming import RETIRE_EVERY, StreamingChecker
 from repro.core.client import ReadResult
 from repro.storage.version import Version
+from tests.conftest import checked_oracle, violations_of
 
 KEYS = ["a", "b", "c"]
 
@@ -39,7 +37,7 @@ def build_valid_history(seed: int, n_steps: int):
     it.  Returns (oracle, log) where the log allows targeted corruption.
     """
     rng = random.Random(seed)
-    oracle = ConsistencyOracle()
+    oracle = checked_oracle()
     latest: Dict[str, Version] = {}
     history: List[Version] = []
     seq = 0
@@ -75,7 +73,7 @@ class TestMutations:
     @settings(max_examples=40, deadline=None)
     def test_valid_history_accepted(self, seed, n_steps):
         oracle, _, _ = build_valid_history(seed, n_steps)
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
     @given(st.integers(0, 10_000), st.integers(8, 25))
     @settings(max_examples=40, deadline=None)
@@ -109,7 +107,7 @@ class TestMutations:
             },
             at=1_001.0,
         )
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         assert violations, "mutation not detected"
         kinds = {violation.kind for violation in violations}
         assert "monotonic-reads" in kinds
@@ -139,7 +137,7 @@ class TestMutations:
             },
             at=2_001.0,
         )
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         kinds = {violation.kind for violation in violations}
         assert "atomic-visibility" in kinds
 
@@ -154,13 +152,13 @@ class TestMutations:
             client="confused", tid=bad.tid, commit_ts=bad.ut,
             written={"c": bad}, read_versions=[dep], at=3_000.0,
         )
-        violations = ConsistencyChecker(oracle).check_dependency_timestamps()
+        violations = violations_of(oracle, "dependency-timestamps")
         assert violations
         assert all(v.kind == "dependency-timestamps" for v in violations)
 
 
 # ----------------------------------------------------------------------
-# Streaming path: mutations that cross the retirement window boundary
+# Finite window: mutations that cross the retirement boundary
 # ----------------------------------------------------------------------
 def hlc(seconds: float) -> int:
     """An HLC-packed timestamp at ``seconds`` of simulated physical time."""

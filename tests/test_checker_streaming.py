@@ -1,38 +1,27 @@
-"""Streaming checker equivalence: one-pass verdicts match the in-memory oracle.
+"""The checker over persisted traces and finite windows.
 
-The streaming checker's headline claim (docs/scaling.md) is that with an
-unbounded window it is *exactly* the in-memory checker: same violations,
-same counts, same detail strings, on any history that fits in RAM.  These
-tests prove that run-for-run over every registered protocol x three
-workload profiles x seeds — about fifty seeded live runs — and additionally
-that the JSONL trace round-trip (encode -> file -> decode) changes nothing.
+What ``window=None`` reports on live histories is pinned run-for-run by the
+recorded verdicts (``tests/test_checker_verdicts.py``).  These tests cover
+the rest of the streaming tier's claims (docs/scaling.md): the JSONL trace
+round trip (encode -> file -> decode) changes nothing, and a finite window
+retires state without inventing verdicts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import build_cluster, small_test_config
-from repro.bench.harness import deploy_sessions
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
-from repro.consistency.streaming import (
-    StreamingChecker,
-    check_trace,
-    dump_trace,
-    oracle_events,
-)
-from repro.protocols import get_protocol, protocol_names
-from repro.workload.runner import SessionStats
-
-#: Three workload shapes: the paper's default zipfian read-heavy mix, the
-#: write-heavy YCSB-A mix, and YCSB-D's latest-biased distribution.
-PROFILES = ("default", "ycsb_a", "ycsb_d")
-SEEDS = (7, 23)
+from repro import run_experiment, small_test_config
+from repro.consistency.streaming import StreamingChecker, check_trace
+from repro.sim.trace import TraceWriter
+from tests.conftest import recording_oracle
 
 
-def run_with_oracle(protocol: str, profile: str, seed: int) -> ConsistencyOracle:
-    """One tiny live run recording through the in-memory oracle."""
+def run_recorded(protocol: str, profile: str = "default", seed: int = 7, trace=None):
+    """One tiny live run; returns the oracle's :class:`EventLog`.
+
+    With ``trace`` the same events are spilled to that JSONL file too.
+    """
     config = small_test_config(
         n_dcs=3,
         machines_per_dc=2,
@@ -41,13 +30,14 @@ def run_with_oracle(protocol: str, profile: str, seed: int) -> ConsistencyOracle
         seed=seed,
         profile=profile,
     ).with_(warmup=0.3, duration=0.4)
-    oracle = ConsistencyOracle()
-    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
-    stats = SessionStats()
-    for driver in deploy_sessions(cluster, stats):
-        driver.start()
-    cluster.sim.run(until=config.warmup + config.duration)
-    return oracle
+    if trace is None:
+        oracle = recording_oracle()
+        run_experiment(config, protocol=protocol, oracle=oracle)
+    else:
+        with TraceWriter(trace) as sink:
+            oracle = recording_oracle(sink)
+            run_experiment(config, protocol=protocol, oracle=oracle)
+    return oracle.checker
 
 
 def violation_triples(violations):
@@ -55,46 +45,26 @@ def violation_triples(violations):
     return sorted((v.kind, v.client, v.detail) for v in violations)
 
 
-class TestStreamingEquivalence:
-    """Unbounded-window streaming == in-memory, over the whole registry."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("profile", PROFILES)
-    @pytest.mark.parametrize("protocol", sorted(protocol_names()))
-    def test_verdicts_identical(self, protocol, profile, seed):
-        level = get_protocol(protocol).consistency
-        oracle = run_with_oracle(protocol, profile, seed)
-        assert len(oracle.commits) > 10, "run too small to be meaningful"
-        expected = ConsistencyChecker(oracle).check_level(level)
-        checker = StreamingChecker(window=None, level=level)
-        actual = checker.run(oracle_events(oracle))
-        assert len(actual) == len(expected)
-        assert violation_triples(actual) == violation_triples(expected)
-        assert checker.commits_checked == len(oracle.commits)
-        assert checker.reads_checked == len(oracle.reads)
-
+class TestTraceRoundTrip:
     def test_trace_file_round_trip_identical(self, tmp_path):
-        """encode -> JSONL file -> decode -> check == direct in-memory check.
+        """encode -> JSONL file -> decode -> check == checking the live events.
 
         The eventual protocol is checked at the *tcc* level it does not
         claim, precisely because that yields a violation-rich history: the
         round trip must preserve every one of them byte-for-byte.
         """
-        oracle = run_with_oracle("eventual", "default", 7)
-        expected = ConsistencyChecker(oracle).check_level("tcc")
-        assert expected, "expected the eventual protocol to violate causality"
         path = tmp_path / "trace.jsonl"
-        count = dump_trace(oracle, path)
-        assert count == len(oracle.commits) + len(oracle.reads)
+        log = run_recorded("eventual", trace=path)
+        expected = log.check("tcc")
+        assert expected, "expected the eventual protocol to violate causality"
         checker = check_trace(path, window=None, level="tcc")
+        assert checker.commits_checked + checker.reads_checked == len(log.events)
         assert violation_triples(checker.violations) == violation_triples(expected)
 
     def test_tcc_trace_round_trip_clean(self, tmp_path):
         """A clean paris run stays clean through the file round trip."""
-        oracle = run_with_oracle("paris", "default", 7)
-        assert ConsistencyChecker(oracle).check_all() == []
         path = tmp_path / "trace.jsonl"
-        dump_trace(oracle, path)
+        assert run_recorded("paris", trace=path).check() == []
         assert check_trace(path, window=None, level="tcc").violations == []
 
 
@@ -104,10 +74,7 @@ class TestWindowedStreaming:
     @pytest.mark.parametrize("protocol", ["paris", "bpr", "cure", "occult"])
     def test_clean_protocols_stay_clean_windowed(self, protocol):
         """Retirement must never invent violations on a valid history."""
-        oracle = run_with_oracle(protocol, "default", 7)
-        checker = StreamingChecker(window=0.2, level="tcc")
-        checker.run(oracle_events(oracle))
-        assert checker.violations == []
+        assert run_recorded(protocol).check(window=0.2) == []
 
     def test_windowed_violations_subset_of_unbounded(self):
         """A finite window may skip retired state but never adds verdicts.
@@ -117,27 +84,18 @@ class TestWindowedStreaming:
         in fact *identical*, not merely a subset: per-client frontiers are
         never retired.
         """
-        oracle = run_with_oracle("eventual", "default", 7)
-        events = list(oracle_events(oracle))
-        unbounded = StreamingChecker(window=None, level="tcc")
-        unbounded.run(iter(events))
-        assert unbounded.violations, "expected tcc violations from eventual"
-        windowed = StreamingChecker(window=0.2, level="tcc")
-        windowed.run(iter(events))
-        full = set(violation_triples(unbounded.violations))
-        assert set(violation_triples(windowed.violations)) <= full
-        reference = StreamingChecker(window=None, level="session")
-        reference.run(iter(events))
-        bounded = StreamingChecker(window=0.2, level="session")
-        bounded.run(iter(events))
-        assert violation_triples(bounded.violations) == violation_triples(
-            reference.violations
+        log = run_recorded("eventual")
+        unbounded = log.check("tcc")
+        assert unbounded, "expected tcc violations from eventual"
+        windowed = log.check("tcc", window=0.2)
+        assert set(violation_triples(windowed)) <= set(violation_triples(unbounded))
+        assert violation_triples(log.check("session", window=0.2)) == violation_triples(
+            log.check("session")
         )
 
     def test_retirement_bounds_state(self):
         """The windowed checker actually retires: state stays below total."""
-        oracle = run_with_oracle("paris", "default", 7)
         checker = StreamingChecker(window=0.1, level="tcc")
-        checker.run(oracle_events(oracle))
+        checker.run(run_recorded("paris").events)
         assert checker.versions_retired > 0
         assert checker.state_size < checker.commits_checked

@@ -1,7 +1,9 @@
 """The checker reproduces its recorded verdicts, run for run.
 
-``tests/golden/checker_verdicts.json`` was written by the in-memory
-``ConsistencyChecker`` this repository carried beside the streaming one.
+``tests/golden/checker_verdicts.json`` was written by the in-memory checker
+this repository carried beside ``StreamingChecker`` (and committed before
+that twin was deleted), so it is a recorded reference, not a second
+implementation to keep in lockstep.
 Every registered protocol x three workload profiles x two seeds is checked
 at the level the protocol claims *and* at level ``tcc`` — where the twelve
 ``cops``/``eventual`` runs carry 3,367 violations between them — so the
@@ -14,23 +16,25 @@ file pins the violation-rich paths, not only ``[] == []``.  Regenerate
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 
-from repro.consistency.streaming import StreamingChecker, oracle_events
-from repro.protocols import get_protocol
+from repro.consistency.events import CommitEvent
+from repro.protocols import get_protocol, protocol_names
 from repro.protocols.golden import (
+    VERDICT_PROFILES,
+    VERDICT_SEEDS,
     VERDICTS_PATH,
-    first_difference,
-    history_size,
+    check_history,
     level_verdict,
-    load_verdicts,
+    load_goldens,
+    triple_digest,
     verdict_history,
-    verdict_key,
-    verdict_runs,
 )
 
-VERDICTS = load_verdicts()
+VERDICTS = load_goldens(VERDICTS_PATH)
+RUNS = list(itertools.product(sorted(protocol_names()), VERDICT_PROFILES, VERDICT_SEEDS))
 
 
 @functools.lru_cache(maxsize=1)
@@ -39,29 +43,47 @@ def history(protocol, profile, seed):
     return verdict_history(protocol, profile, seed)
 
 
-def streaming_triples(oracle, level):
-    """The streaming checker's sorted verdict on an in-memory history."""
-    violations = StreamingChecker(window=None, level=level).run(oracle_events(oracle))
-    return sorted((v.kind, v.client, v.detail) for v in violations)
+def first_difference(expected, triples):
+    """Name the first triple on which a verdict departs from the golden."""
+    golden = expected["triples"].split()
+    for index, triple in enumerate(triples):
+        if index >= len(golden) or triple_digest(triple) != golden[index]:
+            wanted = golden[index] if index < len(golden) else "nothing"
+            return (
+                f"triple {index} of {len(triples)} (golden has {len(golden)}): "
+                f"got {triple}, golden digest there is {wanted}"
+            )
+    return f"all {len(triples)} triples match, but the golden has {len(golden)}"
 
 
 @pytest.mark.parametrize("at", ["claimed", "tcc"])
-@pytest.mark.parametrize("protocol,profile,seed", verdict_runs())
+@pytest.mark.parametrize("protocol,profile,seed", RUNS)
 def test_checker_reproduces_recorded_verdict(protocol, profile, seed, at):
-    key = verdict_key(protocol, profile, seed)
+    key = f"{protocol}/{profile}/{seed}"
     assert key in VERDICTS, (
         f"no recorded verdict for {key}; run 'python -m repro.protocols.golden "
         f"--verdicts --update' and commit {VERDICTS_PATH}"
     )
     expected = VERDICTS[key]
-    recorded = history(protocol, profile, seed)
-    assert history_size(recorded) == (expected["commits"], expected["reads"])
+    events = history(protocol, profile, seed)
+    commits = sum(isinstance(event, CommitEvent) for event in events)
+    assert (commits, len(events) - commits) == (expected["commits"], expected["reads"])
     claimed = get_protocol(protocol).consistency
     assert expected["level"] == claimed
-    triples = streaming_triples(recorded, claimed if at == "claimed" else "tcc")
+    triples = check_history(events, claimed if at == "claimed" else "tcc")
     assert level_verdict(triples) == expected[at], first_difference(
         expected[at], triples
     )
+
+
+def test_first_difference_names_the_triple():
+    """A digest mismatch must point at a triple, not just at two hashes."""
+    triples = [("causal-snapshot", "c1", "a"), ("monotonic-reads", "c2", "b")]
+    golden = level_verdict(triples)
+    changed = [triples[0], ("monotonic-reads", "c2", "B")]
+    message = first_difference(golden, changed)
+    assert message.startswith("triple 1 of 2") and "'B'" in message
+    assert "golden has 2" in first_difference(golden, triples[:1])
 
 
 def test_verdict_file_pins_violation_rich_runs():
@@ -73,4 +95,4 @@ def test_verdict_file_pins_violation_rich_runs():
 
 
 def test_verdict_file_has_no_orphans():
-    assert set(VERDICTS) == {verdict_key(*run) for run in verdict_runs()}
+    assert set(VERDICTS) == {f"{p}/{w}/{s}" for p, w, s in RUNS}

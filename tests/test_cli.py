@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import cli
@@ -358,6 +360,38 @@ class TestBigRunTier:
         ]) == 0
         out = capsys.readouterr().out
         assert "0.2s window" in out
+
+    def test_check_live_window_reports_retired_versions(self, capsys):
+        """--window reaches a live run's checker (it used to be ignored)."""
+        assert cli.main(["check", *FAST, "--window", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "0 violations" in out
+        match = re.search(r"window 0\.2s: (\d+) versions retired, (\d+) in window", out)
+        assert match, out
+        assert int(match.group(1)) > 0
+        # Unbounded (the default) says nothing about a window.
+        assert cli.main(["check", *FAST]) == 0
+        assert "window" not in capsys.readouterr().out
+
+    def test_check_and_run_big_spill_identical_traces(self, capsys, tmp_path):
+        """One oracle, one sink: both commands write the same bytes, and a
+        re-check of either file reproduces the live verdict."""
+        from_check, from_run = tmp_path / "check.jsonl", tmp_path / "run.jsonl"
+        assert cli.main(["check", *FAST, "--trace-out", str(from_check)]) == 0
+        live = re.search(
+            r"checked (\d+ commits / \d+ reads) .* at (level 'tcc'): (\d+ violations)",
+            capsys.readouterr().out,
+        )
+        assert live, "live verdict line not found"
+        assert cli.main([
+            "run", *FAST, "--big", "--window", "0.3", "--trace-out", str(from_run),
+        ]) == 0
+        capsys.readouterr()
+        assert from_check.read_bytes() == from_run.read_bytes()
+        for trace in (from_check, from_run):
+            assert cli.main(["check", "--trace-in", str(trace)]) == 0
+            out = capsys.readouterr().out
+            assert all(part in out for part in live.groups()), out
 
     def test_check_trace_in_catches_violations(self, capsys, tmp_path):
         """A session-level protocol's trace re-checked at tcc exits 1."""

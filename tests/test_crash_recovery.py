@@ -10,9 +10,7 @@ from __future__ import annotations
 
 
 from repro import build_cluster
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
-from tests.conftest import drive, run_for
+from tests.conftest import checked_oracle, drive, run_for
 
 
 def max_ust(cluster) -> int:
@@ -109,7 +107,7 @@ class TestRecovery:
         from repro.bench.harness import deploy_sessions
         from repro.workload.runner import SessionStats
 
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(tiny_config, protocol="paris", oracle=oracle)
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
@@ -120,7 +118,7 @@ class TestRecovery:
         cluster.recover_server(2, 1)
         run_for(cluster, 1.0)
         assert stats.meter.completed_total > 20
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:5])
 
     def test_recovery_is_idempotent(self, tiny_cluster):

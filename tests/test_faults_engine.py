@@ -170,8 +170,7 @@ class TestLinkActions:
 
     def test_degraded_run_stays_consistent(self, faulted_config):
         from repro.bench.harness import deploy_sessions
-        from repro.consistency.checker import ConsistencyChecker
-        from repro.consistency.oracle import ConsistencyOracle
+        from tests.conftest import checked_oracle
         from repro.workload.runner import SessionStats
 
         plan = FaultPlan(
@@ -182,14 +181,14 @@ class TestLinkActions:
                 FaultEvent(at=1.4, action="restore"),
             )
         )
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(faulted_config(plan), protocol="paris", oracle=oracle)
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         cluster.sim.run(until=2.0)
         assert stats.meter.completed_total > 50
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
 
 class TestSkewAction:
@@ -205,8 +204,7 @@ class TestSkewAction:
 
     def test_skewed_cluster_stays_consistent(self, faulted_config):
         from repro.bench.harness import deploy_sessions
-        from repro.consistency.checker import ConsistencyChecker
-        from repro.consistency.oracle import ConsistencyOracle
+        from tests.conftest import checked_oracle
         from repro.workload.runner import SessionStats
 
         plan = FaultPlan(
@@ -215,14 +213,14 @@ class TestSkewAction:
                 FaultEvent(at=0.7, action="skew", dc=1, partition=0, offset=-0.008),
             )
         )
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(faulted_config(plan), protocol="paris", oracle=oracle)
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         cluster.sim.run(until=2.0)
         assert stats.meter.completed_total > 50
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
 
 class TestChaos:

@@ -34,7 +34,7 @@ class TestBuildCluster:
             build_cluster(tiny_config, protocol="espresso")
 
     def test_bpr_uses_bpr_classes(self, tiny_config):
-        from repro.baselines.bpr import BPRClient, BPRServer
+        from repro.protocols.bpr import BPRClient, BPRServer
 
         cluster = build_cluster(tiny_config, protocol="bpr")
         assert all(isinstance(s, BPRServer) for s in cluster.all_servers())

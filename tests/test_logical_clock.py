@@ -79,18 +79,17 @@ class TestLogicalClockMode:
     def test_consistency_preserved_under_logical_clocks(self, logical_config):
         """Correctness never depended on physical time — only freshness does."""
         from repro.bench.harness import deploy_sessions
-        from repro.consistency.checker import ConsistencyChecker
-        from repro.consistency.oracle import ConsistencyOracle
+        from tests.conftest import checked_oracle
         from repro.workload.runner import SessionStats
 
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(logical_config, protocol="paris", oracle=oracle)
         stats = SessionStats()
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         run_for(cluster, 1.5)
         assert stats.meter.completed_total > 10
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.checker.violations == []
 
     def test_idle_version_clocks_freeze(self, logical_config):
         """Without traffic, logical version clocks cannot advance (the UST

@@ -135,10 +135,9 @@ class TestOneShotSessionGuarantees:
 
     def test_oracle_records_one_shot_reads(self, tiny_config):
         from repro import build_cluster
-        from repro.consistency.checker import ConsistencyChecker
-        from repro.consistency.oracle import ConsistencyOracle
+        from tests.conftest import checked_oracle
 
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         cluster = build_cluster(tiny_config, protocol="paris", oracle=oracle)
         cluster.sim.run(until=1.0)
         client = cluster.new_client(0, 0)
@@ -150,8 +149,8 @@ class TestOneShotSessionGuarantees:
             yield client.read_only(["p0:k000000"])
 
         drive(cluster, scenario())
-        assert len(oracle.reads) == 1
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert oracle.reads_recorded == 1
+        assert oracle.checker.violations == []
 
 
 class TestOneShotOnBpr:

@@ -12,8 +12,6 @@ from repro.bench.harness import run_experiment
 from repro.bench.sweep import SweepSpec, SweepSpecError, config_from_params, execute_sweep
 from repro.cluster.topology import ClusterSpec
 from repro.config import WorkloadConfig
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import (
     ArrivalSchedule,
@@ -24,6 +22,7 @@ from repro.workload.profiles import (
     is_registered,
     profile_names,
 )
+from tests.conftest import checked_oracle, recording_oracle
 
 #: Fast flat run parameters shared by the end-to-end profile checks.  Kept
 #: deliberately tiny: this file's 13-profile checker sweep runs inside the
@@ -245,29 +244,28 @@ class TestEveryProfileKeepsTCC:
     @pytest.mark.parametrize("name", profile_names())
     def test_profile_passes_checker(self, name):
         config, protocol = config_from_params({**FAST_PARAMS, "workload": name})
-        oracle = ConsistencyOracle()
+        oracle = checked_oracle()
         result = run_experiment(config, protocol=protocol, oracle=oracle)
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         assert violations == []
         assert result.transactions_measured > 0
-        assert len(oracle.reads) > 0
+        assert oracle.reads_recorded > 0
 
     def test_rmw_round_trips_through_oracle(self):
         """YCSB-F commits must depend on the versions the transaction read."""
         config, protocol = config_from_params({**FAST_PARAMS, "workload": "ycsb_f"})
-        oracle = ConsistencyOracle()
+        oracle = recording_oracle()
         run_experiment(config, protocol=protocol, oracle=oracle)
-        assert oracle.commits, "RMW workload must commit"
+        commits = oracle.checker.commits
+        assert commits, "RMW workload must commit"
         written_keys_with_deps = 0
-        for commit in oracle.commits:
-            deps = set()
-            for vid in commit.written:
-                deps |= {d[0] for d in oracle.dependencies.get(vid, ())}
+        for commit in commits:
+            deps = {dep[0] for dep in commit.deps}
             if {vid[0] for vid in commit.written} & deps:
                 written_keys_with_deps += 1
         # Read-modify-write: commits depend on prior versions of the very
         # keys they overwrite (the reads round-tripped through the oracle).
-        assert written_keys_with_deps > len(oracle.commits) * 0.5
+        assert written_keys_with_deps > len(commits) * 0.5
 
 
 class TestSweepWorkloadAxis:

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from repro import build_cluster, small_test_config
 from repro.bench.harness import deploy_sessions
 from repro.config import ClockConfig
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
 from repro.workload.runner import SessionStats
+from tests.conftest import checked_oracle
 
 e2e_settings = settings(
     max_examples=10,
@@ -68,7 +67,7 @@ def run_random_cluster(params, protocol: str):
             config.protocol, replication_interval=params["replication_interval"]
         ),
     )
-    oracle = ConsistencyOracle()
+    oracle = checked_oracle()
     cluster = build_cluster(config, protocol=protocol, oracle=oracle)
     stats = SessionStats()
     for driver in deploy_sessions(cluster, stats):
@@ -94,7 +93,7 @@ class TestRandomizedParis:
         cluster, oracle, stats, bound_violations = run_random_cluster(params, "paris")
         assert bound_violations == [], "UST exceeded an installed snapshot"
         assert stats.meter.completed_total > 0, "workload made no progress"
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:5])
 
     @given(cluster_parameters())
@@ -102,5 +101,5 @@ class TestRandomizedParis:
     def test_bpr_history_is_consistent_too(self, params):
         _, oracle, stats, _ = run_random_cluster(params, "bpr")
         assert stats.meter.completed_total > 0
-        violations = ConsistencyChecker(oracle).check_all()
+        violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:5])

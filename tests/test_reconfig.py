@@ -1,12 +1,12 @@
 """Membership change as a fault event, checker-verified across the transition.
 
 The ISSUE 8 headline: for every protocol that claims TCC, a run containing
-at least one replica *join* and one replica *leave* passes both consistency
-checkers — the in-memory :class:`ConsistencyChecker` and the streaming
-one-pass checker (unbounded *and* with a retirement window that straddles
-the reconfiguration point) — with zero violations.  A negative test proves
-the verdicts are earned: deliberately skipping the join's catch-up
-fractures causality, and *both* checkers catch it.
+at least one replica *join* and one replica *leave* passes the consistency
+checker — unbounded, with a retirement window that straddles the
+reconfiguration point, and through a trace-file round trip — with zero
+violations.  A negative test proves the verdicts are earned: deliberately
+skipping the join's catch-up fractures causality, and every one of those
+three ways of checking catches it.
 
 Edge cases from the issue ride along: a join during an active network
 partition, a leave of the stabilization tree's root, and a back-to-back
@@ -20,12 +20,12 @@ import pytest
 from repro import build_cluster, small_test_config
 from repro.bench.harness import deploy_sessions
 from repro.config import ReconfigConfig
-from repro.consistency.checker import ConsistencyChecker
-from repro.consistency.oracle import ConsistencyOracle
-from repro.consistency.streaming import StreamingChecker, check_trace, dump_trace, oracle_events
+from repro.consistency.streaming import check_trace
 from repro.faults import FaultEvent, FaultPlan
 from repro.protocols import get_protocol, protocol_names
+from repro.sim.trace import TraceWriter
 from repro.workload.runner import SessionStats
+from tests.conftest import recording_oracle
 
 TCC_PROTOCOLS = sorted(
     name for name in protocol_names() if get_protocol(name).consistency == "tcc"
@@ -58,16 +58,24 @@ def join_leave_plan(spec) -> FaultPlan:
     )
 
 
-def run_plan(protocol: str, plan: FaultPlan, **config_overrides):
-    """A seeded live run under ``plan``, recorded through the oracle."""
+def run_plan(protocol: str, plan: FaultPlan, trace=None, **config_overrides):
+    """A seeded live run under ``plan``; returns (its EventLog, the cluster).
+
+    With ``trace`` the recorded events are spilled to that JSONL file too.
+    """
     config = base_config(faults=plan, **config_overrides)
-    oracle = ConsistencyOracle()
-    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
-    stats = SessionStats()
-    for driver in deploy_sessions(cluster, stats):
-        driver.start()
-    cluster.sim.run(until=plan.horizon + SETTLE)
-    return oracle, cluster
+    sink = TraceWriter(trace) if trace is not None else None
+    oracle = recording_oracle(sink)
+    try:
+        cluster = build_cluster(config, protocol=protocol, oracle=oracle)
+        stats = SessionStats()
+        for driver in deploy_sessions(cluster, stats):
+            driver.start()
+        cluster.sim.run(until=plan.horizon + SETTLE)
+    finally:
+        if sink is not None:
+            sink.close()
+    return oracle.checker, cluster
 
 
 def applied_actions(cluster):
@@ -75,15 +83,21 @@ def applied_actions(cluster):
 
 
 class TestJoinAndLeaveStayConsistent:
-    """The tentpole acceptance: both checkers, every tcc protocol."""
+    """The tentpole acceptance: every tcc protocol, unbounded and windowed."""
 
     @pytest.fixture(scope="class")
-    def runs(self):
+    def traces(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reconfig-traces")
+
+    @pytest.fixture(scope="class")
+    def runs(self, traces):
         cache = {}
         spec = base_config().cluster
         plan = join_leave_plan(spec)
         for protocol in TCC_PROTOCOLS:
-            cache[protocol] = run_plan(protocol, plan)
+            cache[protocol] = run_plan(
+                protocol, plan, trace=traces / f"{protocol}.jsonl"
+            )
         return cache
 
     def test_registry_claims_the_expected_tcc_set(self):
@@ -98,72 +112,56 @@ class TestJoinAndLeaveStayConsistent:
 
     @pytest.mark.parametrize("protocol", TCC_PROTOCOLS)
     def test_run_is_big_enough_to_mean_something(self, runs, protocol):
-        oracle = runs[protocol][0]
-        assert len(oracle.commits) > 50
-        assert len(oracle.reads) > 50
+        log = runs[protocol][0]
+        assert len(log.commits) > 50
+        assert len(log.reads) > 50
 
     @pytest.mark.parametrize("protocol", TCC_PROTOCOLS)
-    def test_in_memory_checker_clean(self, runs, protocol):
-        oracle = runs[protocol][0]
-        assert ConsistencyChecker(oracle).check_level("tcc") == []
+    def test_checker_clean_unbounded(self, runs, protocol):
+        assert runs[protocol][0].check("tcc") == []
 
     @pytest.mark.parametrize("protocol", TCC_PROTOCOLS)
-    def test_streaming_checker_clean_unbounded(self, runs, protocol):
-        checker = StreamingChecker(window=None, level="tcc")
-        checker.run(oracle_events(runs[protocol][0]))
-        assert checker.violations == []
-
-    @pytest.mark.parametrize("protocol", TCC_PROTOCOLS)
-    def test_streaming_checker_clean_with_window_straddling_reconfig(
-        self, runs, protocol
-    ):
+    def test_checker_clean_with_window_straddling_reconfig(self, runs, protocol):
         """A finite retirement window spanning the membership events must not
         invent violations: versions the joiner inherited predate the window,
         and retirement has to stay sound across the epoch change."""
-        checker = StreamingChecker(window=0.3, level="tcc")
-        checker.run(oracle_events(runs[protocol][0]))
-        assert checker.violations == []
+        assert runs[protocol][0].check("tcc", window=0.3) == []
 
-    def test_trace_file_round_trip_clean(self, runs, tmp_path):
-        oracle = runs["paris"][0]
-        path = tmp_path / "reconfig-trace.jsonl"
-        count = dump_trace(oracle, path)
-        assert count == len(oracle.commits) + len(oracle.reads)
-        assert check_trace(path, window=None, level="tcc").violations == []
+    def test_trace_file_round_trip_clean(self, runs, traces):
+        log = runs["paris"][0]
+        checker = check_trace(traces / "paris.jsonl", window=None, level="tcc")
+        assert checker.commits_checked + checker.reads_checked == len(log.events)
+        assert checker.violations == []
 
 
 class TestSkipCatchupIsCaught:
-    """Mutation test: break the migration, and both checkers must say so."""
+    """Mutation test: break the migration, and the checker must say so."""
 
     @pytest.fixture(scope="class")
-    def fractured(self):
+    def fractured(self, tmp_path_factory):
         spec = base_config().cluster
         plan = join_leave_plan(spec)
-        return run_plan(
-            "paris", plan, reconfig=ReconfigConfig(skip_catchup=True)
+        path = tmp_path_factory.mktemp("fractured") / "trace.jsonl"
+        log, _cluster = run_plan(
+            "paris", plan, trace=path, reconfig=ReconfigConfig(skip_catchup=True)
         )
+        return log, path
 
-    def test_in_memory_checker_catches_the_fracture(self, fractured):
-        oracle, _cluster = fractured
-        assert ConsistencyChecker(oracle).check_level("tcc") != []
+    def test_checker_catches_the_fracture(self, fractured):
+        assert fractured[0].check("tcc") != []
 
-    def test_streaming_checker_catches_the_fracture(self, fractured, tmp_path):
-        oracle, _cluster = fractured
-        path = tmp_path / "fractured-trace.jsonl"
-        dump_trace(oracle, path)
-        assert check_trace(path, window=None, level="tcc").violations != []
+    def test_recheck_of_the_trace_file_catches_the_fracture(self, fractured):
+        assert check_trace(fractured[1], window=None, level="tcc").violations != []
 
-    def test_windowed_streaming_checker_catches_it_too(self, fractured):
+    def test_windowed_checker_catches_it_too(self, fractured):
         """The stale reads land right at the join, so a window straddling the
         reconfiguration point must still surface them."""
-        checker = StreamingChecker(window=0.3, level="tcc")
-        checker.run(oracle_events(fractured[0]))
-        assert checker.violations != []
+        assert fractured[0].check("tcc", window=0.3) != []
 
     def test_same_plan_without_the_mutation_is_clean(self):
         spec = base_config().cluster
-        oracle, _cluster = run_plan("paris", join_leave_plan(spec))
-        assert ConsistencyChecker(oracle).check_level("tcc") == []
+        log, _cluster = run_plan("paris", join_leave_plan(spec))
+        assert log.check("tcc") == []
 
 
 class TestReconfigEdgeCases:
@@ -182,10 +180,10 @@ class TestReconfigEdgeCases:
                 FaultEvent(at=1.1, action="heal", dcs=(0, 2)),
             ),
         )
-        oracle, cluster = run_plan("paris", plan)
+        log, cluster = run_plan("paris", plan)
         assert applied_actions(cluster) == ["partition", "add_replica", "heal"]
         assert cluster.membership.is_replicated_at(guest, 0)
-        assert ConsistencyChecker(oracle).check_level("tcc") == []
+        assert log.check("tcc") == []
 
     def test_leave_of_the_stabilization_tree_root(self):
         """Retiring the root of a DC's aggregation tree forces a rebuild;
@@ -196,8 +194,8 @@ class TestReconfigEdgeCases:
             name="root-leave",
             events=(FaultEvent(at=0.7, action="remove_replica", dc=1, partition=root),),
         )
-        oracle, cluster = run_plan("paris", plan)
-        assert ConsistencyChecker(oracle).check_level("tcc") == []
+        log, cluster = run_plan("paris", plan)
+        assert log.check("tcc") == []
         survivors = [
             server
             for (dc, partition), server in cluster.servers.items()
@@ -205,7 +203,7 @@ class TestReconfigEdgeCases:
         ]
         # Committed work exists from after the event, and the survivors'
         # stabilization plane kept moving past it.
-        assert any(commit.at > 0.7 for commit in oracle.commits)
+        assert any(commit.at > 0.7 for commit in log.commits)
         assert all(server.local_stable_time > 0 for server in survivors)
 
     def test_back_to_back_leave_join_within_drain_window(self):
@@ -221,9 +219,9 @@ class TestReconfigEdgeCases:
                 FaultEvent(at=0.8, action="add_replica", dc=0, partition=home),
             ),
         )
-        oracle, cluster = run_plan("paris", plan)
+        log, cluster = run_plan("paris", plan)
         server = cluster.servers[(0, home)]
         assert not server.paused
         assert (0, home) not in cluster.injector.reconfig._retired
         assert cluster.membership.is_replicated_at(home, 0)
-        assert ConsistencyChecker(oracle).check_level("tcc") == []
+        assert log.check("tcc") == []
