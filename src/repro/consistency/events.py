@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..storage.version import PRELOAD_TID, TransactionId, Version
 
-#: A version identity: (key, ut, tid, sr) — hashable and totally ordered
-#: per-key via (ut, tid, sr).
+#: A version identity: (key, ut, tid, sr) — hashable, and two ids of one key
+#: compare as plain tuples in that key's version order (ut, tid, sr).
 VersionId = Tuple[str, int, TransactionId, int]
 
 
@@ -46,11 +46,6 @@ def version_id(version: Version) -> VersionId:
 def is_preload(version: Version) -> bool:
     """Whether a version is part of the preloaded (timestamp-zero) dataset."""
     return version.tid == PRELOAD_TID
-
-
-def _vid_order(vid: VersionId) -> Tuple[int, TransactionId, int]:
-    """Per-key total order of version ids: (ut, tid, sr)."""
-    return (vid[1], vid[2], vid[3])
 
 
 @dataclass(frozen=True, slots=True)

@@ -62,7 +62,6 @@ from .events import (
     ReadEvent,
     TraceEvent,
     VersionId,
-    _vid_order,
     decode_event,
     encode_commit,
     encode_read,
@@ -88,9 +87,13 @@ RETIRE_EVERY = 256
 
 
 def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
-    """Raise ``frontier[key]`` to ``vid`` if ``vid`` is the newer version."""
+    """Raise ``frontier[key]`` to ``vid`` if ``vid`` is the newer version.
+
+    Version ids of one key share their first element, so plain tuple
+    comparison is the per-key ``(ut, tid, sr)`` order.
+    """
     current = frontier.get(key)
-    if current is None or _vid_order(vid) > _vid_order(current):
+    if current is None or vid > current:
         frontier[key] = vid
 
 
@@ -142,8 +145,18 @@ class StreamingChecker:
         self._watermark = 0
         #: Direct dependencies of each in-window version (event payloads).
         self._deps: Dict[VersionId, Tuple[VersionId, ...]] = {}
-        #: Memoized per-key dependency frontier of each version's closure.
-        self._closures: Dict[VersionId, Dict[str, VersionId]] = {}
+        #: Memoized per-key frontier of each transaction's dependency closure
+        #: (all versions of one transaction share one ``deps`` tuple).
+        self._closures: Dict[TransactionId, Dict[str, VersionId]] = {}
+        #: Per client: its last commit's written vids and dependency set.
+        self._last: Dict[str, Tuple[Tuple[VersionId, ...], frozenset]] = {}
+        #: Per transaction whose session predecessor ``base`` is still among
+        #: its deps: ``(base, deps the predecessor did not have)``.
+        self._delta: Dict[TransactionId, Tuple[VersionId, Tuple[VersionId, ...]]] = {}
+        #: Per closure: the direct deps that were outside the window when it
+        #: was built (retired, or their commit still in flight).  If one has
+        #: arrived since, the closure no longer serves as a delta base.
+        self._leaves: Dict[TransactionId, List[VersionId]] = {}
         self._tx_writes: Dict[TransactionId, Tuple[VersionId, ...]] = {}
         #: Retirement queues: versions by ut, transactions by max write ut.
         self._version_queue: List[Tuple[int, VersionId]] = []
@@ -206,6 +219,13 @@ class StreamingChecker:
                 self._tx_queue,
                 (max(vid[1] for vid in event.written), event.tid),
             )
+            depset = frozenset(deps)
+            previous, previous_deps = self._last.get(event.client, ((), depset))
+            base = next((vid for vid in previous if vid in depset), None)
+            if base is not None:
+                fresh = depset.difference(previous_deps, (base,))
+                self._delta[event.tid] = (base, tuple(sorted(fresh)))
+            self._last[event.client] = (event.written, depset)
         if event.commit_ts > self._watermark:
             self._watermark = event.commit_ts
         if self._window_ts is not None:
@@ -230,7 +250,7 @@ class StreamingChecker:
             # Read-your-writes (WS reads are served from the write set).
             if vid is not None and source != "ws" and own is not None:
                 expected = own.get(key)
-                if expected is not None and _vid_order(vid) < _vid_order(expected):
+                if expected is not None and vid < expected:
                     self.violations.append(
                         Violation(
                             kind="read-your-writes",
@@ -244,7 +264,7 @@ class StreamingChecker:
             # Monotonic reads.
             if vid is not None:
                 previous = seen.get(key)
-                if previous is not None and _vid_order(vid) < _vid_order(previous):
+                if previous is not None and vid < previous:
                     self.violations.append(
                         Violation(
                             kind="monotonic-reads",
@@ -255,32 +275,30 @@ class StreamingChecker:
                             ),
                         )
                     )
-                if previous is None or _vid_order(vid) > _vid_order(previous):
+                if previous is None or vid > previous:
                     seen[key] = vid
 
     def _check_causal(self, event: ReadEvent, key: str, vid: VersionId) -> None:
         """Causal snapshot: no version observed while missing a dependency."""
         if vid in self._deps:
-            frontier: Iterable[Tuple[str, VersionId]] = self._closure(vid).items()
+            frontier = self._closure(vid)
         else:
             tip = self._tips.get(key)
             if tip is None or tip.vid != vid:
                 return  # preload, or retired beyond the per-key tip digest
-            frontier = tip.frontier
-        for dep_key, dep_vid in frontier:
-            if dep_key == key:
+            frontier = dict(tip.frontier)
+        for dep_key, (returned, _) in event.returned.items():
+            dep_vid = frontier.get(dep_key)
+            if dep_vid is None or returned is None or dep_key == key:
                 continue
-            returned = event.returned.get(dep_key)
-            if returned is None or returned[0] is None:
-                continue
-            if _vid_order(returned[0]) < _vid_order(dep_vid):
+            if returned < dep_vid:
                 self.violations.append(
                     Violation(
                         kind="causal-snapshot",
                         client=event.client,
                         detail=(
                             f"tx {event.tid} read {vid} of {key!r} but an older "
-                            f"{returned[0]} of {dep_key!r} (requires >= {dep_vid})"
+                            f"{returned} of {dep_key!r} (requires >= {dep_vid})"
                         ),
                     )
                 )
@@ -303,7 +321,7 @@ class StreamingChecker:
             returned = event.returned.get(sibling_key)
             if returned is None or returned[0] is None:
                 continue
-            if _vid_order(returned[0]) < _vid_order(sibling):
+            if returned[0] < sibling:
                 self.violations.append(
                     Violation(
                         kind="atomic-visibility",
@@ -319,37 +337,64 @@ class StreamingChecker:
     # Closures and retirement
     # ------------------------------------------------------------------
     def _closure(self, vid: VersionId) -> Dict[str, VersionId]:
-        """Transitive per-key dependency frontier of ``vid`` (memoized).
+        """Transitive per-key dependency frontier of ``vid`` (memoized per tx).
 
         Iterative post-order walk: dependency chains grow with session length
         and would overflow Python's recursion limit if walked recursively.
         Retired dependencies simply act as leaves (their own frontier
         contributions were retired first).
+
+        A commit's deps are its session's frontier, which differs from the
+        session's previous commit in the few keys touched since.  While one
+        of that commit's versions (``base``) is still among the deps and in
+        the window, its frozen closure already covers every dep the two
+        commits share, so the walk copies it and merges only the ``fresh``
+        deps.  Otherwise (base superseded or retired, or the commit of a dep
+        arrived only after base's closure was built) it merges them all.
         """
-        cached = self._closures.get(vid)
+        closures = self._closures
+        cached = closures.get(vid[2])
         if cached is not None:
             return cached
-        stack: List[Tuple[VersionId, bool]] = [(vid, False)]
+        known = self._deps
+        stack = [vid]
         while stack:
-            current, expanded = stack.pop()
-            if current in self._closures:
+            current = stack[-1]
+            tid = current[2]
+            if tid in closures:
+                stack.pop()
                 continue
-            deps = self._deps.get(current, ())
-            if not expanded:
-                stack.append((current, True))
-                for dep in deps:
-                    if dep in self._deps and dep not in self._closures:
-                        stack.append((dep, False))
+            base, fresh = self._delta.get(tid, (None, ()))
+            inner, inherited = None, ()
+            if base in known:
+                inner = closures.get(base[2])
+                if inner is None:
+                    stack.append(base)
+                    continue
+                inherited = self._leaves.get(base[2], ())
+                if any(dep in known for dep in inherited):
+                    inner, inherited = None, ()
+            sources = known.get(current, ()) if inner is None else fresh
+            missing = [d for d in sources if d in known and d[2] not in closures]
+            if missing:
+                stack.extend(missing)
                 continue
-            frontier: Dict[str, VersionId] = {}
-            for dep in deps:
+            frontier: Dict[str, VersionId] = dict(inner or ())
+            leaves: List[VersionId] = list(inherited)
+            if inner is not None:
+                _merge(frontier, base[0], base)
+            for dep in sources:
                 _merge(frontier, dep[0], dep)
-                inner = self._closures.get(dep)
-                if inner:
-                    for key, inner_vid in inner.items():
+                if dep in known:
+                    for key, inner_vid in closures[dep[2]].items():
                         _merge(frontier, key, inner_vid)
-            self._closures[current] = frontier
-        return self._closures[vid]
+                else:
+                    leaves.append(dep)
+            closures[tid] = frontier
+            if leaves:
+                self._leaves[tid] = leaves
+            stack.pop()
+        return closures[vid[2]]
 
     def _retire(self) -> None:
         """Drop dependency/transaction state older than the window.
@@ -363,19 +408,21 @@ class StreamingChecker:
             _, vid = heappop(queue)
             key = vid[0]
             tip = self._tips.get(key)
-            if tip is None or _vid_order(vid) > _vid_order(tip.vid):
+            if tip is None or vid > tip.vid:
                 self._tips[key] = RetiredTip(
                     vid=vid,
                     frontier=tuple(self._closure(vid).items()),
                     siblings=self._tx_writes.get(vid[2], ()),
                 )
             self._deps.pop(vid, None)
-            self._closures.pop(vid, None)
             self.versions_retired += 1
         tx_queue = self._tx_queue
         while tx_queue and tx_queue[0][0] < cutoff:
             _, tid = heappop(tx_queue)
             self._tx_writes.pop(tid, None)
+            self._closures.pop(tid, None)
+            self._delta.pop(tid, None)
+            self._leaves.pop(tid, None)
 
 
 class StreamingOracle:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from tests.conftest import checked_oracle
 e2e_settings = settings(
     max_examples=10,
     deadline=None,
+    derandomize=True,  # tier-1 must draw the same clusters on every run
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
@@ -103,3 +105,22 @@ class TestRandomizedParis:
         assert stats.meter.completed_total > 0
         violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:5])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "open question (ROADMAP item 4): a random draw of this suite, made "
+            "before it was derandomised, yields one atomic-visibility violation "
+            "under bpr — tx (6, 20) sees tx (5, 6)'s p2:k000001 next to an older "
+            "p3:k000003. Either BPR fractures a read here or the checker "
+            "misjudges it; whichever fix lands must flip this test."
+        ),
+    )
+    def test_bpr_lead_one_fractured_read(self):
+        params = {
+            "n_dcs": 4, "machines_per_dc": 3, "replication_factor": 2, "seed": 141,
+            "locality": 0.9, "zipf": 0.7, "max_offset": 0.02,
+            "replication_interval": 0.001,
+        }
+        _, oracle, _, _ = run_random_cluster(params, "bpr")
+        assert oracle.checker.violations == []
