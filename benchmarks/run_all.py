@@ -1,279 +1,39 @@
 #!/usr/bin/env python3
-"""Run every paper experiment and regenerate EXPERIMENTS.md.
+"""Run the whole figure catalogue and regenerate EXPERIMENTS.md.
 
 Usage:
     python benchmarks/run_all.py [--scale small|medium|paper] [--out PATH]
                                  [--workers N]
 
-This is the standalone (non-pytest) driver: it executes the same experiment
-functions the bench modules use, renders each artifact, compares the
-measured shape against the paper's reported numbers, and writes the whole
-catalogue to EXPERIMENTS.md.  Sections are independent experiments, so
-``--workers N`` fans them out across processes via the sweep engine's
-:func:`repro.bench.sweep.parallel_map`; the assembled document is identical
-at any worker count.
+One section per entry of :data:`repro.bench.figures.FIGURES`: the rendered
+artifact, the paper's claim and the measured shape.  Entries are independent
+experiments, so ``--workers N`` fans them out across processes via
+:func:`repro.bench.sweep.parallel_map`; the assembled document holds no
+wall-clock text and is identical at any worker count.  Exits 1 if any
+entry's shape check fails (the document is written either way).  Run from
+the repository root: the ``design_space`` entry reads its committed sweep
+spec and the ``sweep_results/`` cache relative to the current directory.
 """
 
 from __future__ import annotations
 
 import pathlib
 import sys
-import time
-from typing import Tuple
+from typing import Optional, Sequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import experiments as exp  # noqa: E402
-from repro.bench import report, runner, sweep  # noqa: E402
-from repro.sim.latency import LatencyModel  # noqa: E402
+from repro.bench import figures, runner, sweep  # noqa: E402
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
-def _section(title: str, body: str, commentary: str) -> str:
-    """One EXPERIMENTS.md section: a titled code block plus commentary."""
-    return f"## {title}\n\n```\n{body}\n```\n\n{commentary}\n"
-
-
-# ----------------------------------------------------------------------
-# Section builders.  Each is a module-level function (so the process pool
-# can pickle it) taking the BenchScale and returning one rendered section.
-# ----------------------------------------------------------------------
-def section_fig1a(scale: exp.BenchScale) -> str:
-    """Figure 1a: throughput vs latency on the read-heavy mix."""
-    points = exp.figure_1("95:5", scale=scale)
-    summary = exp.summarize_figure_1("95:5", points)
-    return _section(
-        "Figure 1a — throughput vs latency, 95:5 r:w",
-        report.render_figure_1("95:5", points)
-        + "\n"
-        + report.render_figure_1_summary(summary),
-        f"**Paper:** PaRiS up to 1.47x higher throughput, up to 5.91x lower "
-        f"latency than BPR.  **Measured shape:** throughput gain "
-        f"{summary.throughput_gain:.2f}x, latency ratio "
-        f"{summary.latency_ratio:.2f}x — PaRiS dominates at every load "
-        f"point, as in the paper.",
-    )
-
-
-def section_fig1b(scale: exp.BenchScale) -> str:
-    """Figure 1b: throughput vs latency on the write-heavy mix."""
-    points = exp.figure_1("50:50", scale=scale)
-    summary = exp.summarize_figure_1("50:50", points)
-    return _section(
-        "Figure 1b — throughput vs latency, 50:50 r:w",
-        report.render_figure_1("50:50", points)
-        + "\n"
-        + report.render_figure_1_summary(summary),
-        f"**Paper:** up to 1.46x higher throughput, up to 20.56x lower "
-        f"latency.  **Measured shape:** gain {summary.throughput_gain:.2f}x, "
-        f"latency ratio {summary.latency_ratio:.2f}x.",
-    )
-
-
-def section_blocking(scale: exp.BenchScale) -> str:
-    """Section V-B quote: BPR's average read blocking time at high load."""
-    blocking = exp.blocking_time(scale)
-    return _section(
-        "Section V-B — BPR read blocking time",
-        report.render_blocking(blocking),
-        "**Paper:** 29 ms (95:5) and 41 ms (50:50) average blocking at top "
-        "throughput.  **Measured:** "
-        + ", ".join(
-            f"{row.blocking_mean * 1000:.1f} ms ({row.mix})" for row in blocking
-        )
-        + " — set by the one-way latency to the peer replica plus the apply "
-        "period, the same mechanism the paper identifies.",
-    )
-
-
-def section_fig2a(scale: exp.BenchScale) -> str:
-    """Figure 2a: scalability in machines per DC."""
-    fig2a = exp.figure_2a(scale)
-    factors = exp.scaling_factor(fig2a, by="dcs")
-    ideal = max(scale.fig2a_machines) / min(scale.fig2a_machines)
-    return _section(
-        "Figure 2a — scalability in machines per DC",
-        report.render_figure_2(fig2a, "2a"),
-        "**Paper:** ideal 3x from 6 to 18 machines/DC.  **Measured:** "
-        + ", ".join(f"{f:.2f}x @ {d} DCs" for d, f in sorted(factors.items()))
-        + f" against an ideal of {ideal:.2f}x.",
-    )
-
-
-def section_fig2b(scale: exp.BenchScale) -> str:
-    """Figure 2b: scalability in the number of DCs."""
-    fig2b = exp.figure_2b(scale)
-    factors = exp.scaling_factor(fig2b, by="machines")
-    ideal = max(scale.fig2b_dcs) / min(scale.fig2b_dcs)
-    return _section(
-        "Figure 2b — scalability in DCs",
-        report.render_figure_2(fig2b, "2b"),
-        "**Paper:** ideal 3.33x from 3 to 10 DCs.  **Measured:** "
-        + ", ".join(
-            f"{f:.2f}x @ {m} machines/DC" for m, f in sorted(factors.items())
-        )
-        + f" against an ideal of {ideal:.2f}x.",
-    )
-
-
-def section_fig3(scale: exp.BenchScale) -> str:
-    """Figures 3a/3b: the transaction-locality sweep."""
-    fig3 = exp.figure_3(scale)
-    fully, half = fig3[0].result, fig3[-1].result
-    return _section(
-        "Figures 3a/3b — locality sweep",
-        report.render_figure_3(fig3),
-        f"**Paper:** 100:0 -> 50:50 drops throughput ~16% (350 -> 300 KTx/s) "
-        f"while latency explodes 8 -> 150 ms, with the saturating thread "
-        f"count growing 32 -> 512.  **Measured:** throughput ratio "
-        f"{half.throughput / fully.throughput:.2f}x, latency ratio "
-        f"{half.latency_mean / fully.latency_mean:.1f}x, threads "
-        f"{fig3[0].threads_at_peak} -> {fig3[-1].threads_at_peak}.",
-    )
-
-
-def section_fig4(scale: exp.BenchScale) -> str:
-    """Figure 4: the update-visibility latency CDF."""
-    fig4 = exp.figure_4(scale)
-    by_protocol = {r.protocol: r.result for r in fig4}
-    gap = by_protocol["paris"].visibility_p99 - by_protocol["bpr"].visibility_p99
-    diameter = LatencyModel.for_paper_deployment(scale.n_dcs).max_one_way()
-    return _section(
-        "Figure 4 — update visibility latency CDF",
-        report.render_figure_4(fig4),
-        f"**Paper:** BPR strictly fresher; ~200 ms worst-case difference at "
-        f"5 DCs.  **Measured:** p99 gap {gap * 1000:.0f} ms with a WAN "
-        f"diameter of {diameter * 1000:.0f} ms one-way — same mechanism "
-        f"(UST lags by the WAN diameter plus gossip rounds).",
-    )
-
-
-def section_table1(scale: exp.BenchScale) -> str:
-    """Table I: the taxonomy of causally consistent systems."""
-    return _section(
-        "Table I — taxonomy",
-        report.render_table_1(),
-        "Regenerated from the systems knowledge base; PaRiS remains the "
-        "only entry with generic transactions + non-blocking reads + "
-        "partial replication + single-timestamp metadata: "
-        + ", ".join(report.unique_full_support())
-        + ".",
-    )
-
-
-def section_capacity(scale: exp.BenchScale) -> str:
-    """Sections I/VI claim: storage capacity of partial vs full replication."""
-    capacity = exp.capacity_comparison(scale)
-    return _section(
-        "Storage capacity — partial vs full replication",
-        report.render_capacity(capacity),
-        f"**Paper claim (Sections I, V):** handles larger datasets than "
-        f"full-replication systems.  **Measured:** each DC stores "
-        f"{capacity[0].storage_fraction_per_dc:.2f} of the dataset vs 1.0 "
-        f"under full replication ({capacity[0].capacity_multiplier:.2f}x "
-        f"capacity).",
-    )
-
-
-def section_stabilization(scale: exp.BenchScale) -> str:
-    """Ablation: staleness sensitivity to the stabilization period."""
-    stab = exp.ablation_stabilization(scale)
-    return _section(
-        "Ablation — stabilization period",
-        report.render_stabilization(stab),
-        "The paper fixes Delta_G = Delta_U = 5 ms; the sweep shows staleness "
-        "degrading as the period grows while throughput stays flat — the "
-        "5 ms choice buys freshness essentially for free.",
-    )
-
-
-def section_cache_ablation(scale: exp.BenchScale) -> str:
-    """Ablation: disabling the client write cache breaks read-your-writes."""
-    cache_rows = exp.ablation_client_cache(scale)
-    return _section(
-        "Ablation — client write cache",
-        report.render_cache_ablation(cache_rows),
-        "Disabling the cache produces read-your-writes violations "
-        f"({cache_rows[1].violations} caught by the checker over "
-        f"{cache_rows[1].commits} commits) — empirical confirmation of "
-        "Section III-B's 'UST alone cannot enforce causality'.",
-    )
-
-
-def section_partition(scale: exp.BenchScale) -> str:
-    """Fault scenario: availability across an inter-DC partition episode."""
-    stall = exp.partition_stall(scale)
-    stall_by_protocol = {row.protocol: row for row in stall}
-    return _section(
-        "Fault scenario — availability under an inter-DC partition",
-        report.render_partition_stall(stall),
-        "**Paper (Section III-C):** a partitioned DC freezes the UST "
-        "everywhere, but reads never block.  **Measured:** PaRiS committed "
-        f"{stall_by_protocol['paris'].committed_during} transactions during "
-        "the partition with zero blocked reads, while BPR committed "
-        f"{stall_by_protocol['bpr'].committed_during} with reads parked "
-        "until the heal; the consistency checker found no violation in "
-        "either history."
-    )
-
-
-#: Document order: (log label, builder).
-SECTIONS = (
-    ("Figure 1a (95:5)", section_fig1a),
-    ("Figure 1b (50:50)", section_fig1b),
-    ("Blocking time", section_blocking),
-    ("Figure 2a (machines/DC)", section_fig2a),
-    ("Figure 2b (number of DCs)", section_fig2b),
-    ("Figure 3 (locality)", section_fig3),
-    ("Figure 4 (visibility)", section_fig4),
-    ("Table I", section_table1),
-    ("Capacity", section_capacity),
-    ("Ablation: stabilization period", section_stabilization),
-    ("Ablation: client cache", section_cache_ablation),
-    ("Fault scenario: inter-DC partition", section_partition),
-)
-
-
-#: Label -> builder lookup for the pool entry point.
-BUILDERS = dict(SECTIONS)
-
-
-def _build_section(task: Tuple[str, exp.BenchScale]) -> str:
-    """Pool entry point: build the named section at the given scale."""
-    label, scale = task
-    return BUILDERS[label](scale)
-
-
-def main() -> int:
-    """Drive every section (possibly in parallel) and write EXPERIMENTS.md."""
-    parser = runner.script_parser(
-        __doc__,
-        scales=sorted(exp.SCALES),
-        out_default=str(DEFAULT_OUT),
-        out_help="where to write the assembled document",
-    )
-    runner.add_workers_arg(parser)
-    args = parser.parse_args()
-    scale = exp.SCALES[args.scale]
-    started = time.time()
-    log = runner.elapsed_logger()
-
-    log(
-        f"assembling {len(SECTIONS)} sections at scale '{args.scale}' "
-        f"with {args.workers} worker(s)"
-    )
-    tasks = [(label, scale) for label, _ in SECTIONS]
-    sections = sweep.parallel_map(
-        _build_section,
-        tasks,
-        workers=args.workers,
-        progress=lambda i, task: log(f"done: {task[0]}"),
-    )
-
-    header = (
+def header(scale: exp.BenchScale) -> str:
+    """The document's preamble: how it was generated and how to read it."""
+    return (
         "# EXPERIMENTS — paper vs measured\n\n"
-        f"Generated by `python benchmarks/run_all.py --scale {args.scale}` "
+        f"Generated by `python benchmarks/run_all.py --scale {scale.name}` "
         f"(deployment: {scale.n_dcs} DCs x {scale.machines_per_dc} machines/DC, "
         f"RF {scale.replication_factor}; measurement window {scale.duration}s "
         f"after {scale.warmup}s warmup; simulated WAN of the paper's AWS "
@@ -282,14 +42,41 @@ def main() -> int:
         "comparable to the paper's C++/EC2 testbed; every section therefore "
         "states the paper's claim next to the measured **shape** — direction, "
         "ratios, and crossovers.  See docs/architecture.md for the "
-        "substitution rationale and the per-experiment module index.\n\n"
-        f"Total generation time: (see last line).\n"
+        "substitution rationale and docs/experiments.md for the figure map.\n"
     )
-    body = header + "\n" + "\n".join(sections)
-    body += f"\n---\nGenerated in {time.time() - started:.0f} s wall time.\n"
-    runner.write_text(args.out, body)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run every entry (possibly in parallel) and write EXPERIMENTS.md."""
+    parser = runner.script_parser(
+        __doc__,
+        scales=sorted(exp.SCALES),
+        out_default=str(DEFAULT_OUT),
+        out_help="where to write the assembled document",
+    )
+    runner.add_workers_arg(parser)
+    args = parser.parse_args(argv)
+    scale = exp.SCALES[args.scale]
+    log = runner.elapsed_logger()
+
+    log(
+        f"assembling {len(figures.FIGURES)} sections at scale '{args.scale}' "
+        f"with {args.workers} worker(s)"
+    )
+    built = sweep.parallel_map(
+        figures.section,
+        [(name, scale) for name in figures.FIGURES],
+        workers=args.workers,
+        progress=lambda i, task: log(f"done: {task[0]}"),
+    )
+    runner.write_text(
+        args.out, header(scale) + "\n" + "\n".join(text for text, _ in built)
+    )
     log(f"wrote {args.out}")
-    return 0
+    failures = [failure for _, failure in built if failure]
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -5,21 +5,28 @@ structured rows; :mod:`repro.bench.report` renders them in the paper's
 format.  Experiments accept a :class:`BenchScale` so the same code drives
 quick CI-sized runs and the full paper-shaped deployment (5 DCs x 18
 machines); the *shape* of every result is scale-invariant, which is what the
-reproduction checks (see EXPERIMENTS.md, generated by
-``benchmarks/run_all.py``).
+reproduction checks: :mod:`repro.bench.figures` pairs every function here
+with its renderer, the paper's claim and the shape assertions, and
+``repro figure`` / ``benchmarks/run_all.py`` (EXPERIMENTS.md) loop over it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..config import SimulationConfig, WorkloadConfig
+from ..config import SimulationConfig, WorkloadConfig, mix_workload
 from ..consistency.streaming import StreamingChecker, StreamingOracle
 from ..faults.plan import FaultEvent, FaultPlan
-from .harness import ExperimentResult, run_experiment
+from ..workload.runner import SessionStats
+from .harness import (
+    Cluster,
+    ExperimentResult,
+    build_cluster,
+    deploy_sessions,
+    run_experiment,
+)
 
 
 @dataclass(frozen=True)
@@ -97,13 +104,8 @@ SCALES: Dict[str, BenchScale] = {
 }
 
 
-def current_scale() -> BenchScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default ``small``)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "small")
-    try:
-        return SCALES[name]
-    except KeyError as exc:
-        raise KeyError(f"REPRO_BENCH_SCALE must be one of {sorted(SCALES)}") from exc
+#: The scale an experiment runs at when its caller names none.
+DEFAULT_SCALE = SCALES["small"]
 
 
 # ----------------------------------------------------------------------
@@ -142,13 +144,25 @@ def base_config(
     )
 
 
-def mix_workload(mix: str) -> WorkloadConfig:
-    """The paper's named read:write mixes."""
-    if mix == "95:5":
-        return WorkloadConfig.read_heavy()
-    if mix == "50:50":
-        return WorkloadConfig.write_heavy()
-    raise ValueError(f"unknown mix {mix!r}; use '95:5' or '50:50'")
+def start_sessions(
+    config: SimulationConfig, protocol: str, oracle: Optional[StreamingOracle] = None
+) -> Tuple[Cluster, Callable[[float], int]]:
+    """Build a cluster and start every session, for runs read at boundaries.
+
+    Returns the cluster and ``advance(until)``, which runs the simulation to
+    ``until`` and returns the transactions completed so far.
+    """
+    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
+    stats = SessionStats()
+    for driver in deploy_sessions(cluster, stats):
+        driver.start()
+
+    def advance(until: float) -> int:
+        """Run to simulated time ``until``; transactions completed so far."""
+        cluster.sim.run(until=until)
+        return stats.meter.completed_total
+
+    return cluster, advance
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +179,11 @@ class CurvePoint:
 
 def figure_1(
     mix: str = "95:5",
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     thread_ladder: Optional[Sequence[int]] = None,
     protocols: Sequence[str] = ("paris", "bpr"),
 ) -> List[CurvePoint]:
     """Throughput vs average latency curves (Figures 1a / 1b)."""
-    scale = scale or current_scale()
     ladder = tuple(thread_ladder) if thread_ladder is not None else scale.thread_ladder
     workload = mix_workload(mix)
     points: List[CurvePoint] = []
@@ -306,46 +319,33 @@ def _scaling_workload(smallest_machines: int) -> WorkloadConfig:
     )
 
 
-def figure_2a(scale: Optional[BenchScale] = None) -> List[ScalePoint]:
+def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[ScalePoint]:
+    """Saturated PaRiS throughput at each ``(DCs, machines/DC)`` of ``grid``."""
+    workload = _scaling_workload(min(machines for _, machines in grid))
+    points = []
+    for n_dcs, machines in grid:
+        threads, result = saturated_run(
+            scale, n_dcs=n_dcs, machines_per_dc=machines, workload=workload
+        )
+        points.append(
+            ScalePoint(
+                n_dcs=n_dcs,
+                machines_per_dc=machines,
+                threads_at_peak=threads,
+                result=result,
+            )
+        )
+    return points
+
+
+def figure_2a(scale: BenchScale = DEFAULT_SCALE) -> List[ScalePoint]:
     """PaRiS saturated throughput vs machines per DC (Figure 2a)."""
-    scale = scale or current_scale()
-    workload = _scaling_workload(min(scale.fig2a_machines))
-    points = []
-    for n_dcs in scale.fig2a_dcs:
-        for machines in scale.fig2a_machines:
-            threads, result = saturated_run(
-                scale, n_dcs=n_dcs, machines_per_dc=machines, workload=workload
-            )
-            points.append(
-                ScalePoint(
-                    n_dcs=n_dcs,
-                    machines_per_dc=machines,
-                    threads_at_peak=threads,
-                    result=result,
-                )
-            )
-    return points
+    return _figure_2(scale, [(d, m) for d in scale.fig2a_dcs for m in scale.fig2a_machines])
 
 
-def figure_2b(scale: Optional[BenchScale] = None) -> List[ScalePoint]:
+def figure_2b(scale: BenchScale = DEFAULT_SCALE) -> List[ScalePoint]:
     """PaRiS saturated throughput vs number of DCs (Figure 2b)."""
-    scale = scale or current_scale()
-    workload = _scaling_workload(min(scale.fig2b_machines))
-    points = []
-    for machines in scale.fig2b_machines:
-        for n_dcs in scale.fig2b_dcs:
-            threads, result = saturated_run(
-                scale, n_dcs=n_dcs, machines_per_dc=machines, workload=workload
-            )
-            points.append(
-                ScalePoint(
-                    n_dcs=n_dcs,
-                    machines_per_dc=machines,
-                    threads_at_peak=threads,
-                    result=result,
-                )
-            )
-    return points
+    return _figure_2(scale, [(d, m) for m in scale.fig2b_machines for d in scale.fig2b_dcs])
 
 
 def scaling_factor(points: List[ScalePoint], *, by: str) -> Dict[int, float]:
@@ -381,7 +381,7 @@ class LocalityPoint:
 
 
 def figure_3(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     localities: Sequence[float] = (1.0, 0.95, 0.90, 0.50),
     thread_ladder: Optional[Sequence[int]] = None,
 ) -> List[LocalityPoint]:
@@ -390,7 +390,6 @@ def figure_3(
     As in the paper, lower locality needs more client threads to saturate the
     system, so each locality searches its own ladder for peak throughput.
     """
-    scale = scale or current_scale()
     if thread_ladder is None:
         top = scale.saturating_threads
         thread_ladder = (max(1, top // 4), top, top * 4)
@@ -422,12 +421,11 @@ class VisibilityResult:
 
 
 def figure_4(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     threads: Optional[int] = None,
     sample_rate: float = 0.25,
 ) -> List[VisibilityResult]:
     """Update visibility latency of PaRiS vs BPR (Figure 4)."""
-    scale = scale or current_scale()
     if threads is None:
         threads = max(1, scale.saturating_threads // 4)
     results = []
@@ -456,10 +454,9 @@ class BlockingResult:
 
 
 def blocking_time(
-    scale: Optional[BenchScale] = None, mixes: Sequence[str] = ("95:5", "50:50")
+    scale: BenchScale = DEFAULT_SCALE, mixes: Sequence[str] = ("95:5", "50:50")
 ) -> List[BlockingResult]:
     """BPR's average blocking time at high load (quoted in Section V-B)."""
-    scale = scale or current_scale()
     rows = []
     for mix in mixes:
         config = base_config(
@@ -513,7 +510,7 @@ def partition_stall_plan(n_dcs: int, start: float, end: float) -> FaultPlan:
 
 
 def partition_stall(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     protocols: Sequence[str] = ("paris", "bpr"),
     plan: Optional[FaultPlan] = None,
     seed: int = 42,
@@ -530,10 +527,6 @@ def partition_stall(
     Consistency is checked under the fault for every protocol; the returned
     rows carry the violation counts (expected: zero everywhere).
     """
-    from ..workload.runner import SessionStats
-    from .harness import build_cluster, deploy_sessions
-
-    scale = scale or current_scale()
     window_start = scale.warmup + 0.25 * scale.duration
     window_end = scale.warmup + 0.75 * scale.duration
     drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
@@ -572,23 +565,14 @@ def partition_stall(
             duration=scale.duration,
             faults=plan,
         )
-        cluster = build_cluster(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
-        stats = SessionStats()
-        for driver in deploy_sessions(cluster, stats):
-            driver.start()
-        sim = cluster.sim
-        sim.run(until=window_start)
-        committed_before = stats.meter.completed_total
-        sim.run(until=window_end)
-        committed_during = stats.meter.completed_total - committed_before
+        cluster, advance = start_sessions(config, protocol, StreamingOracle(checker=checker))
+        committed_before = advance(window_start)
+        committed_during = advance(window_end) - committed_before
         parked_at_heal = sum(
             getattr(server, "parked_reads", 0) for server in cluster.all_servers()
         )
         staleness_at_heal = cluster.ust_staleness()
-        sim.run(until=drain_until)
-        committed_after = (
-            stats.meter.completed_total - committed_before - committed_during
-        )
+        committed_after = advance(drain_until) - committed_before - committed_during
         blocking_samples = [
             sample
             for server in cluster.all_servers()
@@ -688,7 +672,7 @@ def reconfig_soak_plan(spec: ClusterSpec, start: float, end: float) -> FaultPlan
 
 
 def reconfig_soak(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     protocols: Sequence[str] = ("paris", "bpr"),
     seed: int = 42,
 ) -> List[ReconfigSoakResult]:
@@ -706,10 +690,7 @@ def reconfig_soak(
     """
     from ..protocols import get_protocol
     from ..workload.profiles import get_profile
-    from ..workload.runner import SessionStats
-    from .harness import build_cluster, deploy_sessions
 
-    scale = scale or current_scale()
     churn_start = scale.warmup + 0.05 * scale.duration
     churn_end = scale.warmup + 0.95 * scale.duration
     drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
@@ -741,23 +722,17 @@ def reconfig_soak(
             faults=plan,
             reconfig=ReconfigConfig(drain_delay=min(0.25, 0.1 * scale.duration)),
         )
-        cluster = build_cluster(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
-        stats = SessionStats()
-        for driver in deploy_sessions(cluster, stats):
-            driver.start()
-        sim = cluster.sim
-        sim.run(until=churn_start)
-        committed_before = stats.meter.completed_total
-        sim.run(until=churn_end)
-        committed_during = stats.meter.completed_total - committed_before
-        sim.run(until=drain_until)
+        cluster, advance = start_sessions(config, protocol, StreamingOracle(checker=checker))
+        committed_before = advance(churn_start)
+        committed_during = advance(churn_end) - committed_before
+        committed_total = advance(drain_until)
         rows.append(
             ReconfigSoakResult(
                 protocol=protocol,
                 plan_name=plan.name or "reconfig-soak",
                 joins=joins,
                 leaves=leaves,
-                committed_total=stats.meter.completed_total,
+                committed_total=committed_total,
                 committed_during_churn=committed_during,
                 final_epoch=cluster.membership.epoch,
                 violations=len(checker.violations),
@@ -781,9 +756,8 @@ class CapacityRow:
     measured_versions_per_dc: float
 
 
-def capacity_comparison(scale: Optional[BenchScale] = None) -> List[CapacityRow]:
+def capacity_comparison(scale: BenchScale = DEFAULT_SCALE) -> List[CapacityRow]:
     """Partial replication's storage advantage, modelled and measured."""
-    scale = scale or current_scale()
     rows = []
     for rf, label in ((scale.replication_factor, "partial (paper)"), (scale.n_dcs, "full")):
         cluster_spec = ClusterSpec.from_machines(
@@ -803,8 +777,6 @@ def capacity_comparison(scale: Optional[BenchScale] = None) -> List[CapacityRow]
             warmup=0.5,
             duration=0.5,
         )
-        from .harness import build_cluster  # local import to avoid cycle
-
         cluster = build_cluster(config, protocol="paris")
         versions_by_dc: Dict[int, int] = {}
         for (dc_id, _), server in cluster.servers.items():
@@ -837,7 +809,7 @@ class StabilizationPoint:
 
 
 def ablation_stabilization(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     intervals: Sequence[float] = (0.001, 0.005, 0.020, 0.050),
 ) -> List[StabilizationPoint]:
     """Sensitivity of data staleness to the stabilization period.
@@ -845,7 +817,6 @@ def ablation_stabilization(
     The paper runs its stabilization every 5 ms; this sweep quantifies the
     freshness/overhead trade-off of that choice.
     """
-    scale = scale or current_scale()
     rows = []
     for interval in intervals:
         config = base_config(
@@ -883,7 +854,7 @@ class PropagationRow:
 
 
 def propagation_cost(
-    scale: Optional[BenchScale] = None,
+    scale: BenchScale = DEFAULT_SCALE,
     replication_factors: Optional[Sequence[int]] = None,
 ) -> List[PropagationRow]:
     """Section I: "updates performed in one DC are propagated to fewer
@@ -894,9 +865,6 @@ def propagation_cost(
     update crosses the WAN to RF-1 peer replicas, so the per-commit cost
     grows linearly with RF — the propagation saving partial replication buys.
     """
-    from ..core.messages import ReplicateMsg  # local import to avoid cycle
-
-    scale = scale or current_scale()
     if replication_factors is None:
         replication_factors = sorted({scale.replication_factor, scale.n_dcs})
     rows = []
@@ -922,19 +890,11 @@ def propagation_cost(
             warmup=scale.warmup,
             duration=scale.duration,
         )
-        from .harness import build_cluster, deploy_sessions
-        from ..workload.runner import SessionStats
-
-        cluster = build_cluster(config, protocol="paris")
-        stats = SessionStats()
-        for driver in deploy_sessions(cluster, stats):
-            driver.start()
-        cluster.sim.run(until=config.warmup)
+        cluster, advance = start_sessions(config, "paris")
+        commits_before = advance(config.warmup)
         inter_dc_before = _inter_dc_replication(cluster)
-        commits_before = stats.meter.completed_total
-        cluster.sim.run(until=config.warmup + config.duration)
+        commits = advance(config.warmup + config.duration) - commits_before
         messages = _inter_dc_replication(cluster) - inter_dc_before
-        commits = stats.meter.completed_total - commits_before
         rows.append(
             PropagationRow(
                 replication_factor=rf,
@@ -967,7 +927,7 @@ class ClockAblationPoint:
 
 
 def ablation_clocks(
-    scale: Optional[BenchScale] = None, modes: Sequence[str] = ("hlc", "logical")
+    scale: BenchScale = DEFAULT_SCALE, modes: Sequence[str] = ("hlc", "logical")
 ) -> List[ClockAblationPoint]:
     """HLC vs pure logical clocks (Section III-B's freshness argument).
 
@@ -977,7 +937,6 @@ def ablation_clocks(
     """
     from ..config import ClockConfig
 
-    scale = scale or current_scale()
     rows = []
     for mode in modes:
         config = base_config(
@@ -1014,7 +973,7 @@ class CacheAblationResult:
     violation_kinds: Tuple[str, ...]
 
 
-def ablation_client_cache(scale: Optional[BenchScale] = None) -> List[CacheAblationResult]:
+def ablation_client_cache(scale: BenchScale = DEFAULT_SCALE) -> List[CacheAblationResult]:
     """UST alone cannot enforce causality (Section III-B): drop the cache.
 
     Without WC_c, a client's own committed writes are invisible until the UST
@@ -1032,7 +991,6 @@ def ablation_client_cache(scale: Optional[BenchScale] = None) -> List[CacheAblat
             self.cache.prune(commit_ts)
             return commit_ts
 
-    scale = scale or current_scale()
     rows = []
     for label, client_cls in (("paris", None), ("paris-no-cache", NoCacheClient)):
         checker = StreamingChecker()

@@ -1,8 +1,9 @@
 """Render experiment rows the way the paper reports them.
 
-Plain-text tables (the benches print them, ``benchmarks/run_all.py`` writes
-them into EXPERIMENTS.md) plus the static Table I taxonomy, regenerated from
-a small systems knowledge base.
+Plain-text tables (``repro figure`` prints them, ``benchmarks/run_all.py``
+writes them into EXPERIMENTS.md; :mod:`repro.bench.figures` pairs each
+renderer with its experiment) plus the static Table I taxonomy, regenerated
+from a small systems knowledge base.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ engine, :mod:`repro.bench.sweep`) share one implementation:
 * :func:`add_workers_arg` — the ``--workers`` flag of parallel drivers;
 * :func:`write_text` / :func:`write_json` — atomic file writes (a killed
   run never leaves a truncated artifact behind);
-* :func:`emit_text` — persist one rendered table under a results directory;
 * :func:`elapsed_logger` — ``[  12.3s] message`` progress lines.
 """
 
@@ -24,9 +23,6 @@ import time
 from typing import Any, Callable, Optional, Sequence, Union
 
 PathLike = Union[str, os.PathLike]
-
-#: Directory (repo-root relative) where bench scripts drop rendered tables.
-RESULTS_DIRNAME = "bench_results"
 
 
 def script_parser(
@@ -89,12 +85,6 @@ def write_text(path: PathLike, text: str) -> pathlib.Path:
 def write_json(path: PathLike, data: Any, *, indent: int = 2) -> pathlib.Path:
     """Atomically write ``data`` as deterministic (sorted-key) JSON."""
     return write_text(path, json.dumps(data, indent=indent, sort_keys=True) + "\n")
-
-
-def emit_text(results_dir: PathLike, name: str, text: str) -> str:
-    """Persist one rendered artifact as ``<results_dir>/<name>.txt``."""
-    write_text(pathlib.Path(results_dir) / f"{name}.txt", text + "\n")
-    return text
 
 
 def elapsed_logger(clock: Callable[[], float] = time.monotonic) -> Callable[[str], None]:

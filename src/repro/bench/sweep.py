@@ -49,7 +49,7 @@ from typing import (
 
 from .. import workers as workers_mod
 from ..cluster.topology import ClusterSpec
-from ..config import SimulationConfig
+from ..config import SimulationConfig, mix_workload
 from ..faults.plan import FaultPlan, FaultPlanError
 from ..protocols import is_registered as protocol_is_registered
 from ..protocols import protocol_names
@@ -178,8 +178,6 @@ def config_from_params(params: Mapping[str, Any]) -> Tuple[SimulationConfig, str
     the protocol name.  Unset parameters take :data:`PARAM_DEFAULTS`;
     ``seed`` is required.
     """
-    from .experiments import mix_workload  # local import to avoid cycle
-
     merged = resolve_params(params)
     protocol = merged["protocol"]
     if not protocol_is_registered(protocol):

@@ -38,7 +38,9 @@ Commands
 ``protocols`` List the registered protocols (``--protocol`` values and the
               ``protocol`` sweep axis; see docs/protocol.md).
 ``topology``  Describe a deployment's placement and capacity.
-``figure``    Regenerate one of the paper's figures/tables.
+``figure``    Regenerate one entry of the figure catalogue
+              (:mod:`repro.bench.figures`) and check its shape against the
+              paper's (exit status 1 if the shape is off).
 """
 
 from __future__ import annotations
@@ -50,32 +52,14 @@ import time
 from typing import Optional, Sequence, Tuple
 
 from .bench import experiments as exp
-from .bench import report, results, sweep
+from .bench import figures, report, results, sweep
 from .bench.harness import ExperimentResult, run_experiment
 from .cluster.topology import ClusterSpec
-from .config import SimulationConfig
+from .config import MIXES, SimulationConfig
 from .consistency.streaming import StreamingChecker, StreamingOracle, Violation, check_trace
 from .faults import FaultPlan, random_plan
 from .protocols import get_protocol, is_registered, protocol_names
 from .sim.trace import TraceWriter
-
-#: Figure/table names accepted by ``repro figure``.
-FIGURES = (
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "fig4",
-    "table1",
-    "capacity",
-    "blocking",
-    "partition",
-    "design_space",
-)
-
-#: The committed sweep spec behind ``repro figure design_space``.
-DESIGN_SPACE_SPEC = pathlib.Path("examples/sweeps/design_space.json")
 
 #: Default run-repository root (``repro run --save``, ``runs``, ``replay``,
 #: ``serve``; layout in docs/serving.md).
@@ -296,13 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "submissions queue FIFO so clients can't oversubscribe the machine",
     )
     serve_cmd.add_argument(
-        "--backend",
-        choices=("auto", "stdlib", "fastapi"),
-        default="auto",
-        help="HTTP stack: stdlib (no dependencies), fastapi (needs "
-        "'pip install .[serve]'), auto picks fastapi when installed",
-    )
-    serve_cmd.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
     )
 
@@ -360,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology_cmd.add_argument("--rf", type=int, default=2)
 
     figure_cmd = commands.add_parser("figure", help="regenerate a paper artifact")
-    figure_cmd.add_argument("name", choices=FIGURES)
+    figure_cmd.add_argument("name", choices=list(figures.FIGURES))
     figure_cmd.add_argument(
         "--scale", choices=sorted(exp.SCALES), default="small",
         help="deployment scale (default: small)",
@@ -418,7 +395,7 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--machines", type=int, default=2, help="machines per DC")
     parser.add_argument("--rf", type=int, default=2, help="replication factor")
     parser.add_argument("--threads", type=int, default=4, help="threads per client")
-    parser.add_argument("--mix", choices=("95:5", "50:50"), default="95:5")
+    parser.add_argument("--mix", choices=tuple(MIXES), default="95:5")
     parser.add_argument(
         "--workload",
         metavar="PROFILE",
@@ -963,12 +940,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     )
-    try:
-        serve_forever(service, backend=args.backend, quiet=args.quiet)
-    except RuntimeError as exc:
-        # The fastapi backend without the [serve] extra installed.
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 2
+    serve_forever(service, quiet=args.quiet)
     return 0
 
 
@@ -1090,59 +1062,16 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    """``repro figure``: regenerate one paper artifact."""
+    """``repro figure``: regenerate one artifact; exit 1 if its shape is off."""
+    entry = figures.FIGURES[args.name]
     scale = exp.SCALES[args.scale]
-    name = args.name
-    if name == "fig1a":
-        points = exp.figure_1("95:5", scale=scale)
-        print(report.render_figure_1("95:5", points))
-        print(report.render_figure_1_summary(exp.summarize_figure_1("95:5", points)))
-    elif name == "fig1b":
-        points = exp.figure_1("50:50", scale=scale)
-        print(report.render_figure_1("50:50", points))
-        print(report.render_figure_1_summary(exp.summarize_figure_1("50:50", points)))
-    elif name == "fig2a":
-        print(report.render_figure_2(exp.figure_2a(scale), "2a"))
-    elif name == "fig2b":
-        print(report.render_figure_2(exp.figure_2b(scale), "2b"))
-    elif name == "fig3":
-        print(report.render_figure_3(exp.figure_3(scale)))
-    elif name == "fig4":
-        print(report.render_figure_4(exp.figure_4(scale)))
-    elif name == "table1":
-        print(report.render_table_1())
-    elif name == "capacity":
-        print(report.render_capacity(exp.capacity_comparison(scale)))
-    elif name == "blocking":
-        print(report.render_blocking(exp.blocking_time(scale)))
-    elif name == "partition":
-        print(report.render_partition_stall(exp.partition_stall(scale)))
-    elif name == "design_space":
-        print(report.render_design_space(design_space_summary()))
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(name)
+    rows = entry.run(scale)
+    print(entry.render(rows))
+    failure = entry.failure(rows, scale)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
     return 0
-
-
-def design_space_summary(
-    spec_path: pathlib.Path = DESIGN_SPACE_SPEC,
-    results_dir: str = "sweep_results",
-    workers: int = 1,
-) -> dict:
-    """Execute (or resume) the committed design-space sweep and aggregate it.
-
-    The sweep engine's content-addressed cache makes re-rendering the figure
-    free once the runs exist; ``spec_path`` resolves relative to the current
-    directory, so run this from the repository root (as CI does).
-    """
-    if not spec_path.exists():
-        raise SystemExit(
-            f"design-space spec not found: {spec_path} "
-            "(run from the repository root)"
-        )
-    spec = sweep.SweepSpec.load(spec_path)
-    report_ = sweep.execute_sweep(spec, results_dir, workers=workers)
-    return results.aggregate(report_.records, spec=spec)
 
 
 _COMMANDS = {

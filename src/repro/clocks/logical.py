@@ -7,7 +7,7 @@ logical clocks, which can advance at very different rates on different
 partitions."
 
 This module provides that solution-that-uses-logical-clocks so the claim can
-be measured (see ``benchmarks/bench_ablation_clocks.py``): a counter that
+be measured (``repro figure ablation_clocks``): a counter that
 advances only on events, exposed through the same interface as
 :class:`~repro.clocks.hlc.HybridLogicalClock` so servers can swap it in via
 ``ClockConfig.mode = "logical"``.

@@ -221,6 +221,21 @@ class WorkloadConfig:
         return self.reads_per_tx + self.writes_per_tx
 
 
+#: The paper's named read:write mixes: the values of ``repro run --mix`` and
+#: of the ``mix`` run parameter.
+MIXES = {
+    "95:5": WorkloadConfig.read_heavy,
+    "50:50": WorkloadConfig.write_heavy,
+}
+
+
+def mix_workload(mix: str) -> WorkloadConfig:
+    """The workload of one of the paper's named read:write mixes."""
+    if mix not in MIXES:
+        raise ValueError(f"unknown mix {mix!r}; use one of {', '.join(MIXES)}")
+    return MIXES[mix]()
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Top-level experiment description."""

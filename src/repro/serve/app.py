@@ -1,20 +1,13 @@
-"""HTTP front ends for :class:`~repro.serve.service.ServeService`.
+"""HTTP front end for :class:`~repro.serve.service.ServeService`.
 
-Two interchangeable adapters expose the same framework-neutral service:
+:func:`wsgi_app` wraps the framework-neutral service as a dependency-free
+WSGI application, served by the stdlib's threaded ``wsgiref`` server
+(:func:`make_server`): it works everywhere the simulator works, keeps the
+package's zero-dependency contract, and is what the test suite and the
+``serve-smoke`` CI job drive over real sockets.
 
-* :func:`wsgi_app` — a dependency-free WSGI application served by the
-  stdlib's threaded ``wsgiref`` server (:func:`make_server`).  This is the
-  default backend: it works everywhere the simulator works, keeps the core
-  package's zero-dependency contract, and is what the test suite and the
-  ``serve-smoke`` CI job drive over real sockets.
-* :func:`create_fastapi_app` — a FastAPI application for deployments that
-  want the usual ASGI ecosystem (OpenAPI docs, uvicorn workers, middleware).
-  FastAPI and uvicorn are the optional ``[serve]`` extra
-  (``pip install .[serve]``); importing this factory without them raises a
-  pointed error instead of breaking the package.
-
-Both adapters are thin on purpose: they parse the request envelope (path,
-query string, JSON body) and serialise the service's ``(status, payload)``
+The adapter is thin on purpose: it parses the request envelope (path,
+query string, JSON body) and serialises the service's ``(status, payload)``
 answer — every behaviour worth testing lives in
 :mod:`repro.serve.service`.
 """
@@ -123,81 +116,9 @@ class _SilentHandler(WSGIRequestHandler):
         pass
 
 
-def create_fastapi_app(service: ServeService):
-    """Build a FastAPI application over the service (``[serve]`` extra).
-
-    The whole API surface is one catch-all route delegating to
-    :meth:`ServeService.handle`, so the FastAPI and WSGI backends cannot
-    drift apart: they serve byte-for-byte the same JSON.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse
-    except ImportError as exc:  # pragma: no cover - exercised in serve-smoke CI
-        raise RuntimeError(
-            "the FastAPI backend needs the optional serve dependencies; "
-            "install them with: pip install '.[serve]'"
-        ) from exc
-
-    app = FastAPI(
-        title="repro serve",
-        description="Launch, inspect, and replay persisted simulator runs "
-        "(see docs/serving.md).",
-    )
-
-    @app.api_route(
-        "/{path:path}", methods=["GET", "POST"], include_in_schema=False
-    )
-    async def dispatch(path: str, request: Request) -> JSONResponse:
-        """Delegate every request to the framework-neutral service core."""
-        body: Optional[Dict[str, Any]] = None
-        raw = await request.body()
-        if raw:
-            try:
-                body = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                return JSONResponse(
-                    {"error": "request body is not valid JSON"}, status_code=400
-                )
-        status, payload = service.handle(
-            request.method.upper(), "/" + path, dict(request.query_params), body
-        )
-        return JSONResponse(payload, status_code=status)
-
-    return app
-
-
-def serve_forever(
-    service: ServeService,
-    *,
-    backend: str = "auto",
-    quiet: bool = False,
-) -> Tuple[str, int]:
-    """Run the app until interrupted; returns only on shutdown.
-
-    ``backend``: ``stdlib`` (wsgiref, no dependencies), ``fastapi``
-    (uvicorn, needs the ``[serve]`` extra), or ``auto`` (fastapi when
-    importable, stdlib otherwise).
-    """
-    host, port = service.config.host, service.config.port
-    if backend == "auto":
-        try:
-            import fastapi  # noqa: F401
-            import uvicorn  # noqa: F401
-
-            backend = "fastapi"
-        except ImportError:
-            backend = "stdlib"
-    if backend == "fastapi":  # pragma: no cover - exercised in serve-smoke CI
-        import uvicorn
-
-        app = create_fastapi_app(service)
-        print(f"repro serve (fastapi) on http://{host}:{port}  (docs at /docs)")
-        uvicorn.run(app, host=host, port=port, log_level="warning" if quiet else "info")
-        return host, port
-    if backend != "stdlib":
-        raise ValueError(f"unknown serve backend {backend!r}")
-    httpd = make_server(service, host, port, quiet=quiet)
+def serve_forever(service: ServeService, *, quiet: bool = False) -> Tuple[str, int]:
+    """Run the app until interrupted; returns only on shutdown."""
+    httpd = make_server(service, service.config.host, service.config.port, quiet=quiet)
     host, port = httpd.server_address[0], httpd.server_port
     print(
         f"repro serve (stdlib) on http://{host}:{port}  "

@@ -86,3 +86,75 @@ class TestCrossReferences:
                 assert (ROOT / "tests" / target).is_file(), (
                     f"{page.name} cites tests/{target}, which does not exist"
                 )
+
+
+def _section(text: str, heading: str) -> str:
+    """The body of one markdown section, up to the next heading of its level."""
+    level = len(heading) - len(heading.lstrip("#"))
+    match = re.search(
+        rf"^{re.escape(heading)}\n(.*?)(?=^#{{1,{level}}} |\Z)",
+        text,
+        re.DOTALL | re.MULTILINE,
+    )
+    assert match, f"section {heading!r} not found"
+    return match.group(1)
+
+
+class TestFigureCatalogue:
+    """``repro.bench.figures.FIGURES`` is the one list of artifacts."""
+
+    def test_cli_choices_are_the_catalogue(self):
+        from repro.bench.figures import FIGURES
+
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+        (name_arg,) = [a for a in subcommands["figure"]._actions if a.dest == "name"]
+        assert list(name_arg.choices) == list(FIGURES)
+
+    def test_every_experiment_and_renderer_is_in_the_catalogue(self):
+        """An experiment or renderer nothing in the table names is dead or lost."""
+        import inspect
+
+        from repro.bench import experiments, figures, report
+
+        source = inspect.getsource(figures)
+        experiment_names = [
+            name
+            for name, value in vars(experiments).items()
+            if inspect.isfunction(value)
+            and value.__module__ == experiments.__name__
+            and (
+                name.startswith(("figure_", "ablation_"))
+                or name
+                in ("blocking_time", "capacity_comparison", "propagation_cost", "partition_stall")
+            )
+        ]
+        assert len(experiment_names) >= 12
+        for name in experiment_names:
+            assert f"exp.{name}" in source, f"experiments.{name} is not in FIGURES"
+        renderers = [name for name in vars(report) if name.startswith("render_")]
+        assert len(renderers) >= 14
+        for name in renderers:
+            assert f"report.{name}" in source, f"report.{name} is not in FIGURES"
+
+    def test_readme_figure_map_lists_the_catalogue(self):
+        from repro.bench.figures import FIGURES
+
+        table = _section(README.read_text(encoding="utf-8"), "## Figure-to-paper map")
+        names = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+        assert names == list(FIGURES)
+
+    def test_docs_figure_map_lists_the_catalogue(self):
+        from repro.bench.figures import FIGURES
+
+        page = (DOCS / "experiments.md").read_text(encoding="utf-8")
+        table = _section(page, "## Figure-by-figure map")
+        names = re.findall(r"^\|[^|]*\| `repro figure (\w+)` \|", table, re.MULTILINE)
+        assert names == list(FIGURES)
+
+    def test_every_run_parameter_is_documented(self):
+        from repro.bench.sweep import PARAM_DEFAULTS
+
+        page = (DOCS / "experiments.md").read_text(encoding="utf-8")
+        table = _section(page, "### Run parameters")
+        documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+        assert documented == list(PARAM_DEFAULTS)

@@ -143,3 +143,52 @@ class TestPropagationRendering:
         text = report.render_propagation(rows)
         assert "msgs/commit" in text
         assert "8.00" in text
+
+
+class TestDesignSpaceRendering:
+    def test_two_groups_one_without_visibility(self):
+        def stats(mean):
+            return {"mean": mean}
+
+        summary = {
+            "groups": [
+                {
+                    "params": {"protocol": "paris", "workload": "ycsb_a"},
+                    "metrics": {
+                        "throughput": stats(12345.6),
+                        "latency_mean": stats(0.00512),
+                        "latency_p99": stats(0.0203),
+                        "visibility_mean": stats(0.1612),
+                        "transactions_measured": stats(2000.0),
+                        "metadata_bytes_total": stats(3_000_000.0),
+                        "read_retries_total": stats(0.0),
+                    },
+                },
+                {
+                    # No profile (the mix alone) and no visibility samples.
+                    "params": {"protocol": "occult", "workload": None},
+                    "metrics": {
+                        "throughput": stats(900.0),
+                        "latency_mean": stats(0.05),
+                        "latency_p99": stats(0.25),
+                        "transactions_measured": stats(100.0),
+                        "metadata_bytes_total": stats(52_000.0),
+                        "read_retries_total": stats(1234.0),
+                    },
+                },
+            ]
+        }
+        lines = report.render_design_space(summary).splitlines()
+        assert lines[0] == "Design space — protocol x workload trade-offs"
+        assert lines[1].split() == [
+            "protocol", "workload", "tx/s", "lat", "(ms)", "p99", "(ms)",
+            "vis", "(ms)", "meta", "B/tx", "retries",
+        ]
+        assert lines[3].split() == [
+            "paris", "ycsb_a", "12,346", "5.12", "20.30", "161.2", "1,500", "0",
+        ]
+        # A missing metric renders as zero rather than failing the table.
+        assert lines[4].split() == [
+            "occult", "default", "900", "50.00", "250.00", "0.0", "520", "1,234",
+        ]
+        assert len(lines) == 5
