@@ -26,13 +26,23 @@ reference any change to the checker's algorithms must reproduce::
 
     PYTHONPATH=src python -m repro.protocols.golden --verdicts           # compare
     PYTHONPATH=src python -m repro.protocols.golden --verdicts --update  # rewrite
+
+``tests/golden/spine_counts.json`` pins what the result digests do not
+contain: per run, how many kernel events fired, how many messages were sent
+and how many CPU jobs completed (``--counts``, same compare/``--update``
+convention).  A change to the event kernel, the fabric or the CPU model that
+claims to leave the simulation alone must reproduce all three exactly —
+"fewer events" would otherwise pass every digest while changing what the
+benchmark's ``run_us_per_op`` divides by.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import pathlib
+import sys
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -176,6 +186,83 @@ def checker_verdicts(names: Sequence[str] = ()) -> Dict[str, Dict[str, Any]]:
     return verdicts
 
 
+#: The committed event/message/job counts, beside the protocol digests.
+COUNTS_PATH = GOLDEN_PATH.with_name("spine_counts.json")
+
+#: Scale of the ledger workloads the counts are pinned at.
+COUNTS_SCALE = "smoke"
+
+#: Golden-scenario runs pinned beside the ledger's (all ``paris``) workloads:
+#: ``bpr`` parks and wakes reads through ``Cpu.submit``, ``cure`` carries
+#: vector snapshots through the same spine.
+COUNTS_PROTOCOLS = ("bpr", "cure")
+
+
+def _ledger_workloads() -> Any:
+    """``benchmarks/ledger/workloads.py``, loaded by path (it is not a package)."""
+    name = "repro_ledger_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        path = GOLDEN_PATH.parents[2] / "benchmarks" / "ledger" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def spine_count_names() -> List[str]:
+    """Every pinned run: the ledger's workloads, then ``golden/<protocol>``."""
+    workloads = list(_ledger_workloads().WORKLOADS)
+    return workloads + [f"golden/{protocol}" for protocol in COUNTS_PROTOCOLS]
+
+
+def spine_counts(name: str) -> Dict[str, Any]:
+    """Run ``name`` and count what its result digest does not contain.
+
+    A sharded workload reports only what the merged result carries
+    (messages and digest): its kernels and CPUs live in the workers.
+    """
+    from ..bench.harness import build_cluster, deploy_sessions, summarize
+    from ..bench.results import result_digest
+    from ..sim.sharded import run_sharded_experiment
+    from ..workload.runner import SessionStats
+
+    oracle = None
+    shards = 0
+    if name.startswith("golden/"):
+        config, protocol = golden_config(), name.split("/", 1)[1]
+    else:
+        ledger = _ledger_workloads()
+        workload = ledger.WORKLOADS[name]
+        config, protocol, shards = workload.config(7, COUNTS_SCALE), "paris", workload.shards
+        if workload.checked:
+            checker = StreamingChecker(window=ledger.CHECK_WINDOW, level=ledger.CHECK_LEVEL)
+            oracle = StreamingOracle(checker=checker)
+    if shards:
+        result = run_sharded_experiment(config, shards, protocol=protocol)
+        return {
+            "messages": result.messages_total,
+            "digest": result_digest(result.to_dict()),
+        }
+    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
+    stats = SessionStats()
+    for driver in deploy_sessions(cluster, stats):
+        driver.start()
+    sim = cluster.sim
+    sim.run(until=config.warmup)
+    stats.open_window(sim.now)
+    sim.run(until=config.warmup + config.duration)
+    stats.close_window(sim.now)
+    result = summarize(cluster, stats)
+    return {
+        "events": sim.events_executed,
+        "messages": result.messages_total,
+        "cpu_jobs": sum(server.cpu.jobs_done for server in cluster.all_servers()),
+        "digest": result_digest(result.to_dict()),
+    }
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.protocols.golden``: print or refresh the digests."""
     import argparse
@@ -192,9 +279,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="work on the checker verdict goldens instead of the protocol digests",
     )
     parser.add_argument(
+        "--counts",
+        action="store_true",
+        help="work on the event/message/job count goldens (names are run names)",
+    )
+    parser.add_argument(
         "names", nargs="*", help="protocols to digest (default: all registered)"
     )
     args = parser.parse_args(argv)
+    if args.counts:
+        committed = load_goldens(COUNTS_PATH)
+        fresh = {name: spine_counts(name) for name in args.names or spine_count_names()}
+        for name, entry in fresh.items():
+            print(
+                f"{name:<14} {entry.get('events', '-'):>8} events "
+                f"{entry['messages']:>7} messages {entry.get('cpu_jobs', '-'):>7} cpu jobs  "
+                f"{entry['digest'][:12]}  {'ok' if committed.get(name) == entry else 'DIFFERS'}"
+            )
+        if not args.update:
+            return int(any(committed.get(name) != entry for name, entry in fresh.items()))
+        committed.update(fresh)
+        COUNTS_PATH.write_text(
+            json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(f"wrote {COUNTS_PATH}")
+        return 0
     if args.verdicts:
         committed = load_goldens(VERDICTS_PATH)
         fresh = checker_verdicts(args.names)
