@@ -337,12 +337,16 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def run_experiment(
+def run_cluster(
     config: SimulationConfig,
     protocol: Optional[str] = None,
     oracle: Optional[StreamingOracle] = None,
-) -> ExperimentResult:
-    """Build, warm up, measure, and summarise one configuration."""
+) -> Tuple[Cluster, ExperimentResult]:
+    """:func:`run_experiment`, also handing back the finished cluster.
+
+    For callers that read the cluster after the run (kernel event count,
+    per-server CPU counters) and not only the summary.
+    """
     cluster = build_cluster(config, protocol=protocol, oracle=oracle)
     stats = SessionStats()
     drivers = deploy_sessions(cluster, stats)
@@ -356,7 +360,16 @@ def run_experiment(
     sim.run(until=measure_end)
     stats.close_window(sim.now)
 
-    return summarize(cluster, stats)
+    return cluster, summarize(cluster, stats)
+
+
+def run_experiment(
+    config: SimulationConfig,
+    protocol: Optional[str] = None,
+    oracle: Optional[StreamingOracle] = None,
+) -> ExperimentResult:
+    """Build, warm up, measure, and summarise one configuration."""
+    return run_cluster(config, protocol=protocol, oracle=oracle)[1]
 
 
 def summarize(cluster: Cluster, stats: SessionStats) -> ExperimentResult:

@@ -83,7 +83,7 @@ class FaultInjector:
                 f"{sim.now} (first: t={stale[0].at} {stale[0].action})"
             )
         for event in plan.events:
-            sim.call_at(event.at, lambda event=event: self.apply(event))
+            sim.call_at(event.at, self.apply, event)
         self.plan = plan
 
     def apply(self, event: FaultEvent) -> None:

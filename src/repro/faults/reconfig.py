@@ -22,7 +22,8 @@ Join (``add_replica``)
        not installed.  The joiner's own version vector is seeded from the
        donor's, which is truthful by Proposition 2 because the joiner now
        holds everything the donor had applied.
-    4. Every live stabilization plane rebuilds its tree wiring
+    4. Every replication pipeline re-derives its peer addresses and every
+       live stabilization plane rebuilds its tree wiring
        (:meth:`StabilizationService.rebuild` — conservative: stalls are
        possible, overshoot is not).
 
@@ -238,9 +239,8 @@ class ReconfigManager:
         membership = cluster.membership
         membership.remove_replica(dc_id, partition)
         self._reroute_clients(dc_id, partition)
-        cluster.sim.call_at(
-            cluster.sim.now + cluster.config.reconfig.drain_delay,
-            lambda: self._teardown(dc_id, partition),
+        cluster.sim.call_after(
+            cluster.config.reconfig.drain_delay, self._teardown, dc_id, partition
         )
 
     def _reroute_clients(self, dc_id: int, partition: int) -> None:
@@ -273,10 +273,16 @@ class ReconfigManager:
 
     # ------------------------------------------------------------------
     def _rebuild_all(self) -> None:
-        """Rewire every live stabilization plane after a membership change."""
+        """Rewire replication peers and every live stabilization plane.
+
+        Every server's replication peer list follows the membership — a
+        leaver's too, it keeps shipping until its teardown; stabilization
+        planes are rebuilt only where the replica is still a member.
+        """
         cluster = self.cluster
         membership = cluster.membership
         for (dc_id, partition), server in cluster.servers.items():
+            server.replication.rebuild()
             if server.stabilization is None:
                 continue
             if not membership.is_replicated_at(partition, dc_id):

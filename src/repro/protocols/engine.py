@@ -71,6 +71,34 @@ from .replication import ReplicationPipeline
 from .stabilization import StabilizationService
 
 
+def _count_keys(payload: Any) -> int:
+    return len(payload.keys)
+
+
+def _count_versions(payload: Any) -> int:
+    return len(payload.versions)
+
+
+def _count_writes(payload: Any) -> int:
+    return len(payload.writes)
+
+
+def _count_replicated_writes(payload: ReplicateMsg) -> int:
+    return sum(len(group.writes) for group in payload.groups)
+
+
+#: What a payload costs beyond ``ServiceModel.base_cost``: the message types
+#: of one family, what to count on a message, and the ``ServiceModel`` rate
+#: charged per counted item.  Every other payload (heartbeats, gossip, 2PC
+#: acknowledgements) costs the base alone.
+_COST_FAMILIES: Tuple[Tuple[Tuple[type, ...], Callable[[Any], int], str], ...] = (
+    ((ReadSliceReq, ReadReq, OneShotReadReq), _count_keys, "per_key_read"),
+    ((ReadSliceResp, ReadResp), _count_versions, "per_key_read"),
+    ((PrepareReq, CommitReq), _count_writes, "per_key_write"),
+    ((ReplicateMsg,), _count_replicated_writes, "per_key_write"),
+)
+
+
 @dataclass(frozen=True)
 class ComponentSet:
     """The four component classes composed into one protocol variant.
@@ -111,6 +139,7 @@ class ProtocolServer(Node):
         "timer_rng",
         "_cancel_timers",
         "tracer",
+        "_cost_rules",
     )
 
     #: The component classes this server composes; protocol variants override.
@@ -170,6 +199,9 @@ class ProtocolServer(Node):
         self._cancel_timers: List[Callable[[], None]] = []
         #: Structured event sink (disabled by default; see repro.sim.trace).
         self.tracer: Tracer = GLOBAL_TRACER
+        #: Payload type -> ``(count, rate)`` of its cost family, or ``None``
+        #: for base cost only; filled per type on first receipt.
+        self._cost_rules: Dict[type, Optional[Tuple[Callable[[Any], int], float]]] = {}
 
         # Compose the protocol from its component set, then collect every
         # component's handler table into the flat bound-method dispatch dict.
@@ -258,19 +290,29 @@ class ProtocolServer(Node):
     # Service-cost model
     # ------------------------------------------------------------------
     def service_cost(self, payload: Any) -> float:
-        """CPU seconds charged for ``payload`` (see :class:`ServiceModel`)."""
-        service = self.config.service
-        cost = service.base_cost
-        if isinstance(payload, (ReadSliceReq, ReadReq, OneShotReadReq)):
-            cost += len(payload.keys) * service.per_key_read
-        elif isinstance(payload, (ReadSliceResp, ReadResp)):
-            cost += len(payload.versions) * service.per_key_read
-        elif isinstance(payload, (PrepareReq, CommitReq)):
-            cost += len(payload.writes) * service.per_key_write
-        elif isinstance(payload, ReplicateMsg):
-            total = sum(len(group.writes) for group in payload.groups)
-            cost += total * service.per_key_write
-        return cost
+        """CPU seconds charged for ``payload`` (see :class:`ServiceModel`).
+
+        One dict hit per message: most traffic (heartbeats, gossip) belongs
+        to no cost family and is charged the base cost straight away.
+        """
+        payload_type = type(payload)
+        try:
+            rule = self._cost_rules[payload_type]
+        except KeyError:
+            rule = self._cost_rules[payload_type] = self._cost_rule(payload_type)
+        base_cost = self.config.service.base_cost
+        if rule is None:
+            return base_cost
+        count, rate = rule
+        return base_cost + count(payload) * rate
+
+    def _cost_rule(
+        self, payload_type: type
+    ) -> Optional[Tuple[Callable[[Any], int], float]]:
+        for family, count, rate in _COST_FAMILIES:
+            if issubclass(payload_type, family):
+                return count, getattr(self.config.service, rate)
+        return None
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -223,10 +223,9 @@ def spine_counts(name: str) -> Dict[str, Any]:
     A sharded workload reports only what the merged result carries
     (messages and digest): its kernels and CPUs live in the workers.
     """
-    from ..bench.harness import build_cluster, deploy_sessions, summarize
+    from ..bench.harness import run_cluster
     from ..bench.results import result_digest
     from ..sim.sharded import run_sharded_experiment
-    from ..workload.runner import SessionStats
 
     oracle = None
     shards = 0
@@ -245,18 +244,9 @@ def spine_counts(name: str) -> Dict[str, Any]:
             "messages": result.messages_total,
             "digest": result_digest(result.to_dict()),
         }
-    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
-    stats = SessionStats()
-    for driver in deploy_sessions(cluster, stats):
-        driver.start()
-    sim = cluster.sim
-    sim.run(until=config.warmup)
-    stats.open_window(sim.now)
-    sim.run(until=config.warmup + config.duration)
-    stats.close_window(sim.now)
-    result = summarize(cluster, stats)
+    cluster, result = run_cluster(config, protocol=protocol, oracle=oracle)
     return {
-        "events": sim.events_executed,
+        "events": cluster.sim.events_executed,
         "messages": result.messages_total,
         "cpu_jobs": sum(server.cpu.jobs_done for server in cluster.all_servers()),
         "digest": result_digest(result.to_dict()),

@@ -222,8 +222,7 @@ class BlockingReadProtocol(ReadProtocol):
             server.metrics.blocking.record(server.sim.now - arrival)
             # Waking costs CPU again, then the read is served normally.
             server.cpu.submit(
-                server.config.service.block_overhead,
-                lambda msg=msg, reply=reply: self.serve_read_slice(msg, reply),
+                server.config.service.block_overhead, self.serve_read_slice, msg, reply
             )
         self.drain_visibility_probes()
 

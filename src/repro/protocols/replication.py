@@ -38,12 +38,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
 class ReplicationPipeline:
     """The Delta_R apply/replicate/heartbeat loop of one partition replica."""
 
-    __slots__ = ("server", "committed")
+    __slots__ = ("server", "committed", "peer_addrs")
 
     def __init__(self, server: "ProtocolServer") -> None:
         self.server = server
         #: Min-heap of (commit_ts, tid, writes, decided_at, deps) awaiting apply.
         self.committed: List[Tuple[int, TransactionId, Tuple, float, Any]] = []
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        """(Re)derive the peer replicas' addresses from the membership.
+
+        Called at construction and again after every membership change
+        (:meth:`ReconfigManager._rebuild_all`), so a tick casts to a ready
+        list instead of resolving each peer's address every ``Delta_R``.  A
+        replica that is leaving keeps its remaining peers until teardown:
+        its final flush and :class:`RetireMsg` go to them.
+        """
+        server = self.server
+        #: Addresses of the other replicas of this partition, in replica order.
+        self.peer_addrs: List[str] = [
+            server_address(peer_dc, server.partition)
+            for peer_dc in server.replica_dcs
+            if peer_dc != server.dc_id
+        ]
 
     def dispatch(self) -> Dict[type, Callable]:
         """Message types this component handles, as a bound-method table."""
@@ -77,9 +95,8 @@ class ReplicationPipeline:
                     )
                 )
             message = ReplicateMsg(groups=tuple(batch), watermark=upper_bound)
-            for peer_dc in server.replica_dcs:
-                if peer_dc != server.dc_id:
-                    server.cast(server_address(peer_dc, server.partition), message)
+            for peer in self.peer_addrs:
+                server.cast(peer, message)
             server.metrics.replicate_batches_sent += 1
             if server.tracer.enabled:
                 server.tracer.emit(
@@ -88,9 +105,8 @@ class ReplicationPipeline:
                 )
         else:
             heartbeat = HeartbeatMsg(ts=upper_bound)
-            for peer_dc in server.replica_dcs:
-                if peer_dc != server.dc_id:
-                    server.cast(server_address(peer_dc, server.partition), heartbeat)
+            for peer in self.peer_addrs:
+                server.cast(peer, heartbeat)
             server.metrics.heartbeats_sent += 1
         self.advance_version_clock(upper_bound)
 
@@ -225,9 +241,8 @@ class ReplicationPipeline:
         server = self.server
         self.tick()
         message = RetireMsg(dc_id=server.dc_id)
-        for peer_dc in server.replica_dcs:
-            if peer_dc != server.dc_id:
-                server.cast(server_address(peer_dc, server.partition), message)
+        for peer in self.peer_addrs:
+            server.cast(peer, message)
 
     def advance_peer_clock(self, src: str, value: int) -> None:
         """Adopt a peer's advertised watermark into its VV entry.

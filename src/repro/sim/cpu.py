@@ -9,23 +9,30 @@ what bends the throughput/latency curves of Figures 1-3.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Tuple
+from typing import Any, Callable, Deque, Tuple
 
 from .kernel import Simulator
 
 
 class Cpu:
-    """A ``cores``-way FIFO processor attached to one simulated server."""
+    """A ``cores``-way FIFO processor attached to one simulated server.
 
-    __slots__ = ("_sim", "cores", "_free_at", "_queue", "_running", "busy_time", "jobs_done")
+    A job starts only while fewer than ``cores`` jobs are running, and a core
+    that is not running anything is free *now* — so a started job always
+    finishes at ``now + cost`` and which core takes it never matters.  The
+    model therefore keeps a running-job count and a FIFO of waiting jobs, not
+    per-core clocks.
+    """
+
+    __slots__ = ("_sim", "cores", "_queue", "_running", "busy_time", "jobs_done")
 
     def __init__(self, sim: Simulator, cores: int = 4) -> None:
         if cores < 1:
             raise ValueError("cores must be >= 1")
         self._sim = sim
         self.cores = cores
-        self._free_at: List[float] = [0.0] * cores
-        self._queue: Deque[Tuple[float, Callable[[], None]]] = deque()
+        #: Waiting jobs ``(cost, fn, args)``, oldest first.
+        self._queue: Deque[Tuple[float, Callable[..., None], Tuple[Any, ...]]] = deque()
         self._running = 0
         self.busy_time = 0.0
         self.jobs_done = 0
@@ -35,33 +42,43 @@ class Cpu:
         """Jobs waiting (not yet started)."""
         return len(self._queue)
 
-    def submit(self, cost: float, job: Callable[[], None]) -> None:
-        """Run ``job`` after it has queued for and consumed ``cost`` seconds.
+    def submit(self, cost: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after it has queued for and consumed ``cost`` seconds.
 
-        ``cost`` of zero still round-trips through the queue so ordering with
-        respect to earlier submissions is preserved.
+        ``cost`` of zero still takes a turn on a core — one kernel event, and
+        behind everything submitted earlier — so ordering with respect to
+        earlier submissions is preserved.
         """
         if cost < 0:
             raise ValueError(f"negative service cost: {cost}")
-        self._queue.append((cost, job))
-        self._dispatch()
+        queue = self._queue
+        if queue or self._running >= self.cores:
+            queue.append((cost, fn, args))
+            if self._running < self.cores:
+                # Only while a finished job's own ``fn`` runs inside
+                # _complete: a core is free and jobs wait; they go first.
+                self._start_waiting()
+            return
+        self._running += 1
+        self.busy_time += cost
+        sim = self._sim
+        sim.post_at(sim.now + cost, self._complete, fn, args)
 
-    def _dispatch(self) -> None:
-        while self._queue and self._running < self.cores:
-            cost, job = self._queue.popleft()
-            core = min(range(self.cores), key=lambda i: self._free_at[i])
-            start = max(self._sim.now, self._free_at[core])
-            finish = start + cost
-            self._free_at[core] = finish
+    def _start_waiting(self) -> None:
+        queue = self._queue
+        sim = self._sim
+        while queue and self._running < self.cores:
+            cost, fn, args = queue.popleft()
             self._running += 1
             self.busy_time += cost
-            self._sim.post_at(finish, lambda job=job: self._complete(job))
+            sim.post_at(sim.now + cost, self._complete, fn, args)
 
-    def _complete(self, job: Callable[[], None]) -> None:
+    def _complete(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self._running -= 1
         self.jobs_done += 1
-        job()
-        self._dispatch()
+        fn(*args)
+        if self._queue:
+            self._start_waiting()
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of total core-time spent busy over ``elapsed`` seconds."""

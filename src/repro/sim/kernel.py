@@ -3,11 +3,12 @@
 The kernel owns a priority queue of timestamped events.  Two styles of code
 run on top of it:
 
-* **Event-driven handlers** — plain callables scheduled with
-  :meth:`Simulator.call_at` / :meth:`Simulator.call_after` (cancellable, an
-  :class:`Event` handle is returned) or with the allocation-free
+* **Event-driven handlers** — a callable and its positional arguments,
+  scheduled with :meth:`Simulator.call_at` / :meth:`Simulator.call_after`
+  (cancellable, an :class:`Event` handle is returned) or with the
   :meth:`Simulator.post_at` / :meth:`Simulator.post_after` fast path when no
-  handle is needed.
+  handle is needed.  ``post_at(t, fn, a, b)`` fires
+  ``fn(a, b)``: pass the arguments, never a closure over them.
 * **Processes** — generator coroutines spawned with :meth:`Simulator.spawn`.
   A process may ``yield``:
 
@@ -20,29 +21,35 @@ Determinism: events at equal times fire in scheduling order (a monotonically
 increasing sequence number breaks ties), and all randomness in the wider
 simulator flows through named :mod:`repro.sim.rng` streams.
 
-Hot-path design: the heap holds plain ``[time, seq, callback]`` list entries
-so heap sift comparisons stay in C (the unique ``seq`` guarantees the
-callback element is never compared), and fired entries are recycled through a
-bounded free-list instead of being reallocated per event.  Cancellation nulls
-the callback slot in place; :meth:`step` discards such entries when they
-surface at the heap top.
+Hot-path design: the heap holds plain ``[time, seq, fn, args]`` list entries
+so heap sift comparisons stay in C (the unique ``seq`` guarantees ``fn`` and
+``args`` are never compared).  An event carries its arguments in the entry,
+so scheduling allocates the entry and nothing else — no closure per event —
+and firing is ``fn(*args)``: one frame from the loop to the handler.
+:meth:`Simulator.run` (with or without ``until``) and
+:meth:`Simulator.run_window` share one drain loop that pops, counts and
+calls inline; :meth:`Simulator.step` is the same body for one event and
+serves :meth:`Simulator.run_until_resolved`.  A fired entry is garbage once
+popped (entries are not pooled: on CPython 3.11 a fresh 4-slot list is
+cheaper than refilling a recycled one).  Cancellation clears the ``fn`` and
+``args`` slots in place, so a cancelled timer pins nothing while it waits to
+surface at the heap top, where it is discarded.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf, nextafter
 from typing import Any, Callable, Generator, List, Optional
 
 from .future import Future
 
 ProcessGenerator = Generator[Any, Any, Any]
 
-#: Heap entry layout: ``[time, seq, callback]``.  ``callback is None`` marks
-#: a cancelled (or already fired) entry awaiting lazy removal.
-_TIME, _SEQ, _CALLBACK = 0, 1, 2
-
-#: Upper bound on recycled entries kept around after a scheduling burst.
-_FREE_LIST_LIMIT = 4096
+#: Heap entry layout: ``[time, seq, fn, args]``.  ``fn is None`` marks an
+#: entry that was cancelled (``args`` emptied with it, awaiting lazy removal
+#: from the heap) or has already fired.
+_TIME, _SEQ, _FN, _ARGS = 0, 1, 2, 3
 
 
 class SimulationError(RuntimeError):
@@ -52,10 +59,9 @@ class SimulationError(RuntimeError):
 class Event:
     """A cancellable handle to one scheduled callback.
 
-    The handle caches ``time`` and ``seq`` at scheduling time; the underlying
-    heap entry may be recycled for a later event once this one has fired, so
-    :meth:`cancel` validates the entry's sequence number before nulling the
-    callback (cancelling after the event fired is a no-op).
+    ``time`` and ``seq`` are cached at scheduling time.  Firing and
+    cancelling both clear the entry's ``fn`` slot, so cancelling after the
+    event fired is a no-op.
     """
 
     __slots__ = ("time", "seq", "_entry")
@@ -66,16 +72,20 @@ class Event:
         self._entry = entry
 
     def cancel(self) -> None:
-        """Prevent the callback from running when the event fires."""
+        """Prevent the callback from running when the event fires.
+
+        The arguments are dropped with the callback: a cancelled far-future
+        timer stays in the heap until it surfaces, and must not keep an
+        envelope and its payload alive until then.
+        """
         entry = self._entry
-        if entry[_SEQ] == self.seq:
-            entry[_CALLBACK] = None
+        entry[_FN] = None
+        entry[_ARGS] = ()
 
     @property
     def cancelled(self) -> bool:
         """Whether this event was cancelled (or has already fired)."""
-        entry = self._entry
-        return entry[_SEQ] != self.seq or entry[_CALLBACK] is None
+        return self._entry[_FN] is None
 
 
 class Process:
@@ -119,7 +129,7 @@ class Process:
             if yielded < 0:
                 self._step(throw_exc=SimulationError(f"negative sleep: {yielded}"))
                 return
-            self._sim.post_after(yielded, lambda: self._step(None))
+            self._sim.post_after(yielded, self._step)
         elif isinstance(yielded, (list, tuple)):
             from .future import all_of
 
@@ -139,7 +149,7 @@ class Process:
 class Simulator:
     """The event loop.  Time is a float in seconds, starting at 0."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_processes", "_event_count", "_free")
+    __slots__ = ("_now", "_queue", "_seq", "_processes", "_event_count")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -147,7 +157,6 @@ class Simulator:
         self._seq = 0
         self._processes: List[Process] = []
         self._event_count = 0
-        self._free: List[List[Any]] = []
 
     @property
     def now(self) -> float:
@@ -162,32 +171,25 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, time: float, callback: Callable[[], None]) -> List[Any]:
-        self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[_TIME] = time
-            entry[_SEQ] = seq
-            entry[_CALLBACK] = callback
-        else:
-            entry = [time, seq, callback]
-        heappush(self._queue, entry)
-        return entry
-
-    def call_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute sim time ``time``."""
+    def call_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` at absolute sim time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self._now}")
-        return Event(self._push(time, callback))
+        self._seq = seq = self._seq + 1
+        entry = [time, seq, fn, args]
+        heappush(self._queue, entry)
+        return Event(entry)
 
-    def call_after(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` after ``delay`` seconds."""
+    def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return Event(self._push(self._now + delay, callback))
+        self._seq = seq = self._seq + 1
+        entry = [self._now + delay, seq, fn, args]
+        heappush(self._queue, entry)
+        return Event(entry)
 
-    def post_at(self, time: float, callback: Callable[[], None]) -> None:
+    def post_at(self, time: float, fn: Callable[..., None], *args: Any) -> None:
         """Like :meth:`call_at` but returns no handle (not cancellable).
 
         This is the hot path used by the network fabric and CPU model: it
@@ -195,18 +197,20 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule into the past: {time} < {self._now}")
-        self._push(time, callback)
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, [time, seq, fn, args])
 
-    def post_after(self, delay: float, callback: Callable[[], None]) -> None:
+    def post_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Like :meth:`call_after` but returns no handle (not cancellable)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._push(self._now + delay, callback)
+        self._seq = seq = self._seq + 1
+        heappush(self._queue, [self._now + delay, seq, fn, args])
 
     def timeout(self, delay: float, value: Any = None) -> Future:
         """A future that resolves to ``value`` after ``delay`` seconds."""
         future = Future()
-        self.post_after(delay, lambda: future.resolve(value))
+        self.post_after(delay, future.resolve, value)
         return future
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -252,43 +256,43 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _recycle(self, entry: List[Any]) -> None:
-        entry[_CALLBACK] = None
-        free = self._free
-        if len(free) < _FREE_LIST_LIMIT:
-            free.append(entry)
-
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
         queue = self._queue
         while queue:
             entry = heappop(queue)
-            callback = entry[_CALLBACK]
-            if callback is None:
-                self._recycle(entry)
-                continue
-            self._now = entry[_TIME]
-            self._event_count += 1
-            self._recycle(entry)
-            callback()
-            return True
+            fn = entry[_FN]
+            if fn is not None:
+                entry[_FN] = None
+                self._now = entry[_TIME]
+                self._event_count += 1
+                fn(*entry[_ARGS])
+                return True
         return False
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or sim time reaches ``until``."""
-        if until is None:
-            while self.step():
-                pass
-            return
+    def _drain(self, limit: float) -> None:
+        """Fire every event timestamped at or before ``limit``.
+
+        The one loop behind :meth:`run` and :meth:`run_window`: the body of
+        :meth:`step`, inlined.  ``now`` and the event count are advanced
+        before the call, so they stand when a handler raises.
+        """
         queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[_CALLBACK] is None:
-                self._recycle(heappop(queue))
-                continue
-            if head[_TIME] > until:
-                break
-            self.step()
+        while queue and queue[0][_TIME] <= limit:
+            entry = heappop(queue)
+            fn = entry[_FN]
+            if fn is not None:
+                entry[_FN] = None
+                self._now = entry[_TIME]
+                self._event_count += 1
+                fn(*entry[_ARGS])
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or sim time reaches ``until`` (inclusive)."""
+        if until is None:
+            self._drain(inf)
+            return
+        self._drain(until)
         self._now = max(self._now, until)
 
     def run_window(self, until: float) -> None:
@@ -303,15 +307,8 @@ class Simulator:
         time then fire in the next window, exactly as they would have in a
         single-kernel run.
         """
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[_CALLBACK] is None:
-                self._recycle(heappop(queue))
-                continue
-            if head[_TIME] >= until:
-                break
-            self.step()
+        # "Strictly before until" is "at or before the float just below it".
+        self._drain(nextafter(until, -inf))
         self._now = max(self._now, until)
 
     def run_until_resolved(self, future: Future, limit: float = float("inf")) -> Any:

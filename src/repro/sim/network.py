@@ -21,8 +21,11 @@ RPCs stay inside one DC), so those sends take a fast path that uses the
 constant LAN one-way delay — never a jittered draw, so a run's trajectory is
 identical whether or not it is being traced — and skip the tracer when
 tracing is off.  Envelopes/endpoints are ``__slots__`` dataclasses scheduled
-through the kernel's no-handle ``post_at`` path.  Inter-DC sends always
-sample the WAN latency model.
+through the kernel's no-handle ``post_at`` path, which carries the envelope
+as the event's argument: a same-DC hop is one frame in :meth:`Network.send`
+(metrics, FIFO floor, ``post_at(t, deliver, envelope)``), one in
+:meth:`Node._receive` (``cpu.submit(cost, self._dispatch, envelope)``) and
+no closure anywhere.  Inter-DC sends always sample the WAN latency model.
 
 Determinism across sharding: jitter and loss draws come from *per-source-DC*
 streams (``network.jitter.d<src>`` / ``network.loss.d<src>``), and every
@@ -101,7 +104,10 @@ class _Endpoint:
 
 @dataclass(slots=True)
 class NetworkMetrics:
-    """Counters of fabric traffic, by payload type and DC scope."""
+    """Counters of fabric traffic, by payload type and DC scope.
+
+    :meth:`Network.send` is the only writer and counts in its own frame.
+    """
 
     messages_total: int = 0
     messages_inter_dc: int = 0
@@ -109,17 +115,6 @@ class NetworkMetrics:
     #: summed from each payload's ``metadata_bytes()`` when it has one.
     metadata_bytes_total: int = 0
     by_type: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, payload: Any, inter_dc: bool) -> None:
-        """Count one sent envelope by payload type and DC scope."""
-        self.messages_total += 1
-        if inter_dc:
-            self.messages_inter_dc += 1
-        meta = getattr(payload, "metadata_bytes", None)
-        if meta is not None:
-            self.metadata_bytes_total += meta()
-        name = type(payload).__name__
-        self.by_type[name] = self.by_type.get(name, 0) + 1
 
 
 class Network:
@@ -250,7 +245,7 @@ class Network:
         endpoint = self._endpoints.get(envelope.dst)
         if endpoint is None:
             raise KeyError(f"unknown address: {envelope.dst}")
-        self._sim.post_at(deliver_at, lambda: endpoint.deliver(envelope))
+        self._sim.post_at(deliver_at, endpoint.deliver, envelope)
 
     # ------------------------------------------------------------------
     # Sending
@@ -275,51 +270,50 @@ class Network:
                 dst_dc = -1
             if local is None or dst_dc < 0 or dst_dc in local:
                 raise KeyError(f"unknown address: {envelope.dst}")
-        envelope.send_time = self._sim.now
+        sim = self._sim
+        envelope.send_time = now = sim.now
         src_dc = src_ep.dc_id
+        payload = envelope.payload
+        metrics = self.metrics
+        metrics.messages_total += 1
+        meta = getattr(payload, "metadata_bytes", None)
+        if meta is not None:
+            metrics.metadata_bytes_total += meta()
+        name = type(payload).__name__
+        by_type = metrics.by_type
+        by_type[name] = by_type.get(name, 0) + 1
         if src_dc == dst_dc:
-            # Same-DC fast path: never partitioned, and the delay is always
-            # the constant LAN latency — never a jitter draw — so enabling
-            # the tracer cannot perturb a seeded run's trajectory.  Only the
-            # tracer call itself is gated on tracing being on.
-            self.metrics.record(envelope.payload, inter_dc=False)
+            # Same-DC fast path, the whole hop in this frame: never
+            # partitioned, and the delay is always the constant LAN latency —
+            # never a jitter draw — so enabling the tracer cannot perturb a
+            # seeded run's trajectory.  Only the tracer call itself is gated
+            # on tracing being on.
             tracer = self._tracer
             if tracer.enabled:
                 tracer.emit(
-                    self._sim.now,
+                    now,
                     "net",
                     envelope.src,
                     dst=envelope.dst,
-                    payload=type(envelope.payload).__name__,
+                    payload=name,
                     delay=self._lan_delay,
                     inter_dc=False,
                 )
-            self._deliver_after(envelope, self._lan_delay, dst_ep)
+            # The per-link FIFO floor (as in _schedule_delivery), inline.
+            link = (envelope.src, envelope.dst)
+            link_clock = self._link_clock
+            deliver_at = now + self._lan_delay
+            floor = link_clock.get(link)
+            if floor is not None and deliver_at < floor + _FIFO_EPSILON:
+                deliver_at = floor + _FIFO_EPSILON
+            link_clock[link] = deliver_at
+            sim.post_at(deliver_at, dst_ep.deliver, envelope)
             return
-        self.metrics.record(envelope.payload, inter_dc=True)
+        metrics.messages_inter_dc += 1
         if self.is_partitioned(src_dc, dst_dc):
             self._held.setdefault((envelope.src, envelope.dst), []).append(envelope)
             return
         self._schedule_delivery(envelope, src_dc, dst_dc)
-
-    def _deliver_after(
-        self, envelope: Envelope, delay: float, endpoint: Optional[_Endpoint]
-    ) -> None:
-        sim = self._sim
-        link = (envelope.src, envelope.dst)
-        link_clock = self._link_clock
-        deliver_at = sim.now + delay
-        floor = link_clock.get(link)
-        if floor is not None and deliver_at < floor + _FIFO_EPSILON:
-            deliver_at = floor + _FIFO_EPSILON
-        link_clock[link] = deliver_at
-        if endpoint is None:
-            # Cross-shard destination: the delivery time is final (it embeds
-            # every sender-side delay component), so the receiving shard can
-            # schedule it verbatim after the next barrier exchange.
-            self._outbox.append((deliver_at, envelope))
-            return
-        sim.post_at(deliver_at, lambda: endpoint.deliver(envelope))
 
     def _schedule_delivery(self, envelope: Envelope, src_dc: int, dst_dc: int) -> None:
         delay = self._latency.sample(self._jitter_rngs[src_dc], src_dc, dst_dc)
@@ -335,10 +329,11 @@ class Network:
                             break
                         delay += RETRANSMIT_TIMEOUT
         endpoint = self._endpoints.get(envelope.dst)
+        sim = self._sim
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
-                self._sim.now,
+                sim.now,
                 "net",
                 envelope.src,
                 dst=envelope.dst,
@@ -346,7 +341,20 @@ class Network:
                 delay=delay,
                 inter_dc=src_dc != dst_dc,
             )
-        self._deliver_after(envelope, delay, endpoint)
+        link = (envelope.src, envelope.dst)
+        link_clock = self._link_clock
+        deliver_at = sim.now + delay
+        floor = link_clock.get(link)
+        if floor is not None and deliver_at < floor + _FIFO_EPSILON:
+            deliver_at = floor + _FIFO_EPSILON
+        link_clock[link] = deliver_at
+        if endpoint is None:
+            # Cross-shard destination: the delivery time is final (it embeds
+            # every sender-side delay component), so the receiving shard can
+            # schedule it verbatim after the next barrier exchange.
+            self._outbox.append((deliver_at, envelope))
+            return
+        sim.post_at(deliver_at, endpoint.deliver, envelope)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -529,7 +537,7 @@ class Node:
             self._backlog.append(envelope)
             return
         if self.cpu is not None:
-            self.cpu.submit(self.service_cost(envelope.payload), lambda: self._dispatch(envelope))
+            self.cpu.submit(self.service_cost(envelope.payload), self._dispatch, envelope)
         else:
             self._dispatch(envelope)
 
@@ -539,11 +547,14 @@ class Node:
             if future is not None:
                 future.resolve(envelope.payload)
             return
-        handler = self._handler_for(type(envelope.payload))
+        payload = envelope.payload
+        handler = self._handler_cache.get(type(payload))
+        if handler is None:
+            handler = self._handler_for(type(payload))
         reply: Optional[Callable[[Any], None]] = None
         if envelope.rpc_id is not None:
             reply = self._make_reply(envelope)
-        handler(envelope.src, envelope.payload, reply)
+        handler(envelope.src, payload, reply)
 
     def _make_reply(self, envelope: Envelope) -> Callable[[Any], None]:
         def reply(payload: Any) -> None:
@@ -561,13 +572,12 @@ class Node:
         return reply
 
     def _handler_for(self, payload_type: type) -> Callable:
-        handler = self._handler_cache.get(payload_type)
+        """Resolve (and cache) ``handle_<payload type>`` on a dispatch-table miss."""
+        name = f"handle_{payload_type.__name__}"
+        handler = getattr(self, name, None)
         if handler is None:
-            name = f"handle_{payload_type.__name__}"
-            handler = getattr(self, name, None)
-            if handler is None:
-                raise NotImplementedError(
-                    f"{type(self).__name__} has no handler {name}"
-                )
-            self._handler_cache[payload_type] = handler
+            raise NotImplementedError(
+                f"{type(self).__name__} has no handler {name}"
+            )
+        self._handler_cache[payload_type] = handler
         return handler

@@ -21,7 +21,10 @@ from repro.core.messages import (
     UsvBroadcastMsg,
     UstBroadcastMsg,
 )
-from repro.sim.network import NetworkMetrics
+from repro.sim.kernel import Simulator
+from repro.sim.latency import LatencyModel
+from repro.sim.network import Envelope, Network
+from repro.sim.rng import RngRegistry
 from repro.storage.version import Version
 
 
@@ -77,18 +80,29 @@ class TestMessageFootprints:
         assert vector > scalar
 
 
+def _fabric() -> Network:
+    """Two DCs with one sink endpoint each: ``a0``/``b0`` in DC 0, ``c1`` in DC 1."""
+    network = Network(Simulator(), LatencyModel.for_paper_deployment(2), RngRegistry(1))
+    for address, dc_id in (("a0", 0), ("b0", 0), ("c1", 1)):
+        network.register(address, dc_id, lambda envelope: None)
+    return network
+
+
 class TestFabricAccounting:
-    def test_record_sums_metadata_bytes(self):
-        metrics = NetworkMetrics()
-        metrics.record(StartTxReq(client_snapshot=(1, 2, 3)), inter_dc=False)
-        metrics.record(HeartbeatMsg(ts=5), inter_dc=True)
+    def test_send_sums_metadata_bytes(self):
+        network = _fabric()
+        network.send(Envelope("a0", "b0", StartTxReq(client_snapshot=(1, 2, 3))))
+        network.send(Envelope("a0", "c1", HeartbeatMsg(ts=5)))
+        metrics = network.metrics
         assert metrics.metadata_bytes_total == 24 + 8
+        assert (metrics.messages_total, metrics.messages_inter_dc) == (2, 1)
+        assert metrics.by_type == {"StartTxReq": 1, "HeartbeatMsg": 1}
 
     def test_payload_without_hook_costs_nothing(self):
-        metrics = NetworkMetrics()
-        metrics.record(object(), inter_dc=False)
-        assert metrics.messages_total == 1
-        assert metrics.metadata_bytes_total == 0
+        network = _fabric()
+        network.send(Envelope("a0", "b0", object()))
+        assert network.metrics.messages_total == 1
+        assert network.metrics.metadata_bytes_total == 0
 
 
 class TestRunSummaryExposure:

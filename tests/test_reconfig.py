@@ -19,6 +19,7 @@ import pytest
 
 from repro import build_cluster, small_test_config
 from repro.bench.harness import deploy_sessions
+from repro.cluster.topology import server_address
 from repro.config import ReconfigConfig
 from repro.consistency.streaming import check_trace
 from repro.faults import FaultEvent, FaultPlan
@@ -205,6 +206,20 @@ class TestReconfigEdgeCases:
         # stabilization plane kept moving past it.
         assert any(commit.at > 0.7 for commit in log.commits)
         assert all(server.local_stable_time > 0 for server in survivors)
+
+    @pytest.mark.parametrize("protocol", ["paris", "cops"])
+    def test_replication_peers_follow_the_membership(self, protocol):
+        """Ticks cast to a precomputed peer list; every membership change must
+        refresh it on every server — with (paris) or without (cops) a
+        stabilization plane, members and retired replicas alike."""
+        _, cluster = run_plan(protocol, join_leave_plan(base_config().cluster))
+        assert cluster.membership.epoch == 4
+        for (dc, partition), server in cluster.servers.items():
+            assert server.replication.peer_addrs == [
+                server_address(peer, partition)
+                for peer in cluster.membership.replica_dcs(partition)
+                if peer != dc
+            ]
 
     def test_back_to_back_leave_join_within_drain_window(self):
         """Re-adding a replica before its drain-window teardown fires keeps

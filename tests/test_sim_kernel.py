@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import ast
+import pathlib
+import weakref
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import kernel as kernel_module
 from repro.sim.future import Future
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -253,3 +260,206 @@ class TestProcesses:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.run_until_resolved(Future())
+
+
+class TestEventArguments:
+    """Events carry ``(fn, args)``: the arguments are part of the schedule."""
+
+    @pytest.mark.parametrize("schedule", ["call_at", "call_after", "post_at", "post_after"])
+    def test_args_reach_the_callback(self, schedule):
+        sim = Simulator()
+        got = []
+        getattr(sim, schedule)(1.0, lambda *args: got.append(args), "envelope", 7)
+        getattr(sim, schedule)(2.0, lambda *args: got.append(args))
+        sim.run()
+        assert got == [("envelope", 7), ()]
+
+    def test_same_function_keeps_each_events_own_args(self):
+        sim = Simulator()
+        got = []
+        for index in range(4):
+            sim.post_after(1.0, got.append, index)
+        sim.run()
+        assert got == [0, 1, 2, 3]
+
+    def test_timeout_and_sleep_use_the_args_form(self):
+        sim = Simulator()
+
+        def proc():
+            yield 0.5
+            return (yield sim.timeout(0.5, "value"))
+
+        process = sim.spawn(proc())
+        sim.run()
+        assert (process.completed.value, sim.now) == ("value", 1.0)
+
+    def test_cancel_releases_the_arguments_at_once(self):
+        """A cancelled far-future timer must not pin its payload while it waits."""
+        sim = Simulator()
+        payload = _Payload()
+        alive = weakref.ref(payload)
+        event = sim.call_at(1e9, lambda p: None, payload)
+        del payload
+        assert alive() is not None
+        event.cancel()
+        assert alive() is None
+        assert event.cancelled
+
+    def test_nothing_of_a_fired_event_stays_in_the_kernel(self):
+        """No pooled entry, no closure: once fired, an event's args are garbage."""
+        sim = Simulator()
+        payloads = [_Payload() for _ in range(3)]
+        alive = [weakref.ref(payload) for payload in payloads]
+        for payload in payloads:
+            sim.post_after(1.0, lambda p: None, payload)
+        del payloads, payload
+        sim.post_after(2.0, lambda: None)  # later scheduling reuses nothing stale
+        sim.run(until=1.5)
+        assert [ref() for ref in alive] == [None, None, None]
+
+    def test_cancelling_after_the_event_fired_is_a_noop(self):
+        sim = Simulator()
+        fired = []
+        event = sim.call_after(1.0, fired.append, "first")
+        sim.run()
+        assert event.cancelled  # "or has already fired"
+        sim.call_after(1.0, fired.append, "second")
+        event.cancel()
+        sim.run()
+        assert fired == ["first", "second"]
+
+
+class _Payload:
+    """A weakly referenceable stand-in for an envelope."""
+
+
+#: Times on a coarse grid, so same-timestamp ties and events exactly at the
+#: boundary are the common case, not the rare one.
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+_SCHEDULES = st.lists(
+    st.tuples(_GRID, st.booleans(), st.sampled_from([None, 0.0, 0.5])), max_size=12
+)
+
+
+def _populate(sim, schedule):
+    """Schedule ``(time, cancelled, child delay)`` entries; returns the firing log."""
+    log = []
+
+    def fire(label, child_delay):
+        log.append((label, sim.now))
+        if child_delay is not None:
+            sim.post_after(child_delay, fire, f"{label}+", None)
+
+    for index, (at, cancelled, child_delay) in enumerate(schedule):
+        event = sim.call_at(at, fire, str(index), child_delay)
+        if cancelled:
+            event.cancel()
+    return log
+
+
+def _next_live_time(sim):
+    live = [entry for entry in sim._queue if entry[2] is not None]
+    return min(live)[0] if live else None
+
+
+class TestOneDrainLoop:
+    """``run()``, ``run(until)`` and ``run_window(until)`` against a ``step()`` loop."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        schedule=_SCHEDULES,
+        until=_GRID,
+        mode=st.sampled_from(["run", "run_until", "run_window"]),
+    )
+    def test_same_events_as_a_step_loop(self, schedule, until, mode):
+        sim, twin = Simulator(), Simulator()
+        log, twin_log = _populate(sim, schedule), _populate(twin, schedule)
+        within = {
+            "run": lambda at: True,
+            "run_until": lambda at: at <= until,  # inclusive
+            "run_window": lambda at: at < until,  # exclusive
+        }[mode]
+        while (at := _next_live_time(twin)) is not None and within(at):
+            assert twin.step()
+        if mode == "run":
+            sim.run()
+            assert sim.now == twin.now
+        else:
+            sim.run(until=until) if mode == "run_until" else sim.run_window(until)
+            assert sim.now == max(twin.now, until)
+        assert log == twin_log
+        assert sim.events_executed == twin.events_executed == len(log)
+        # What is left fires identically afterwards.
+        sim.run()
+        twin.run()
+        assert log == twin_log
+
+    def test_boundary_is_inclusive_for_run_and_exclusive_for_run_window(self):
+        for runner, expected in (("run", ["at", "child"]), ("run_window", [])):
+            sim = Simulator()
+            fired = []
+
+            def at_boundary():
+                fired.append("at")
+                sim.post_after(0.0, fired.append, "child")  # same timestamp
+
+            sim.call_at(1.0, at_boundary).cancel()
+            sim.call_at(1.0, at_boundary)
+            sim.call_at(1.0, fired.append, "never").cancel()
+            if runner == "run":
+                sim.run(until=1.0)
+            else:
+                sim.run_window(1.0)
+            assert fired == expected
+            assert sim.now == 1.0
+
+    @pytest.mark.parametrize("mode", ["step", "run", "run_until", "run_window"])
+    def test_a_raising_callback_leaves_now_and_count_advanced(self, mode):
+        """The event counts as fired and ``now`` is its time; the bound is not reached."""
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.post_at(0.5, fired.append, "before")
+        sim.post_at(1.0, boom)
+        sim.post_at(2.0, fired.append, "after")
+        with pytest.raises(RuntimeError, match="boom"):
+            if mode == "step":
+                while sim.step():
+                    pass
+            elif mode == "run":
+                sim.run()
+            elif mode == "run_until":
+                sim.run(until=5.0)
+            else:
+                sim.run_window(5.0)
+        assert (sim.now, sim.events_executed, fired) == (1.0, 2, ["before"])
+        sim.run()  # the raising event was consumed; the rest still fires
+        assert (sim.now, sim.events_executed, fired) == (2.0, 3, ["before", "after"])
+
+
+#: Packages that schedule on the kernel or the CPU model.
+_SCHEDULING_PACKAGES = ("sim", "protocols", "faults")
+_SCHEDULING_CALLS = {"post_at", "post_after", "call_at", "call_after", "submit"}
+
+
+def test_no_lambda_is_scheduled():
+    """One way to schedule: ``fn, *args`` — never a closure built per event."""
+    root = pathlib.Path(kernel_module.__file__).resolve().parents[1]
+    offenders = []
+    for package in _SCHEDULING_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _SCHEDULING_CALLS
+                    and any(
+                        isinstance(arg, ast.Lambda)
+                        for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                    )
+                ):
+                    offenders.append(f"{path.relative_to(root)}:{node.lineno} {node.func.attr}")
+    assert offenders == []
