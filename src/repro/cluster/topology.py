@@ -31,6 +31,17 @@ from typing import Dict, List, Tuple
 _SERVER_ADDRESSES: Dict[Tuple[int, int], str] = {}
 _CLIENT_ADDRESSES: Dict[Tuple[int, int, int], str] = {}
 
+# Routing memo: ``n_partitions -> {key: partition}``.  A key's partition is
+# fixed for a given partition count (the only field of a spec the formula
+# reads), yet every read, prepare and commit used to re-parse the key's prefix
+# (or re-hash it) to find it.  Keyed by partition count first, so specs of
+# different widths never share an entry.  It lives here and not on the (frozen)
+# ``ClusterSpec`` so that ``==``, ``hash``, ``repr``, ``asdict`` and every
+# pickle of a config sent to a worker stay exactly what they were.  Bounded by
+# the data: one entry per distinct key ever routed, i.e. the keys the stores
+# already hold (800 in the ledger's ``read_heavy``, 9,000 at paper scale).
+_KEY_PARTITIONS: Dict[int, Dict[str, int]] = {}
+
 
 def server_address(dc_id: int, partition: int) -> str:
     """Canonical (interned, memoized) address of a partition's server in a DC."""
@@ -141,12 +152,23 @@ class ClusterSpec:
         — the YCSB-style workload uses this to control which partitions a
         transaction touches, mirroring how the paper's loader pre-shards its
         keyspace.  All other keys are hash-partitioned (CRC32, seed-stable).
+        Answers are memoized per partition count (``_KEY_PARTITIONS``).
         """
+        try:
+            return _KEY_PARTITIONS[self.n_partitions][key]
+        except KeyError:
+            partition = self._route(key)
+            _KEY_PARTITIONS.setdefault(self.n_partitions, {})[key] = partition
+            return partition
+
+    def _route(self, key: str) -> int:
+        """The routing formula itself (what :meth:`key_to_partition` memoizes)."""
         if key.startswith("p"):
             sep = key.find(":")
             if sep > 1:
                 prefix = key[1:sep]
-                if prefix.isdigit():
+                # isdecimal, not isdigit: "²".isdigit() is true but int("²") raises.
+                if prefix.isdecimal():
                     return int(prefix) % self.n_partitions
         return zlib.crc32(key.encode("utf-8")) % self.n_partitions
 

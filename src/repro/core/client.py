@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec, client_address, server_address
 from ..config import SimulationConfig
-from ..sim.future import Future, map_future
+from ..sim.future import Future
 from ..sim.network import Network, Node
 from ..storage.version import TransactionId, Version
 from .cache import WriteCache
@@ -43,14 +43,16 @@ class TransactionStateError(RuntimeError):
     """Raised when the client API is used outside the start/commit protocol."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadResult:
     """One key's outcome of a transactional read.
 
     ``source`` records where the value came from: the transaction's own write
     set (``ws``), its read set (``rs``), the private write cache (``wc``), or
     a server (``store``).  ``version`` is None only for ``ws`` reads, whose
-    value has no commit timestamp yet.
+    value has no commit timestamp yet.  One is built per key read, so the
+    clients construct it positionally: ``ReadResult(key, value, source,
+    version)``.
     """
 
     key: str
@@ -107,6 +109,9 @@ class PaRiSClient(Node):
         self._read_set: Dict[str, ReadResult] = {}
         self.transactions_committed = 0
         self.transactions_finished = 0
+        #: One-shot read-only transactions recorded with the oracle so far
+        #: (their trace ids are ``(seq, -1)``).
+        self._one_shot_seq = 0
         #: Stale-read retry rounds (only the occult client increments this).
         self.read_retries = 0
 
@@ -166,8 +171,8 @@ class PaRiSClient(Node):
         """Begin a transaction; resolves to a :class:`TransactionHandle`."""
         if self._tid is not None:
             raise TransactionStateError("a transaction is already in progress")
-        future = self.request(self.coordinator, StartTxReq(self._snapshot_floor()))
-        return map_future(future, self._on_started)
+        request = StartTxReq(self._snapshot_floor())
+        return self.request(self.coordinator, request).map(self._on_started)
 
     def _on_started(self, resp: StartTxResp) -> TransactionHandle:
         self._tid = resp.tid
@@ -176,7 +181,7 @@ class PaRiSClient(Node):
         self._write_set = {}
         self._merge_snapshot(resp.snapshot)
         self._prune_cache()
-        return TransactionHandle(tid=resp.tid, snapshot=resp.snapshot)
+        return TransactionHandle(resp.tid, resp.snapshot)
 
     # ------------------------------------------------------------------
     # READ (Algorithm 1 lines 8-20)
@@ -203,25 +208,24 @@ class PaRiSClient(Node):
             done = Future()
             done.resolve(results)
             return done
-        future = self.request(self.coordinator, ReadReq(tid=tid, keys=tuple(remote)))
-        return map_future(future, lambda resp: self._on_read(resp, results))
+        request = ReadReq(tid, tuple(remote))
+        return self.request(self.coordinator, request).map(self._on_read, results)
 
     def _read_locally(self, key: str) -> Optional[ReadResult]:
         if key in self._write_set:
-            return ReadResult(key=key, value=self._write_set[key], source="ws", version=None)
+            return ReadResult(key, self._write_set[key], "ws", None)
         if key in self._read_set:
             previous = self._read_set[key]
-            return ReadResult(key=key, value=previous.value, source="rs", version=previous.version)
+            return ReadResult(key, previous.value, "rs", previous.version)
         cached = self.cache.lookup(key)
         if cached is not None:
-            return ReadResult(key=key, value=cached.value, source="wc", version=cached)
+            return ReadResult(key, cached.value, "wc", cached)
         return None
 
     def _on_read(self, resp: ReadResp, results: Dict[str, ReadResult]) -> Dict[str, ReadResult]:
+        read_set = self._read_set
         for key, version in resp.versions:
-            result = ReadResult(key=key, value=version.value, source="store", version=version)
-            results[key] = result
-            self._read_set[key] = result
+            results[key] = read_set[key] = ReadResult(key, version.value, "store", version)
         self._record_read(results)
         return results
 
@@ -257,9 +261,7 @@ class PaRiSClient(Node):
         for key in wanted:
             version = self.cache.lookup(key)
             if version is not None:
-                cached[key] = ReadResult(
-                    key=key, value=version.value, source="wc", version=version
-                )
+                cached[key] = ReadResult(key, version.value, "wc", version)
             else:
                 remote.append(key)
         if not remote:
@@ -267,11 +269,8 @@ class PaRiSClient(Node):
             done = Future()
             done.resolve(cached)
             return done
-        future = self.request(
-            self.coordinator,
-            OneShotReadReq(client_snapshot=self._snapshot_floor(), keys=tuple(remote)),
-        )
-        return map_future(future, lambda resp: self._on_one_shot(resp, cached))
+        request = OneShotReadReq(self._snapshot_floor(), tuple(remote))
+        return self.request(self.coordinator, request).map(self._on_one_shot, cached)
 
     def _on_one_shot(
         self, resp: OneShotReadResp, results: Dict[str, ReadResult]
@@ -281,19 +280,15 @@ class PaRiSClient(Node):
         for key, version in resp.versions:
             fresher = self.cache.lookup(key)
             if fresher is not None and fresher.newer_than(version):
-                results[key] = ReadResult(
-                    key=key, value=fresher.value, source="wc", version=fresher
-                )
+                results[key] = ReadResult(key, fresher.value, "wc", fresher)
             else:
-                results[key] = ReadResult(
-                    key=key, value=version.value, source="store", version=version
-                )
+                results[key] = ReadResult(key, version.value, "store", version)
         self._record_one_shot(results, resp.snapshot)
         return results
 
     def _record_one_shot(self, results: Mapping[str, ReadResult], snapshot: int) -> None:
         if self.oracle is not None:
-            self._one_shot_seq = getattr(self, "_one_shot_seq", 0) + 1
+            self._one_shot_seq += 1
             self.oracle.record_read(
                 client=self.address,
                 tid=(self._one_shot_seq, -1),
@@ -324,13 +319,9 @@ class PaRiSClient(Node):
                 "commit with an empty write set; use finish() for read-only transactions"
             )
         request = CommitReq(
-            tid=tid,
-            highest_write_ts=self.highest_write_ts,
-            writes=tuple(self._write_set.items()),
-            deps=self._commit_deps(),
+            tid, self.highest_write_ts, tuple(self._write_set.items()), self._commit_deps()
         )
-        future = self.request(self.coordinator, request)
-        return map_future(future, self._on_committed)
+        return self.request(self.coordinator, request).map(self._on_committed)
 
     def _on_committed(self, resp: CommitResp) -> int:
         commit_ts = resp.commit_ts
@@ -339,13 +330,15 @@ class PaRiSClient(Node):
         # replica that actually applied each slice, even if a membership
         # change re-routed the partition while the commit was in flight.
         cohort_map = dict(resp.cohorts)
+        route = self.spec.key_to_partition
+        tid = resp.tid
         written: Dict[str, Version] = {}
         for key, value in self._write_set.items():
-            partition = self.spec.key_to_partition(key)
-            source_dc = cohort_map.get(
-                partition, self.membership.preferred_dc(partition, self.dc_id)
-            )
-            version = Version(key=key, value=value, ut=commit_ts, tid=resp.tid, sr=source_dc)
+            partition = route(key)
+            source_dc = cohort_map.get(partition)
+            if source_dc is None:
+                source_dc = self.membership.preferred_dc(partition, self.dc_id)
+            version = Version(key, value, commit_ts, tid, source_dc)
             self.cache.insert(version)
             written[key] = version
         if self.oracle is not None:
@@ -370,7 +363,7 @@ class PaRiSClient(Node):
         tid = self._require_transaction()
         if self._write_set:
             raise TransactionStateError("transaction has buffered writes; call commit()")
-        self.cast(self.coordinator, FinishTxMsg(tid=tid))
+        self.cast(self.coordinator, FinishTxMsg(tid))
         self.transactions_finished += 1
         self._clear_transaction()
 

@@ -7,6 +7,16 @@ one message object per protocol step, so the per-instance ``__dict__`` of a
 slotless dataclass is pure hot-path overhead (``tests/test_messages_slots.py``
 guards the invariant).
 
+Construction is **positional** wherever a message is built per protocol step
+(``core/client.py`` and every module of ``protocols/``): binding four keyword
+arguments costs about as much again as the ``__init__`` they reach, and a
+transaction builds a dozen messages.  Field order is therefore part of each
+class's interface — append new fields, with defaults, at the end.  ``frozen``
+stays even though each field then goes through ``object.__setattr__``: a
+message may sit in several queues at once (one ``ReplicateMsg`` or
+``CommitTxMsg`` object is cast to every peer or cohort), so "nobody mutates it
+after the send" has to be a property the runtime enforces, not a convention.
+
 Every message also reports its **causal-metadata footprint** via
 ``metadata_bytes()``: the wire bytes spent on snapshots, timestamps,
 dependency vectors and shardstamps (8 bytes per timestamp, 16 per
@@ -51,8 +61,17 @@ def _deps_bytes(deps: Any) -> int:
 
 
 def _versions_meta_bytes(versions: Tuple[Tuple[str, Version], ...]) -> int:
-    """Per-version metadata shipped with read responses: ut + deps."""
-    return sum(8 + _deps_bytes(v.deps) for _, v in versions)
+    """Per-version metadata shipped with read responses: ut + deps.
+
+    ``sum(8 + _deps_bytes(v.deps))`` as a plain loop: it runs for every read
+    response sent, and scalar protocols' versions carry no deps at all.
+    """
+    total = 8 * len(versions)
+    for _, version in versions:
+        deps = version.deps
+        if deps:
+            total += (16 if isinstance(deps[0], tuple) else 8) * len(deps)
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ from ..core.messages import (
     StartTxReq,
     StartTxResp,
 )
-from ..sim.future import all_of
+from ..sim.future import Future, gather
 from ..storage.version import TransactionId, Version
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -63,6 +63,14 @@ class PreparedTx:
     tid: TransactionId
     proposed_ts: int
     writes: Tuple[Tuple[str, Any], ...]
+
+
+def _merged(responses: List[ReadSliceResp]) -> Tuple[Tuple[str, Version], ...]:
+    """The versions of every slice, in slice order."""
+    merged: List[Tuple[str, Version]] = []
+    for response in responses:
+        merged.extend(response.versions)
+    return tuple(merged)
 
 
 class TxCoordinator:
@@ -98,33 +106,35 @@ class TxCoordinator:
         server = self.server
         snapshot = server.reads.assign_snapshot(msg.client_snapshot)
         tid: TransactionId = (next(self._tx_seq), server.uid)
-        self.contexts[tid] = TxContext(snapshot=snapshot, created_at=server.sim.now)
+        self.contexts[tid] = TxContext(snapshot, server.sim.now)
         server.metrics.transactions_started += 1
-        reply(StartTxResp(tid=tid, snapshot=snapshot))
+        reply(StartTxResp(tid, snapshot))
 
     def handle_read(self, src: str, msg: ReadReq, reply: Callable) -> None:
         """Algorithm 2, READ: fan slices out to preferred replicas, merge."""
-        server = self.server
         snapshot = self.context_snapshot(msg.tid)
+        gather(self._request_slices(msg.keys, snapshot), self._respond_read, reply)
+
+    def _request_slices(self, keys: Tuple[str, ...], snapshot: Any) -> List[Future]:
+        """One :class:`ReadSliceReq` per partition of ``keys``, to its preferred replica."""
+        server = self.server
+        route = server.spec.key_to_partition
         slices: Dict[int, List[str]] = {}
-        for key in msg.keys:
-            slices.setdefault(server.spec.key_to_partition(key), []).append(key)
-        futures = []
-        for partition, keys in slices.items():
-            target_dc = server.membership.preferred_dc(partition, server.dc_id)
-            target = server_address(target_dc, partition)
-            futures.append(
-                server.request(target, ReadSliceReq(keys=tuple(keys), snapshot=snapshot))
+        for key in keys:
+            slices.setdefault(route(key), []).append(key)
+        preferred_dc = server.membership.preferred_dc
+        dc_id = server.dc_id
+        return [
+            server.request(
+                server_address(preferred_dc(partition, dc_id), partition),
+                ReadSliceReq(tuple(slice_keys), snapshot),
             )
+            for partition, slice_keys in slices.items()
+        ]
 
-        def respond(responses: List[ReadSliceResp]) -> None:
-            """Merge the slices and answer the client's READ."""
-            merged: List[Tuple[str, Version]] = []
-            for response in responses:
-                merged.extend(response.versions)
-            reply(ReadResp(versions=tuple(merged)))
-
-        all_of(futures).add_done_callback(lambda fut: respond(fut.value))
+    def _respond_read(self, responses: List[ReadSliceResp], reply: Callable) -> None:
+        """Merge the slices and answer the client's READ."""
+        reply(ReadResp(_merged(responses)))
 
     def handle_one_shot_read(self, src: str, msg: OneShotReadReq, reply: Callable) -> None:
         """One-round read-only transaction: assign snapshot, fan out, reply.
@@ -133,92 +143,71 @@ class TxCoordinator:
         this call, so there is nothing for the GC bound to pin and nothing
         for the timeout cleaner to reclaim.
         """
-        server = self.server
-        snapshot = server.reads.assign_snapshot(msg.client_snapshot)
-        slices: Dict[int, List[str]] = {}
-        for key in msg.keys:
-            slices.setdefault(server.spec.key_to_partition(key), []).append(key)
-        futures = []
-        for partition, keys in slices.items():
-            target_dc = server.membership.preferred_dc(partition, server.dc_id)
-            target = server_address(target_dc, partition)
-            futures.append(
-                server.request(target, ReadSliceReq(keys=tuple(keys), snapshot=snapshot))
-            )
+        snapshot = self.server.reads.assign_snapshot(msg.client_snapshot)
+        gather(
+            self._request_slices(msg.keys, snapshot), self._respond_one_shot, snapshot, reply
+        )
 
-        def respond(responses: List[ReadSliceResp]) -> None:
-            """Merge the slices and answer the one-shot read."""
-            merged: List[Tuple[str, Version]] = []
-            for response in responses:
-                merged.extend(response.versions)
-            reply(OneShotReadResp(snapshot=snapshot, versions=tuple(merged)))
-
-        all_of(futures).add_done_callback(lambda fut: respond(fut.value))
+    def _respond_one_shot(
+        self, responses: List[ReadSliceResp], snapshot: Any, reply: Callable
+    ) -> None:
+        """Merge the slices and answer the one-shot read."""
+        reply(OneShotReadResp(snapshot, _merged(responses)))
 
     def handle_commit(self, src: str, msg: CommitReq, reply: Callable) -> None:
         """Algorithm 2, COMMIT: run 2PC over the write partitions."""
         server = self.server
-        snapshot = self.context_snapshot(msg.tid)
+        tid = msg.tid
+        snapshot = self.context_snapshot(tid)
         highest = max(server.reads.snapshot_upper_bound(snapshot), msg.highest_write_ts)
         if not msg.writes:
             # Defensive: Algorithm 1 only commits when WS is non-empty.
-            self.contexts.pop(msg.tid, None)
-            reply(CommitResp(tid=msg.tid, commit_ts=highest))
+            self.contexts.pop(tid, None)
+            reply(CommitResp(tid, highest))
             return
+        route = server.spec.key_to_partition
         slices: Dict[int, List[Tuple[str, Any]]] = {}
-        for key, value in msg.writes:
-            slices.setdefault(server.spec.key_to_partition(key), []).append((key, value))
-        targets: List[str] = []
+        for pair in msg.writes:
+            slices.setdefault(route(pair[0]), []).append(pair)
         cohorts: List[Tuple[int, int]] = []
         futures = []
         for partition, pairs in slices.items():
             target_dc = server.membership.preferred_dc(partition, server.dc_id)
-            target = server_address(target_dc, partition)
-            targets.append(target)
             cohorts.append((partition, target_dc))
             futures.append(
                 server.request(
-                    target,
-                    PrepareReq(
-                        tid=msg.tid,
-                        snapshot=snapshot,
-                        highest_ts=highest,
-                        writes=tuple(pairs),
-                    ),
+                    server_address(target_dc, partition),
+                    PrepareReq(tid, snapshot, highest, tuple(pairs)),
                 )
             )
+        gather(futures, self._decide, msg, tuple(cohorts), reply)
 
-        def decide(responses: List[PrepareResp]) -> None:
-            """2PC decision: max of the votes, then notify every cohort."""
-            commit_ts = max(response.proposed_ts for response in responses)
-            decided_at = server.sim.now
-            final_deps = server.reads.finalize_deps(
-                msg.deps, commit_ts, tuple(slices)
+    def _decide(
+        self,
+        responses: List[PrepareResp],
+        msg: CommitReq,
+        cohorts: Tuple[Tuple[int, int], ...],
+        reply: Callable,
+    ) -> None:
+        """2PC decision: max of the votes, then notify every cohort."""
+        server = self.server
+        tid = msg.tid
+        commit_ts = max([response.proposed_ts for response in responses])
+        final_deps = server.reads.finalize_deps(
+            msg.deps, commit_ts, tuple([partition for partition, _dc in cohorts])
+        )
+        # One decision, one message: every cohort is cast the same object.
+        decision = CommitTxMsg(tid, commit_ts, server.sim.now, final_deps)
+        for partition, target_dc in cohorts:
+            server.cast(server_address(target_dc, partition), decision)
+        self.contexts.pop(tid, None)
+        server.metrics.transactions_committed += 1
+        if server.tracer.enabled:
+            server.tracer.emit(
+                server.sim.now, "commit", server.address,
+                tid=tid, commit_ts=commit_ts, partitions=len(cohorts),
             )
-            for target in targets:
-                server.cast(
-                    target,
-                    CommitTxMsg(
-                        tid=msg.tid,
-                        commit_ts=commit_ts,
-                        decided_at=decided_at,
-                        deps=final_deps,
-                    ),
-                )
-            self.contexts.pop(msg.tid, None)
-            server.metrics.transactions_committed += 1
-            if server.tracer.enabled:
-                server.tracer.emit(
-                    server.sim.now, "commit", server.address,
-                    tid=msg.tid, commit_ts=commit_ts, partitions=len(targets),
-                )
-            reply(
-                CommitResp(
-                    tid=msg.tid, commit_ts=commit_ts, cohorts=tuple(cohorts)
-                )
-            )
-
-        all_of(futures).add_done_callback(lambda fut: decide(fut.value))
+        reply(CommitResp(tid, commit_ts, cohorts))
 
     def handle_finish_tx(self, src: str, msg: FinishTxMsg, reply: Callable) -> None:
         """Read-only transactions end here: free the coordinator context."""
@@ -246,10 +235,8 @@ class TxCoordinator:
         server.reads.observe_snapshot(msg.snapshot)
         proposed = max(new_hlc, server.ust)
         server.hlc.observe(proposed)
-        self.prepared[msg.tid] = PreparedTx(
-            tid=msg.tid, proposed_ts=proposed, writes=msg.writes
-        )
-        reply(PrepareResp(tid=msg.tid, proposed_ts=proposed))
+        self.prepared[msg.tid] = PreparedTx(msg.tid, proposed, msg.writes)
+        reply(PrepareResp(msg.tid, proposed))
 
     def handle_commit_tx(self, src: str, msg: CommitTxMsg, reply: Callable) -> None:
         """Algorithm 3, commit: move the transaction to the committed queue."""

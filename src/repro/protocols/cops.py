@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Tuple
 from ..cluster.topology import server_address
 from ..core.client import PaRiSClient
 from ..core.messages import DepCheckReq, DepCheckResp, ReadSliceReq, ReadSliceResp, ReplicatedTx, ReplicateMsg
-from ..sim.future import Future, all_of
+from ..sim.future import Future, gather
 from ..storage.version import Version
 from .engine import ComponentSet, ProtocolServer
 from .reads import ReadProtocol
@@ -84,7 +84,7 @@ class CopsReadProtocol(ReadProtocol):
                 )
             versions.append((key, version))
         server.metrics.read_slices_served += 1
-        reply(ReadSliceResp(versions=tuple(versions)))
+        reply(ReadSliceResp(tuple(versions)))
 
     def visibility_threshold(self) -> int:
         """An update is readable the moment the dep-gated apply installs it."""
@@ -98,8 +98,9 @@ class CopsReplication(ReplicationPipeline):
 
     def __init__(self, server: "ProtocolServer") -> None:
         super().__init__(server)
-        #: Unsatisfied dependency checks: key -> [(ut, wake callback)].
-        self.parked_checks: Dict[str, List[Tuple[int, Callable[[], None]]]] = {}
+        #: Unsatisfied dependency checks: key -> [(ut, wake, arg)]; a
+        #: satisfied check is woken with ``wake(arg)``.
+        self.parked_checks: Dict[str, List[Tuple[int, Callable[[Any], None], Any]]] = {}
 
     def dispatch(self) -> Dict[type, Callable]:
         """Extend the base table with the dependency-check RPC."""
@@ -132,22 +133,19 @@ class CopsReplication(ReplicationPipeline):
                 if local is not None and local.ut >= ut:
                     continue
                 future = Future()
-                self.parked_checks.setdefault(key, []).append(
-                    (ut, lambda f=future: f.resolve(None))
-                )
+                self.parked_checks.setdefault(key, []).append((ut, future.resolve, None))
                 waits.append(future)
             else:
                 target = server_address(
                     server.membership.preferred_dc(partition, server.dc_id), partition
                 )
-                waits.append(server.request(target, DepCheckReq(key=key, ut=ut)))
-        if not waits:
-            self._apply_remote(group)
-            return
-        server.metrics.dep_checks_deferred += 1
-        all_of(waits).add_done_callback(lambda _fut: self._apply_remote(group))
+                waits.append(server.request(target, DepCheckReq(key, ut)))
+        if waits:
+            server.metrics.dep_checks_deferred += 1
+        gather(waits, self._apply_remote, group)
 
-    def _apply_remote(self, group: ReplicatedTx) -> None:
+    def _apply_remote(self, _acks: List[Any], group: ReplicatedTx) -> None:
+        """Every dependency check of ``group`` has answered (at once if none)."""
         server = self.server
         self.apply_writes(
             group.writes,
@@ -166,12 +164,11 @@ class CopsReplication(ReplicationPipeline):
     def handle_dep_check(self, src: str, msg: DepCheckReq, reply: Callable) -> None:
         """Reply once a version of ``key`` with ``ut >= msg.ut`` is installed."""
         local = self.server.store.read_latest(msg.key)
+        response = DepCheckResp(msg.key, msg.ut)
         if local is not None and local.ut >= msg.ut:
-            reply(DepCheckResp(key=msg.key, ut=msg.ut))
+            reply(response)
             return
-        self.parked_checks.setdefault(msg.key, []).append(
-            (msg.ut, lambda: reply(DepCheckResp(key=msg.key, ut=msg.ut)))
-        )
+        self.parked_checks.setdefault(msg.key, []).append((msg.ut, reply, response))
 
     def apply_writes(
         self,
@@ -195,10 +192,10 @@ class CopsReplication(ReplicationPipeline):
             if not entries:
                 continue
             installed = self.server.store.read_latest(key)
-            satisfied = [wake for ut, wake in entries if installed.ut >= ut]
+            satisfied = [entry for entry in entries if installed.ut >= entry[0]]
             if not satisfied:
                 continue
-            remaining = [(ut, wake) for ut, wake in entries if installed.ut < ut]
+            remaining = [entry for entry in entries if installed.ut < entry[0]]
             if remaining:
                 parked[key] = remaining
             else:
@@ -206,8 +203,8 @@ class CopsReplication(ReplicationPipeline):
             # Waking may recursively apply a parked group (and so re-enter
             # this method for other keys); the dict is updated first so the
             # recursion never sees a stale entry.
-            for wake in satisfied:
-                wake()
+            for _ut, wake, arg in satisfied:
+                wake(arg)
 
     def on_crash(self) -> None:
         """Parked checks are soft state; peers retransmit after recovery."""

@@ -37,7 +37,7 @@ from ..core.messages import (
     ReadSliceResp,
     UsvBroadcastMsg,
 )
-from ..sim.future import Future, map_future
+from ..sim.future import Future
 from ..storage.version import Version
 from .engine import ComponentSet, ProtocolServer
 from .reads import ReadProtocol
@@ -98,13 +98,11 @@ class CureStabilization(StabilizationService):
         if self.parent_addr is not None:
             server.cast(
                 self.parent_addr,
-                AggUpVecMsg(
-                    partition=server.partition, stable_vec=vec, oldest_active=oldest
-                ),
+                AggUpVecMsg(server.partition, vec, oldest),
             )
             return
         self.dc_reports[server.dc_id] = (vec, oldest)
-        message = DcVecMsg(dc_id=server.dc_id, stable_vec=vec, oldest_active=oldest)
+        message = DcVecMsg(server.dc_id, vec, oldest)
         for root in self.remote_root_addrs:
             server.cast(root, message)
 
@@ -158,9 +156,7 @@ class CureStabilization(StabilizationService):
     def broadcast_usv(self) -> None:
         """Push the current USV and GC bound to the subtree children."""
         server = self.server
-        message = UsvBroadcastMsg(
-            usv=self.stable_vec, oldest_global=server.oldest_global
-        )
+        message = UsvBroadcastMsg(self.stable_vec, server.oldest_global)
         for child in self.child_addrs:
             server.cast(child, message)
 
@@ -253,7 +249,7 @@ class CureReadProtocol(ReadProtocol):
                 )
             versions.append((key, version))
         server.metrics.read_slices_served += 1
-        reply(ReadSliceResp(versions=tuple(versions)))
+        reply(ReadSliceResp(tuple(versions)))
 
 
 class CureClient(PaRiSClient):
@@ -300,13 +296,9 @@ class CureClient(PaRiSClient):
         for key, version in resp.versions:
             cached = self.cache.lookup(key)
             if cached is not None and cached.newer_than(version):
-                result = ReadResult(
-                    key=key, value=cached.value, source="wc", version=cached
-                )
+                result = ReadResult(key, cached.value, "wc", cached)
             else:
-                result = ReadResult(
-                    key=key, value=version.value, source="store", version=version
-                )
+                result = ReadResult(key, version.value, "store", version)
             results[key] = result
             self._read_set[key] = result
         self._record_read(results)
@@ -324,11 +316,8 @@ class CureClient(PaRiSClient):
             done = Future()
             done.resolve({})
             return done
-        future = self.request(
-            self.coordinator,
-            OneShotReadReq(client_snapshot=self._snapshot_floor(), keys=tuple(wanted)),
-        )
-        return map_future(future, lambda resp: self._on_one_shot(resp, {}))
+        request = OneShotReadReq(self._snapshot_floor(), tuple(wanted))
+        return self.request(self.coordinator, request).map(self._on_one_shot, {})
 
     def _commit_deps(self) -> tuple:
         """The session's dependency vector: observed cut + own commits."""

@@ -63,7 +63,7 @@ class GstLocalStabilization(StabilizationService):
         if value > self.dc_stable:
             self.dc_stable = value
             self.server.reads.drain_visibility_probes()
-            message = GstBroadcastMsg(gst=value)
+            message = GstBroadcastMsg(value)
             for child in self.child_addrs:
                 self.server.cast(child, message)
 

@@ -35,12 +35,13 @@ never consult the UST, and clock-fresh snapshots are never adopted into it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..cluster.topology import server_address
 from ..core.client import PaRiSClient, ReadResult, TransactionStateError
 from ..core.messages import ReadSliceReq, ReadSliceResp
-from ..sim.future import Future, all_of, map_future
+from ..sim.future import Future, gather
 from ..storage.version import Version
 from .engine import ComponentSet, ProtocolServer
 from .reads import ReadProtocol
@@ -71,7 +72,7 @@ class OccultReadProtocol(ReadProtocol):
                 )
             versions.append((key, version))
         server.metrics.read_slices_served += 1
-        reply(ReadSliceResp(versions=tuple(versions), shardstamp=server.local_stable_time))
+        reply(ReadSliceResp(tuple(versions), server.local_stable_time))
 
     def visibility_threshold(self) -> int:
         """An update counts as visible once the shardstamp covers it.
@@ -101,6 +102,25 @@ class OccultServer(ProtocolServer):
     __slots__ = ()
 
     components = ComponentSet(reads=OccultReadProtocol)
+
+
+@dataclass(slots=True)
+class _ValidatedRead:
+    """One validated read across its retry rounds.
+
+    ``plan`` is the fan-out, fixed for every round: one ``(partition, target
+    address, keys)`` triple per slice.  ``responses`` holds each partition's
+    latest answer; a retry round overwrites in place, so the dict keeps the
+    order in which the first round's slices arrived — the order the accepted
+    versions are folded into the result (and so into the recorded trace).
+    """
+
+    plan: List[Tuple[int, str, Tuple[str, ...]]]
+    results: Dict[str, ReadResult]
+    done: Future
+    one_shot: bool
+    responses: Dict[int, ReadSliceResp] = field(default_factory=dict)
+    rounds: int = 0
 
 
 class OccultClient(PaRiSClient):
@@ -161,14 +181,10 @@ class OccultClient(PaRiSClient):
         remote: List[str] = []
         for key in wanted:
             if key in self._write_set:
-                results[key] = ReadResult(
-                    key=key, value=self._write_set[key], source="ws", version=None
-                )
+                results[key] = ReadResult(key, self._write_set[key], "ws", None)
             elif key in self._read_set:
                 previous = self._read_set[key]
-                results[key] = ReadResult(
-                    key=key, value=previous.value, source="rs", version=previous.version
-                )
+                results[key] = ReadResult(key, previous.value, "rs", previous.version)
             else:
                 remote.append(key)
         done = Future()
@@ -203,91 +219,92 @@ class OccultClient(PaRiSClient):
         one_shot: bool,
     ) -> None:
         """Fetch slices from preferred replicas, validate, retry if stale."""
-        spec = self.spec
+        route = self.spec.key_to_partition
         slices: Dict[int, List[str]] = {}
         for key in keys:
-            slices.setdefault(spec.key_to_partition(key), []).append(key)
-        targets = {
-            partition: server_address(
-                self.membership.preferred_dc(partition, self.dc_id), partition
+            slices.setdefault(route(key), []).append(key)
+        preferred_dc = self.membership.preferred_dc
+        plan = [
+            (
+                partition,
+                server_address(preferred_dc(partition, self.dc_id), partition),
+                tuple(slice_keys),
             )
-            for partition in slices
-        }
-        responses: Dict[int, ReadSliceResp] = {}
-        state = {"rounds": 0}
+            for partition, slice_keys in slices.items()
+        ]
+        self._fetch_round(_ValidatedRead(plan, results, done, one_shot))
 
-        def fetch() -> None:
-            """One round: refetch every slice of the read."""
-            futures = []
-            for partition, slice_keys in slices.items():
-                future = self.request(
-                    targets[partition],
-                    ReadSliceReq(keys=tuple(slice_keys), snapshot=self._snapshot_floor()),
-                )
-                futures.append(
-                    map_future(
-                        future,
-                        lambda resp, p=partition: responses.__setitem__(p, resp),
-                    )
-                )
-            all_of(futures).add_done_callback(lambda _fut: validate())
-
-        def validate() -> None:
-            """Check every shardstamp against the round's requirements."""
-            if not self.validation_enabled:
-                finish()
-                return
-            required = dict(self._causal_ts)
-            for response in responses.values():
-                for _key, version in response.versions:
-                    deps = version.deps
-                    if deps:
-                        for dep_partition, dep_ts in deps:
-                            if required.get(dep_partition, 0) < dep_ts:
-                                required[dep_partition] = dep_ts
-            stale = any(
-                response.shardstamp < required.get(partition, 0)
-                for partition, response in responses.items()
+    def _fetch_round(self, read: "_ValidatedRead") -> None:
+        """One round: refetch every slice of the read."""
+        floor = self._snapshot_floor()
+        futures = [
+            self.request(target, ReadSliceReq(slice_keys, floor)).map(
+                self._file_slice, read.responses, partition
             )
-            if not stale:
-                finish()
-                return
-            state["rounds"] += 1
-            if state["rounds"] > self.max_read_retries:
-                done.fail(
-                    RuntimeError(
-                        f"occult read at {self.address} still stale after "
-                        f"{self.max_read_retries} retry rounds"
-                    )
+            for partition, target, slice_keys in read.plan
+        ]
+        gather(futures, self._validate, read)
+
+    def _file_slice(
+        self, response: ReadSliceResp, responses: Dict[int, ReadSliceResp], partition: int
+    ) -> ReadSliceResp:
+        """File one slice's answer under its partition (replacing last round's)."""
+        responses[partition] = response
+        return response
+
+    def _validate(self, _round: List[ReadSliceResp], read: "_ValidatedRead") -> None:
+        """Check every shardstamp against the round's requirements."""
+        if not self.validation_enabled:
+            self._accept(read)
+            return
+        responses = read.responses
+        required = dict(self._causal_ts)
+        for response in responses.values():
+            for _key, version in response.versions:
+                deps = version.deps
+                if deps:
+                    for dep_partition, dep_ts in deps:
+                        if required.get(dep_partition, 0) < dep_ts:
+                            required[dep_partition] = dep_ts
+        stale = any(
+            response.shardstamp < required.get(partition, 0)
+            for partition, response in responses.items()
+        )
+        if not stale:
+            self._accept(read)
+            return
+        read.rounds += 1
+        if read.rounds > self.max_read_retries:
+            read.done.fail(
+                RuntimeError(
+                    f"occult read at {self.address} still stale after "
+                    f"{self.max_read_retries} retry rounds"
                 )
-                return
-            self.read_retries += 1
-            self.sim.post_after(self.config.protocol.replication_interval, fetch)
+            )
+            return
+        self.read_retries += 1
+        self.sim.post_after(self.config.protocol.replication_interval, self._fetch_round, read)
 
-        def finish() -> None:
-            """Accept the round: fold observations, overlay the cache."""
-            for partition, response in responses.items():
-                self._observe_slice(partition, response)
-                for key, version in response.versions:
-                    cached = self.cache.lookup(key)
-                    if cached is not None and cached.newer_than(version):
-                        result = ReadResult(
-                            key=key, value=cached.value, source="wc", version=cached
-                        )
-                    else:
-                        result = ReadResult(
-                            key=key, value=version.value, source="store", version=version
-                        )
-                    results[key] = result
-                    if not one_shot:
-                        self._read_set[key] = result
-            if one_shot:
-                self._record_one_shot(results, self.last_snapshot)
-            else:
-                self._record_read(results)
-            done.resolve(results)
-
-        fetch()
+    def _accept(self, read: "_ValidatedRead") -> None:
+        """Accept the round: fold observations, overlay the cache."""
+        results = read.results
+        one_shot = read.one_shot
+        for partition, response in read.responses.items():
+            self._observe_slice(partition, response)
+            for key, version in response.versions:
+                cached = self.cache.lookup(key)
+                if cached is not None and cached.newer_than(version):
+                    result = ReadResult(key, cached.value, "wc", cached)
+                else:
+                    result = ReadResult(key, version.value, "store", version)
+                results[key] = result
+                if not one_shot:
+                    self._read_set[key] = result
+        if one_shot:
+            self._record_one_shot(results, self.last_snapshot)
+        else:
+            self._record_read(results)
+        read.done.resolve(results)
 
     def _observe_slice(self, partition: int, response: ReadSliceResp) -> None:
         """Fold one accepted slice into the session's causal timestamp.

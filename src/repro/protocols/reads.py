@@ -77,16 +77,18 @@ class ReadProtocol:
     def serve_read_slice(self, msg: ReadSliceReq, reply: Callable) -> None:
         """Answer one slice from the multiversion store (pure lookup)."""
         server = self.server
+        read = server.store.read
+        snapshot = msg.snapshot
         versions: List[Tuple[str, Version]] = []
         for key in msg.keys:
-            version = server.store.read(key, msg.snapshot)
+            version = read(key, snapshot)
             if version is None:
                 raise LookupError(
                     f"key {key!r} unknown at {server.address}; dataset must be preloaded"
                 )
             versions.append((key, version))
         server.metrics.read_slices_served += 1
-        reply(ReadSliceResp(versions=tuple(versions)))
+        reply(ReadSliceResp(tuple(versions)))
 
     # ------------------------------------------------------------------
     # Visibility probes (Figure 4 instrumentation)

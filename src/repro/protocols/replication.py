@@ -85,16 +85,9 @@ class ReplicationPipeline:
                 self.apply_writes(writes, commit_ts, tid, server.dc_id, decided_at, deps)
                 server.metrics.updates_applied_local += len(writes)
                 batch.append(
-                    ReplicatedTx(
-                        tid=tid,
-                        commit_ts=commit_ts,
-                        writes=writes,
-                        source_dc=server.dc_id,
-                        decided_at=decided_at,
-                        deps=deps,
-                    )
+                    ReplicatedTx(tid, commit_ts, writes, server.dc_id, decided_at, deps)
                 )
-            message = ReplicateMsg(groups=tuple(batch), watermark=upper_bound)
+            message = ReplicateMsg(tuple(batch), upper_bound)
             for peer in self.peer_addrs:
                 server.cast(peer, message)
             server.metrics.replicate_batches_sent += 1
@@ -104,7 +97,7 @@ class ReplicationPipeline:
                     groups=len(batch), watermark=upper_bound,
                 )
         else:
-            heartbeat = HeartbeatMsg(ts=upper_bound)
+            heartbeat = HeartbeatMsg(upper_bound)
             for peer in self.peer_addrs:
                 server.cast(peer, heartbeat)
             server.metrics.heartbeats_sent += 1
@@ -240,7 +233,7 @@ class ReplicationPipeline:
         """
         server = self.server
         self.tick()
-        message = RetireMsg(dc_id=server.dc_id)
+        message = RetireMsg(server.dc_id)
         for peer in self.peer_addrs:
             server.cast(peer, message)
 

@@ -85,16 +85,11 @@ class StabilizationService:
         server = self.server
         stable_min, oldest = self.aggregate_subtree()
         if self.parent_addr is not None:
-            server.cast(
-                self.parent_addr,
-                AggUpMsg(
-                    partition=server.partition, stable_min=stable_min, oldest_active=oldest
-                ),
-            )
+            server.cast(self.parent_addr, AggUpMsg(server.partition, stable_min, oldest))
             return
         # Root: record our DC and gossip to remote roots.
         self.dc_reports[server.dc_id] = (stable_min, oldest)
-        message = DcGstMsg(dc_id=server.dc_id, gst=stable_min, oldest_active=oldest)
+        message = DcGstMsg(server.dc_id, stable_min, oldest)
         for root in self.remote_root_addrs:
             server.cast(root, message)
 
@@ -147,7 +142,7 @@ class StabilizationService:
     def broadcast_ust(self) -> None:
         """Push the current UST and GC bound to the subtree children."""
         server = self.server
-        message = UstBroadcastMsg(ust=server.ust, oldest_global=server.oldest_global)
+        message = UstBroadcastMsg(server.ust, server.oldest_global)
         for child in self.child_addrs:
             server.cast(child, message)
 

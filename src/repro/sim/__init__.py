@@ -7,7 +7,7 @@ deterministic named RNG streams, and measurement utilities.
 """
 
 from .cpu import Cpu
-from .future import Future, FutureAlreadyResolved, all_of
+from .future import Future, FutureAlreadyResolved, all_of, gather
 from .kernel import Event, Process, SimulationError, Simulator
 from .latency import REGIONS, LatencyModel, rtt_ms
 from .network import Address, Envelope, Network, NetworkMetrics, Node
@@ -49,6 +49,7 @@ __all__ = [
     "all_of",
     "cdf_points",
     "format_si",
+    "gather",
     "histogram",
     "mean_cdf",
     "percentile",

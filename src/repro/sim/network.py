@@ -86,7 +86,11 @@ _MAX_RETRANSMITS = 64
 
 @dataclass(slots=True)
 class Envelope:
-    """A message in flight."""
+    """A message in flight.
+
+    One per hop, so :class:`Node` builds it positionally: the field order is
+    part of the interface.
+    """
 
     src: Address
     dst: Address
@@ -515,14 +519,14 @@ class Node:
     # ------------------------------------------------------------------
     def cast(self, dst: Address, payload: Any) -> None:
         """One-way send (replication, heartbeats, gossip)."""
-        self.network.send(Envelope(src=self.address, dst=dst, payload=payload))
+        self.network.send(Envelope(self.address, dst, payload))
 
     def request(self, dst: Address, payload: Any) -> Future:
         """RPC send; the returned future resolves to the reply payload."""
         rpc_id = next(self._rpc_counter)
         future = Future()
         self._pending_rpcs[rpc_id] = future
-        self.network.send(Envelope(src=self.address, dst=dst, payload=payload, rpc_id=rpc_id))
+        self.network.send(Envelope(self.address, dst, payload, rpc_id))
         return future
 
     # ------------------------------------------------------------------
@@ -560,13 +564,7 @@ class Node:
         def reply(payload: Any) -> None:
             """Send the RPC response back over the originating link."""
             self.network.send(
-                Envelope(
-                    src=self.address,
-                    dst=envelope.src,
-                    payload=payload,
-                    rpc_id=envelope.rpc_id,
-                    is_reply=True,
-                )
+                Envelope(self.address, envelope.src, payload, envelope.rpc_id, True)
             )
 
         return reply

@@ -76,12 +76,17 @@ class _Chain:
 
     def read(self, snapshot: int) -> Optional[Version]:
         """Freshest version with ``ut <= snapshot`` (None if none exists)."""
+        versions = self.versions
+        # Most keys were last written well before the snapshot, so the newest
+        # version usually is the answer: no sentinel, no bisect.
+        if versions and versions[-1].ut <= snapshot:
+            return versions[-1]
         # All versions with ut <= snapshot sort strictly below this sentinel.
         sentinel = (snapshot + 1, (-1, -1), -1)
         index = bisect.bisect_left(self._keys(), sentinel)
         if index == 0:
             return None
-        return self.versions[index - 1]
+        return versions[index - 1]
 
     def latest(self) -> Optional[Version]:
         """The newest version of the chain (None when empty)."""
@@ -133,7 +138,7 @@ class MultiVersionStore:
         replica can overlap the join's snapshot transfer), and the store is
         where the duplicates are squashed.
         """
-        version = Version(key=key, value=value, ut=ut, tid=tid, sr=sr, deps=deps)
+        version = Version(key, value, ut, tid, sr, deps)
         if dedup:
             if self._chain(key).insert_if_absent(version):
                 self.writes_applied += 1

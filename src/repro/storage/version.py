@@ -49,4 +49,4 @@ PRELOAD_TID: TransactionId = (0, 0)
 
 def preload_version(key: str, value: Any) -> Version:
     """A timestamp-zero base version, visible in every snapshot."""
-    return Version(key=key, value=value, ut=0, tid=PRELOAD_TID, sr=0)
+    return Version(key, value, 0, PRELOAD_TID, 0)

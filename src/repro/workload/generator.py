@@ -38,9 +38,26 @@ from .zipfian import (
 )
 
 
+# Key-name memo: ``partition -> {rank: key}``.  A transaction names 20 keys
+# out of a dataset that was named once already, when the stores were preloaded
+# (``dataset_keys``); handing out those very string objects skips the
+# formatting and lets every dict the key then meets (store chains, read sets,
+# the routing memo) reuse its cached hash and match by identity.  Bounded by
+# the data: one entry per distinct key ever named, i.e. the keys the stores
+# hold — the preloaded dataset plus whatever a ``latest`` profile inserts.
+_KEY_NAMES: Dict[int, Dict[int, str]] = {}
+
+
 def key_name(partition: int, rank: int) -> str:
-    """The canonical key of ``rank`` within ``partition`` (routes by prefix)."""
-    return f"p{partition}:k{rank:06d}"
+    """The canonical key of ``rank`` within ``partition`` (routes by prefix).
+
+    Memoized: the same ``(partition, rank)`` always returns the same object.
+    """
+    try:
+        return _KEY_NAMES[partition][rank]
+    except KeyError:
+        name = _KEY_NAMES.setdefault(partition, {})[rank] = f"p{partition}:k{rank:06d}"
+        return name
 
 
 @dataclass(frozen=True)
@@ -117,18 +134,13 @@ class WorkloadGenerator:
         if self.vectorized and n_reads > 0:
             ranks = self._key_gen.sample_batch(self._rng, n_reads)
             reads = tuple(
-                f"p{partitions[i % count]}:k{ranks[i]:06d}" for i in range(n_reads)
+                [key_name(partitions[i % count], ranks[i]) for i in range(n_reads)]
             )
         else:
             reads = tuple(self._pick_key(partitions[i % count]) for i in range(n_reads))
         writes = self._pick_writes(partitions, count, reads)
         self._sequence += 1
-        return TransactionSpec(
-            reads=reads,
-            writes=writes,
-            partitions=tuple(partitions),
-            is_local=is_local,
-        )
+        return TransactionSpec(reads, writes, tuple(partitions), is_local)
 
     def _pick_key(self, partition: int) -> str:
         rank = self._key_gen.sample(self._rng)

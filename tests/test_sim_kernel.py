@@ -440,26 +440,60 @@ class TestOneDrainLoop:
         assert (sim.now, sim.events_executed, fired) == (2.0, 3, ["before", "after"])
 
 
+_SRC = pathlib.Path(kernel_module.__file__).resolve().parents[1]
 #: Packages that schedule on the kernel or the CPU model.
 _SCHEDULING_PACKAGES = ("sim", "protocols", "faults")
 _SCHEDULING_CALLS = {"post_at", "post_after", "call_at", "call_after", "submit"}
+#: Packages whose futures sit on the per-transaction path, and what takes a
+#: continuation there.
+_RPC_PACKAGES = ("core", "protocols")
+_CONTINUATION_CALLS = {"add_done_callback", "map", "gather"}
+
+
+def _closures_passed(packages, calls, nested_defs=False):
+    """``path:line call`` for each ``lambda`` (and nested ``def``, if asked) passed to ``calls``."""
+    offenders = []
+    for package in packages:
+        for path in sorted((_SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            nested = {
+                inner.name
+                for outer in functions
+                for inner in ast.walk(outer)
+                if nested_defs and isinstance(inner, ast.FunctionDef) and inner is not outer
+            }
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                if name not in calls:
+                    continue
+                for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+                    if isinstance(arg, ast.Lambda) or (isinstance(arg, ast.Name) and arg.id in nested):
+                        offenders.append(f"{path.relative_to(_SRC)}:{call.lineno} {name}")
+    return offenders
 
 
 def test_no_lambda_is_scheduled():
     """One way to schedule: ``fn, *args`` — never a closure built per event."""
-    root = pathlib.Path(kernel_module.__file__).resolve().parents[1]
-    offenders = []
-    for package in _SCHEDULING_PACKAGES:
-        for path in sorted((root / package).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SCHEDULING_CALLS
-                    and any(
-                        isinstance(arg, ast.Lambda)
-                        for arg in [*node.args, *(kw.value for kw in node.keywords)]
-                    )
-                ):
-                    offenders.append(f"{path.relative_to(root)}:{node.lineno} {node.func.attr}")
+    assert _closures_passed(_SCHEDULING_PACKAGES, _SCHEDULING_CALLS) == []
+
+
+def test_no_closure_is_passed_as_a_continuation():
+    """One way to continue an RPC: ``future.map(fn, *args)`` / ``gather(futures, fn, *args)``.
+
+    Neither a ``lambda`` nor a function nested in the caller is handed to
+    ``add_done_callback``, ``map`` or ``gather`` on the transaction path.
+    """
+    assert _closures_passed(_RPC_PACKAGES, _CONTINUATION_CALLS, nested_defs=True) == []
+
+
+def test_map_future_is_gone():
+    """The derived-future combinator is not defined, imported or named under ``src/``."""
+    offenders = [
+        str(path.relative_to(_SRC))
+        for path in sorted(_SRC.rglob("*.py"))
+        if "map_future" in path.read_text(encoding="utf-8")
+    ]
     assert offenders == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,40 @@ class TestStoreProperties:
             store.apply("k", None, ut=ut, tid=tid(seq), sr=sr)
         keys = [v.order_key() for v in store.versions_of("k")]
         assert keys == sorted(keys)
+
+
+def bisect_only_read(chain, snapshot):
+    """``_Chain.read`` without its newest-version fast path, kept as the test oracle."""
+    keys = [version.order_key() for version in chain.versions]
+    index = bisect.bisect_left(keys, (snapshot + 1, (-1, -1), -1))
+    return chain.versions[index - 1] if index else None
+
+
+class TestNewestVersionFastPath:
+    """``_Chain.read`` answers from ``versions[-1]`` when the snapshot covers it."""
+
+    @given(versions_strategy, st.one_of(st.none(), st.integers(0, 60)))
+    @settings(max_examples=100)
+    def test_read_equals_the_bisect_only_read(self, triples, collect_at):
+        store = MultiVersionStore()
+        for ut, seq, sr in triples:
+            store.apply("k", (ut, seq, sr), ut=ut, tid=tid(seq), sr=sr)
+        chain = store._chains["k"]
+        if collect_at is not None:
+            chain.collect(collect_at)  # may leave _order_keys invalidated
+        oldest, newest = chain.versions[0].ut, chain.versions[-1].ut
+        for snapshot in range(-1, 62):
+            cache_was_invalid = chain._order_keys is None
+            found = chain.read(snapshot)
+            assert found is bisect_only_read(chain, snapshot)
+            assert (found is None) == (snapshot < oldest)
+            if snapshot >= newest and cache_was_invalid:
+                assert chain._order_keys is None  # served without rebuilding the keys
+
+    def test_empty_chain_reads_none(self):
+        store = MultiVersionStore()
+        store._chain("k")
+        assert store.read("k", 10) is None
 
 
 class TestOrderKeyLazyRebuild:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +153,50 @@ class TestKeyRouting:
         spec = ClusterSpec(3, 9, 2)
         partitions = {spec.key_to_partition(f"user:{i}") for i in range(500)}
         assert len(partitions) == 9
+
+    def test_digit_that_is_no_decimal_falls_back_to_hash(self):
+        spec = ClusterSpec(3, 9, 2)
+        assert spec.key_to_partition("p²:k") == reference_route(9, "p²:k")
+
+
+def reference_route(n_partitions: int, key: str) -> int:
+    """The routing formula, unmemoized, kept as the test oracle."""
+    prefix, sep, _rest = key.partition(":")
+    if sep and len(prefix) > 1 and prefix[0] == "p" and prefix[1:].isdecimal():
+        return int(prefix[1:]) % n_partitions
+    return zlib.crc32(key.encode("utf-8")) % n_partitions
+
+
+routing_keys = st.one_of(
+    st.builds("p{}:k{:06d}".format, st.integers(0, 200), st.integers(0, 999_999)),
+    st.sampled_from(["p:", "px1:", "p:k", "p1", "p-1:k", "pp3:k", "p 3:k", "p²:k", "p٣:k", ":p1"]),
+    st.text(max_size=12),
+)
+
+
+class TestRoutingMemo:
+    @given(st.lists(routing_keys, min_size=1, max_size=30))
+    @settings(max_examples=200)
+    def test_memoized_route_is_the_formula_for_specs_used_alternately(self, keys):
+        narrow, wide = ClusterSpec(3, 7, 2), ClusterSpec(3, 12, 2)
+        for _ in range(2):  # second pass: every answer now comes from the memo
+            for key in keys:
+                assert narrow.key_to_partition(key) == reference_route(7, key)
+                assert wide.key_to_partition(key) == reference_route(12, key)
+
+    def test_routing_leaves_no_trace_on_the_spec(self):
+        """``==``, ``hash``, ``repr``, ``asdict`` and pickles do not see the memo."""
+
+        def observe(spec):
+            return (hash(spec), repr(spec), dataclasses.asdict(spec), pickle.dumps(spec), dict(vars(spec)))
+
+        spec, twin = ClusterSpec(4, 8, 2), ClusterSpec(4, 8, 2)
+        before = observe(spec)
+        for rank in range(1000):
+            spec.key_to_partition(f"p{rank % 8}:memo{rank:06d}")
+            spec.key_to_partition(f"memo:{rank}")
+        assert observe(spec) == before == observe(twin)
+        assert spec == twin == pickle.loads(pickle.dumps(spec))
 
 
 class TestCapacityModel:

@@ -275,6 +275,23 @@ class TestWorkloadGenerator:
 class TestKeyNaming:
     def test_key_name_layout(self):
         assert key_name(3, 7) == "p3:k000007"
+        assert key_name(12, 1234567) == "p12:k1234567"
+
+    def test_key_names_are_memoized_objects(self):
+        """A transaction names the very strings the stores were preloaded with."""
+        assert key_name(5, 9) is key_name(5, 9)
+        spec, gen = make_generator()
+        preloaded = {
+            id(key): key
+            for p in range(spec.n_partitions)
+            for key in dataset_keys(spec, gen.workload, p)
+        }
+        for vectorized in (True, False):
+            gen.vectorized = vectorized
+            for _ in range(50):
+                tx = gen.next_transaction()
+                for key in [*tx.reads, *(key for key, _ in tx.writes)]:
+                    assert preloaded.get(id(key)) is key
 
     def test_dataset_keys_cover_partition(self):
         spec = ClusterSpec.from_machines(3, 2, 2)
