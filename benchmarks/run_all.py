@@ -17,8 +17,10 @@ spec and the ``sweep_results/`` cache relative to the current directory.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import sys
+import time
 from typing import Optional, Sequence
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
@@ -48,16 +50,31 @@ def header(scale: exp.BenchScale) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run every entry (possibly in parallel) and write EXPERIMENTS.md."""
-    parser = runner.script_parser(
-        __doc__,
-        scales=sorted(exp.SCALES),
-        out_default=str(DEFAULT_OUT),
-        out_help="where to write the assembled document",
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    runner.add_workers_arg(parser)
+    parser.add_argument(
+        "--scale",
+        choices=sorted(exp.SCALES),
+        default="small",
+        help="deployment scale (default: small)",
+    )
+    parser.add_argument(
+        "--out", default=str(DEFAULT_OUT), help="where to write the assembled document"
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes (default: 1; results are identical at any worker count)",
+    )
     args = parser.parse_args(argv)
     scale = exp.SCALES[args.scale]
-    log = runner.elapsed_logger()
+    started = time.monotonic()
+
+    def log(message: str) -> None:
+        """Print ``message`` with a ``[  12.3s]`` elapsed-time prefix."""
+        print(f"[{time.monotonic() - started:7.1f}s] {message}", flush=True)
 
     log(
         f"assembling {len(figures.FIGURES)} sections at scale '{args.scale}' "

@@ -20,7 +20,7 @@ from ..clocks.hlc import timestamp_to_seconds
 from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec
 from ..config import SimulationConfig
-from ..consistency.streaming import StreamingOracle
+from ..consistency.streaming import StreamingChecker, StreamingOracle
 from ..core.client import PaRiSClient
 from ..faults.engine import FaultInjector
 from ..protocols import get_protocol
@@ -30,8 +30,10 @@ from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.rng import RngRegistry
 from ..sim.stats import mean_cdf, percentile
+from ..sim.trace import TraceWriter
 from ..workload.generator import WorkloadGenerator, dataset_keys
 from ..workload.runner import SessionDriver, SessionStats
+from .runner import PathLike
 
 #: Initial value installed for every preloaded key.
 PRELOAD_VALUE = "init"
@@ -370,6 +372,31 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build, warm up, measure, and summarise one configuration."""
     return run_cluster(config, protocol=protocol, oracle=oracle)[1]
+
+
+def run_recorded(
+    config: SimulationConfig,
+    protocol: Optional[str] = None,
+    *,
+    trace_out: Optional[PathLike] = None,
+    checker: Optional[StreamingChecker] = None,
+) -> ExperimentResult:
+    """:func:`run_experiment` with its consistency events recorded.
+
+    Every event the oracle records goes to ``checker`` (judged inline) and,
+    with ``trace_out``, to a JSONL trace closed before this returns.  This
+    is the one wiring ``repro run --big``/``check``, the serve tier and
+    ``repro replay`` share, which is what makes a replayed trace comparable
+    to the recorded one byte for byte.  With neither, no oracle is attached.
+    """
+    sink = TraceWriter(trace_out) if trace_out is not None else None
+    try:
+        recording = sink is not None or checker is not None
+        oracle = StreamingOracle(sink=sink, checker=checker) if recording else None
+        return run_experiment(config, protocol=protocol, oracle=oracle)
+    finally:
+        if sink is not None:
+            sink.close()
 
 
 def summarize(cluster: Cluster, stats: SessionStats) -> ExperimentResult:

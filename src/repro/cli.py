@@ -46,20 +46,20 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .bench import experiments as exp
 from .bench import figures, report, results, sweep
-from .bench.harness import ExperimentResult, run_experiment
+from .bench.harness import ExperimentResult, run_experiment, run_recorded
 from .cluster.topology import ClusterSpec
 from .config import MIXES, SimulationConfig
-from .consistency.streaming import StreamingChecker, StreamingOracle, Violation, check_trace
+from .consistency.streaming import StreamingChecker, Violation, check_trace
 from .faults import FaultPlan, random_plan
 from .protocols import get_protocol, is_registered, protocol_names
-from .sim.trace import TraceWriter
 
 #: Default run-repository root (``repro run --save``, ``runs``, ``replay``,
 #: ``serve``; layout in docs/serving.md).
@@ -520,18 +520,9 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
                 config, args.shards, protocol=args.protocol,
                 profile_path=args.profile,
             )
-        elif args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            try:
-                result = run_experiment(config, protocol=args.protocol)
-            finally:
-                profiler.disable()
-            profiler.dump_stats(args.profile)
         else:
-            result = run_experiment(config, protocol=args.protocol)
+            with _profiled(args.profile):
+                result = run_experiment(config, protocol=args.protocol)
         if args.json:
             print(result.to_json())
         else:
@@ -574,7 +565,8 @@ def _cmd_run_inner(args: argparse.Namespace) -> int:
                 scratch.cleanup()
                 trace_path = None
     else:
-        result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
+        with _profiled(args.profile):
+            result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
         trace_path = args.trace_out or None
     violations = checker.violations
     if args.json:
@@ -612,14 +604,25 @@ def _run_checked(
     ``trace_out``, to a JSONL spill as well.
     """
     checker = StreamingChecker(window=window, level=get_protocol(protocol).consistency)
-    sink = TraceWriter(trace_out) if trace_out else None
-    try:
-        oracle = StreamingOracle(sink=sink, checker=checker)
-        result = run_experiment(config, protocol=protocol, oracle=oracle)
-    finally:
-        if sink is not None:
-            sink.close()
+    result = run_recorded(config, protocol, trace_out=trace_out or None, checker=checker)
     return result, checker
+
+
+@contextlib.contextmanager
+def _profiled(path: Optional[str]) -> Iterator[None]:
+    """Dump a cProfile of the enclosed block to ``path``; a no-op without one."""
+    if not path:
+        yield
+        return
+    import cProfile
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+    profiler.dump_stats(path)
 
 
 def _report_violations(violations: Sequence[Violation]) -> int:

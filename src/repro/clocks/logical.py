@@ -24,7 +24,7 @@ class LogicalClock:
     """
 
     #: Version-clock bounds must not mix in physical readings (see
-    #: PaRiSServer._version_clock_bound).
+    #: ReplicationPipeline.version_clock_bound).
     uses_physical_time = False
 
     def __init__(self, _physical=None) -> None:

@@ -21,19 +21,11 @@ class ServerMetrics:
 
     visibility: LatencyRecorder = field(default_factory=LatencyRecorder)
     blocking: LatencyRecorder = field(default_factory=LatencyRecorder)
-    transactions_started: int = 0
     transactions_committed: int = 0
     read_slices_served: int = 0
     reads_parked: int = 0
-    #: Completed park-side scheduler jobs (blocking read protocols only).
-    block_jobs: int = 0
-    updates_applied_local: int = 0
-    updates_applied_remote: int = 0
     heartbeats_sent: int = 0
     replicate_batches_sent: int = 0
     ust_advances: int = 0
     versions_collected: int = 0
     contexts_expired: int = 0
-    #: Remote transaction groups whose apply waited on a dependency check
-    #: (COPS-style explicit dependency checking only).
-    dep_checks_deferred: int = 0

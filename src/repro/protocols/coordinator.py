@@ -107,7 +107,6 @@ class TxCoordinator:
         snapshot = server.reads.assign_snapshot(msg.client_snapshot)
         tid: TransactionId = (next(self._tx_seq), server.uid)
         self.contexts[tid] = TxContext(snapshot, server.sim.now)
-        server.metrics.transactions_started += 1
         reply(StartTxResp(tid, snapshot))
 
     def handle_read(self, src: str, msg: ReadReq, reply: Callable) -> None:

@@ -140,13 +140,10 @@ class CopsReplication(ReplicationPipeline):
                     server.membership.preferred_dc(partition, server.dc_id), partition
                 )
                 waits.append(server.request(target, DepCheckReq(key, ut)))
-        if waits:
-            server.metrics.dep_checks_deferred += 1
         gather(waits, self._apply_remote, group)
 
     def _apply_remote(self, _acks: List[Any], group: ReplicatedTx) -> None:
         """Every dependency check of ``group`` has answered (at once if none)."""
-        server = self.server
         self.apply_writes(
             group.writes,
             group.commit_ts,
@@ -156,7 +153,6 @@ class CopsReplication(ReplicationPipeline):
             group.deps,
             dedup=True,
         )
-        server.metrics.updates_applied_remote += len(group.writes)
 
     # ------------------------------------------------------------------
     # Serving dependency checks for other partitions' replicas

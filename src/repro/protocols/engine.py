@@ -26,9 +26,7 @@ server collects every component's handler table into the
 dispatches straight to the owning component's bound method — one dict hit,
 zero per-message delegation hops, exactly as the pre-split monolith
 dispatched to its own methods.  Server and components are ``__slots__``
-classes.  The ``handle_<MessageType>`` methods on the server exist for
-direct invocation (tests, debugging); live traffic never routes through
-them.
+classes.
 """
 
 from __future__ import annotations
@@ -42,12 +40,7 @@ from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec, server_address
 from ..config import SimulationConfig
 from ..core.messages import (
-    AggUpMsg,
     CommitReq,
-    CommitTxMsg,
-    DcGstMsg,
-    FinishTxMsg,
-    HeartbeatMsg,
     OneShotReadReq,
     PrepareReq,
     ReadReq,
@@ -55,8 +48,6 @@ from ..core.messages import (
     ReadSliceReq,
     ReadSliceResp,
     ReplicateMsg,
-    StartTxReq,
-    UstBroadcastMsg,
 )
 from ..core.metrics import ServerMetrics
 from ..sim.cpu import Cpu
@@ -64,7 +55,6 @@ from ..sim.network import Network, Node
 from ..sim.rng import RngRegistry
 from ..sim.trace import GLOBAL_TRACER, Tracer
 from ..storage.mvstore import MultiVersionStore
-from ..storage.version import TransactionId
 from .coordinator import TxCoordinator
 from .reads import ReadProtocol
 from .replication import ReplicationPipeline
@@ -323,64 +313,6 @@ class ProtocolServer(Node):
             self.metrics.versions_collected += removed
 
     # ------------------------------------------------------------------
-    # Direct-invocation handler surface (tests, debugging)
-    # ------------------------------------------------------------------
-    # Live traffic dispatches through the bound-method table assembled in
-    # __init__; these methods exist so a handler can be called by name on
-    # the server, as the pre-split monolith allowed.
-    def handle_StartTxReq(self, src: str, msg: StartTxReq, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_start_tx`."""
-        self.coordinator.handle_start_tx(src, msg, reply)
-
-    def handle_ReadReq(self, src: str, msg: ReadReq, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_read`."""
-        self.coordinator.handle_read(src, msg, reply)
-
-    def handle_OneShotReadReq(self, src: str, msg: OneShotReadReq, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_one_shot_read`."""
-        self.coordinator.handle_one_shot_read(src, msg, reply)
-
-    def handle_CommitReq(self, src: str, msg: CommitReq, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_commit`."""
-        self.coordinator.handle_commit(src, msg, reply)
-
-    def handle_FinishTxMsg(self, src: str, msg: FinishTxMsg, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_finish_tx`."""
-        self.coordinator.handle_finish_tx(src, msg, reply)
-
-    def handle_PrepareReq(self, src: str, msg: PrepareReq, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_prepare`."""
-        self.coordinator.handle_prepare(src, msg, reply)
-
-    def handle_CommitTxMsg(self, src: str, msg: CommitTxMsg, reply: Callable) -> None:
-        """Delegate to :meth:`TxCoordinator.handle_commit_tx`."""
-        self.coordinator.handle_commit_tx(src, msg, reply)
-
-    def handle_ReadSliceReq(self, src: str, msg: ReadSliceReq, reply: Callable) -> None:
-        """Delegate to :meth:`ReadProtocol.handle_read_slice`."""
-        self.reads.handle_read_slice(src, msg, reply)
-
-    def handle_ReplicateMsg(self, src: str, msg: ReplicateMsg, reply: Callable) -> None:
-        """Delegate to :meth:`ReplicationPipeline.handle_replicate`."""
-        self.replication.handle_replicate(src, msg, reply)
-
-    def handle_HeartbeatMsg(self, src: str, msg: HeartbeatMsg, reply: Callable) -> None:
-        """Delegate to :meth:`ReplicationPipeline.handle_heartbeat`."""
-        self.replication.handle_heartbeat(src, msg, reply)
-
-    def handle_AggUpMsg(self, src: str, msg: AggUpMsg, reply: Callable) -> None:
-        """Delegate to :meth:`StabilizationService.handle_agg_up`."""
-        self.stabilization.handle_agg_up(src, msg, reply)
-
-    def handle_DcGstMsg(self, src: str, msg: DcGstMsg, reply: Callable) -> None:
-        """Delegate to :meth:`StabilizationService.handle_dc_gst`."""
-        self.stabilization.handle_dc_gst(src, msg, reply)
-
-    def handle_UstBroadcastMsg(self, src: str, msg: UstBroadcastMsg, reply: Callable) -> None:
-        """Delegate to :meth:`StabilizationService.handle_ust_broadcast`."""
-        self.stabilization.handle_ust_broadcast(src, msg, reply)
-
-    # ------------------------------------------------------------------
     # Introspection helpers (tests, harness)
     # ------------------------------------------------------------------
     @property
@@ -414,46 +346,3 @@ class ProtocolServer(Node):
     def parked_reads(self) -> int:
         """Number of read slices currently blocked (0 unless reads block)."""
         return self.reads.parked_count
-
-    # ------------------------------------------------------------------
-    # Pre-split compatibility aliases (tests and older callers)
-    # ------------------------------------------------------------------
-    @property
-    def _contexts(self) -> Dict[TransactionId, Any]:
-        """Alias for :attr:`TxCoordinator.contexts` (pre-split name)."""
-        return self.coordinator.contexts
-
-    @property
-    def _prepared(self) -> Dict[TransactionId, Any]:
-        """Alias for :attr:`TxCoordinator.prepared` (pre-split name)."""
-        return self.coordinator.prepared
-
-    @property
-    def _committed(self) -> List[Tuple[int, TransactionId, Tuple, float]]:
-        """Alias for :attr:`ReplicationPipeline.committed` (pre-split name)."""
-        return self.replication.committed
-
-    @property
-    def _dc_reports(self) -> Dict[int, Tuple[int, int]]:
-        """Alias for :attr:`StabilizationService.dc_reports` (pre-split name)."""
-        return self.stabilization.dc_reports
-
-    def _context_snapshot(self, tid: TransactionId) -> int:
-        """Alias for :meth:`TxCoordinator.context_snapshot` (pre-split name)."""
-        return self.coordinator.context_snapshot(tid)
-
-    def _version_clock_bound(self) -> int:
-        """Alias for :meth:`ReplicationPipeline.version_clock_bound`."""
-        return self.replication.version_clock_bound()
-
-    def _advance_version_clock(self, value: int) -> None:
-        """Alias for :meth:`ReplicationPipeline.advance_version_clock`."""
-        self.replication.advance_version_clock(value)
-
-    def _adopt_ust(self, ust: int, oldest_global: Optional[int] = None) -> None:
-        """Alias for :meth:`StabilizationService.adopt_ust` (pre-split name)."""
-        self.stabilization.adopt_ust(ust, oldest_global)
-
-    def _visibility_threshold(self) -> int:
-        """Alias for :meth:`ReadProtocol.visibility_threshold` (pre-split name)."""
-        return self.reads.visibility_threshold()

@@ -212,8 +212,7 @@ class BlockingReadProtocol(ReadProtocol):
         server.cpu.submit(server.config.service.block_overhead, self._park_accounted)
 
     def _park_accounted(self) -> None:
-        """The park-side scheduler job: pure CPU burn, tallied for tests."""
-        self.server.metrics.block_jobs += 1
+        """The park-side scheduler job: pure CPU burn."""
 
     def on_stable_advance(self) -> None:
         """Wake every parked slice the installed prefix now covers."""

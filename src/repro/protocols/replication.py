@@ -83,7 +83,6 @@ class ReplicationPipeline:
             batch: List[ReplicatedTx] = []
             for commit_ts, tid, writes, decided_at, deps in groups:
                 self.apply_writes(writes, commit_ts, tid, server.dc_id, decided_at, deps)
-                server.metrics.updates_applied_local += len(writes)
                 batch.append(
                     ReplicatedTx(tid, commit_ts, writes, server.dc_id, decided_at, deps)
                 )
@@ -169,7 +168,6 @@ class ReplicationPipeline:
     # ------------------------------------------------------------------
     def handle_replicate(self, src: str, msg: ReplicateMsg, reply: Callable) -> None:
         """Apply a peer replica's batch and adopt its watermark."""
-        server = self.server
         for group in msg.groups:
             # dedup: a batch in flight across a membership change can overlap
             # the join-time snapshot transfer and backfill (at-least-once).
@@ -182,7 +180,6 @@ class ReplicationPipeline:
                 group.deps,
                 dedup=True,
             )
-            server.metrics.updates_applied_remote += len(group.writes)
         self.advance_peer_clock(src, msg.watermark)
 
     def handle_heartbeat(self, src: str, msg: HeartbeatMsg, reply: Callable) -> None:

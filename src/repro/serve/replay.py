@@ -119,13 +119,13 @@ def replay_run(
     replayed_trace_digest: Optional[str] = None
     trace_ok: Optional[bool] = None
 
-    from ..bench.harness import run_experiment
+    from ..bench.harness import run_experiment, run_recorded
 
     if stored_trace_digest is None:
         result = run_experiment(config, protocol=protocol)
     else:
-        # The run was recorded through the streaming-oracle pipeline; replay
-        # mirrors that wiring exactly so the trace bytes are comparable.
+        # The run was recorded through run_recorded; replaying through the
+        # same function is what makes the trace bytes comparable.
         stored_trace = repository.trace_path(run_id)
         if stored_trace is None:
             raise RepositoryError(
@@ -133,32 +133,10 @@ def replay_run(
                 f"{stored_trace_digest[:12]} but its trace file is missing "
                 f"({repository.traces_dir / (run_id + '.jsonl')})"
             )
-        from ..consistency.streaming import StreamingOracle
-        from ..sim.trace import TraceWriter
-
-        if trace_out is not None:
-            target = Path(trace_out)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            cleanup = False
-        else:
-            handle = tempfile.NamedTemporaryFile(
-                suffix=".jsonl", prefix="replay_", delete=False
-            )
-            handle.close()
-            target = Path(handle.name)
-            cleanup = True
-        try:
-            sink = TraceWriter(target)
-            try:
-                result = run_experiment(
-                    config, protocol=protocol, oracle=StreamingOracle(sink=sink)
-                )
-            finally:
-                sink.close()
+        with tempfile.TemporaryDirectory(prefix="replay_") as scratch:
+            target = Path(trace_out) if trace_out is not None else Path(scratch, "trace.jsonl")
+            result = run_recorded(config, protocol, trace_out=target)
             replayed_trace_digest = _sha256_file(target)
-        finally:
-            if cleanup:
-                target.unlink(missing_ok=True)
         trace_ok = replayed_trace_digest == stored_trace_digest
 
     replayed_summary_digest = result_digest(result.to_dict())

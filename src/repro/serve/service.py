@@ -367,33 +367,15 @@ def _execute_and_persist(
     repository: RunRepository, resolved: Mapping[str, Any], want_trace: bool
 ) -> Dict[str, Any]:
     """Run one simulation from resolved params and persist it (+ trace)."""
-    from ..bench.harness import run_experiment
+    from ..bench.harness import run_recorded
 
     config, protocol = config_from_params(resolved)
-    if not want_trace:
-        result = run_experiment(config, protocol=protocol)
-        return repository.save_run(resolved, result.to_dict(), source="serve")
-    from ..consistency.streaming import StreamingOracle
-    from ..sim.trace import TraceWriter
-
-    handle = tempfile.NamedTemporaryFile(
-        suffix=".jsonl", prefix="serve_run_", delete=False
-    )
-    handle.close()
-    tmp = pathlib.Path(handle.name)
-    try:
-        sink = TraceWriter(tmp)
-        try:
-            result = run_experiment(
-                config, protocol=protocol, oracle=StreamingOracle(sink=sink)
-            )
-        finally:
-            sink.close()
+    with tempfile.TemporaryDirectory(prefix="serve_run_") as scratch:
+        trace = pathlib.Path(scratch, "trace.jsonl") if want_trace else None
+        result = run_recorded(config, protocol, trace_out=trace)
         return repository.save_run(
-            resolved, result.to_dict(), source="serve", trace_path=tmp
+            resolved, result.to_dict(), source="serve", trace_path=trace
         )
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 class _BadRequest(ValueError):

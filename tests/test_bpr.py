@@ -126,11 +126,11 @@ class TestBlockingReads:
 
         from repro.core.messages import ReadSliceReq
 
-        server.handle_ReadSliceReq(
+        server.reads.handle_read_slice(
             "test", ReadSliceReq(keys=("p0:k000000",), snapshot=high),
             lambda resp: results.append("high"),
         )
-        server.handle_ReadSliceReq(
+        server.reads.handle_read_slice(
             "test", ReadSliceReq(keys=("p0:k000000",), snapshot=low),
             lambda resp: results.append("low"),
         )
@@ -141,8 +141,8 @@ class TestBlockingReads:
     def test_fresh_visibility_threshold(self, tiny_bpr_cluster):
         """BPR's visibility threshold is the locally installed snapshot."""
         for server in tiny_bpr_cluster.all_servers():
-            assert server._visibility_threshold() == server.local_stable_time
-            assert server._visibility_threshold() >= server.ust
+            assert server.reads.visibility_threshold() == server.local_stable_time
+            assert server.reads.visibility_threshold() >= server.ust
 
 
 class TestBprSemantics:

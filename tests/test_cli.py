@@ -124,6 +124,16 @@ class TestCommands:
         assert "throughput" in out
         assert "UST staleness" in out
         assert "read blocking" not in out  # PaRiS never blocks
+        assert "profile:" not in out
+
+    @pytest.mark.parametrize("tier", [[], ["--big"]], ids=["plain", "big"])
+    def test_run_profile_line_names_a_loadable_dump(self, tier, capsys, tmp_path):
+        import pstats
+
+        stats_path = tmp_path / "run.stats"
+        assert cli.main(["run", *FAST, *tier, "--profile", str(stats_path)]) == 0
+        assert f"profile: {stats_path}\n" in capsys.readouterr().out
+        assert pstats.Stats(str(stats_path)).total_calls > 0
 
     def test_run_bpr_reports_blocking(self, capsys):
         assert cli.main(["run", *FAST, "--protocol", "bpr"]) == 0
@@ -338,6 +348,7 @@ class TestBigRunTier:
         out = capsys.readouterr().out
         assert "streaming check" in out
         assert "trace:" not in out
+        assert "profile:" not in out
 
     def test_check_trace_out_then_trace_in(self, capsys, tmp_path):
         """Persist via check --trace-out, re-check via check --trace-in."""

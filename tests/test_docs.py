@@ -13,6 +13,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 DOCS = ROOT / "docs"
 
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+VERIFY_SKILL = ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+
+#: A repository path as prose and shell lines write it (no globs, not the
+#: tail of a longer path such as /tmp/x/tests/y.py).
+REPO_PATH = re.compile(
+    r"(?<![\w./-])((?:benchmarks|examples|tests|docs)/[\w/]+\.(?:py|json|md))\b"
+)
+ROOT_JSON = re.compile(r"(?<![\w./-])(\w+\.json)\b")
+
+#: Names of the second benchmark system (deleted); nothing may point at it.
+LEGACY_BENCH = re.compile(
+    "perfgate|bench_kernel_micro|bench_macro|bench_substrate"
+    "|BENCH_kernel|BENCH_macro|pytest-benchmark"
+)
+
 HELP_BLOCK = re.compile(
     r"<!-- repro-help:begin -->\n```text\n(.*?)```\n<!-- repro-help:end -->",
     re.DOTALL,
@@ -64,19 +80,28 @@ class TestDocsTableOfContents:
 
 class TestCrossReferences:
     @pytest.mark.parametrize(
-        "page", sorted(p.name for p in DOCS.glob("*.md"))
+        "page", [*sorted(DOCS.glob("*.md")), CI, VERIFY_SKILL], ids=lambda p: p.name
     )
     def test_docs_page_references_resolve(self, page):
-        """Every docs/*.md or sibling-page reference points at a real file."""
-        text = (DOCS / page).read_text(encoding="utf-8")
-        for target in set(re.findall(r"docs/([a-z_]+\.md)", text)):
-            assert (DOCS / target).is_file(), (
-                f"docs/{page} references docs/{target}, which does not exist"
+        """Every repository path a docs page, the CI workflow or the verify
+        skill names points at a real file."""
+        text = page.read_text(encoding="utf-8")
+        for target in set(REPO_PATH.findall(text)):
+            assert (ROOT / target).is_file(), (
+                f"{page.name} references {target}, which does not exist"
             )
-        for target in set(re.findall(r"\]\(([a-z_]+\.md)\)", text)):
-            assert (DOCS / target).is_file(), (
-                f"docs/{page} links ({target}), which does not exist"
-            )
+        if page.parent == DOCS:
+            for target in set(re.findall(r"\]\(([a-z_]+\.md)\)", text)):
+                assert (DOCS / target).is_file(), (
+                    f"docs/{page.name} links ({target}), which does not exist"
+                )
+        else:
+            # Shell lines name root-level files bare (BENCHMARK.json); docs
+            # prose also names outputs that way (summary.json), so not there.
+            for target in set(ROOT_JSON.findall(text)):
+                assert (ROOT / target).is_file(), (
+                    f"{page.name} references {target}, which does not exist"
+                )
 
     def test_docs_referenced_tests_exist(self):
         """Test files cited as evidence in docs must still exist."""
@@ -86,6 +111,25 @@ class TestCrossReferences:
                 assert (ROOT / "tests" / target).is_file(), (
                     f"{page.name} cites tests/{target}, which does not exist"
                 )
+
+
+    def test_the_ledger_is_the_only_benchmark(self):
+        """No live file points at the deleted suites; benchmarks/ holds no third thing."""
+        bench = ROOT / "benchmarks"
+        files = [
+            *(ROOT / "src").rglob("*.py"),
+            *(p for p in bench.rglob("*.py") if bench / "ledger" not in p.parents),
+            *DOCS.glob("*.md"),
+            README,
+            CI,
+            ROOT / "pyproject.toml",
+            VERIFY_SKILL,
+        ]
+        for path in files:
+            match = LEGACY_BENCH.search(path.read_text(encoding="utf-8"))
+            assert match is None, f"{path.relative_to(ROOT)} mentions {match.group()}"
+        held = {p.name for p in bench.iterdir() if p.name != "__pycache__"}
+        assert held == {"run_all.py", "ledger"}
 
 
 def _section(text: str, heading: str) -> str:

@@ -75,12 +75,12 @@ class TestCrashAction:
 
         tiny_cluster.sim.spawn(open_tx())
         run_for(tiny_cluster, 0.1)
-        assert server._contexts  # the open transaction's context exists
+        assert server.coordinator.contexts  # the open transaction's context exists
 
         injector = FaultInjector(tiny_cluster)
         injector.apply(FaultEvent(at=0.0, action="crash", dc=0, partition=0))
         assert server.paused
-        assert not server._contexts  # volatile state dropped
+        assert not server.coordinator.contexts  # volatile state dropped
         run_for(tiny_cluster, 0.5)
         frozen = max_ust(tiny_cluster)
         run_for(tiny_cluster, 0.5)

@@ -50,7 +50,7 @@ class TestOneRound:
             return (yield client.read_only(["p0:k000000"]))
 
         drive(tiny_cluster, one_shot())
-        assert not tiny_cluster.server(0, 0)._contexts
+        assert not tiny_cluster.server(0, 0).coordinator.contexts
         assert not client.in_transaction
 
     def test_rejected_inside_interactive_transaction(self, tiny_cluster):

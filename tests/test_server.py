@@ -25,7 +25,7 @@ class TestCoordinator:
         server = tiny_cluster.server(0, 0)
         replies, reply = collect_reply()
         fresher = server.ust + 1000
-        server.handle_StartTxReq("c", StartTxReq(client_snapshot=fresher), reply)
+        server.coordinator.handle_start_tx("c", StartTxReq(client_snapshot=fresher), reply)
         assert server.ust == fresher
         assert replies[0].snapshot == fresher
 
@@ -33,7 +33,7 @@ class TestCoordinator:
         server = tiny_cluster.server(0, 0)
         before = server.ust
         replies, reply = collect_reply()
-        server.handle_StartTxReq("c", StartTxReq(client_snapshot=1), reply)
+        server.coordinator.handle_start_tx("c", StartTxReq(client_snapshot=1), reply)
         assert server.ust == before
         assert replies[0].snapshot == before
 
@@ -41,14 +41,14 @@ class TestCoordinator:
         server = tiny_cluster.server(0, 0)
         replies, reply = collect_reply()
         for _ in range(10):
-            server.handle_StartTxReq("c", StartTxReq(client_snapshot=0), reply)
+            server.coordinator.handle_start_tx("c", StartTxReq(client_snapshot=0), reply)
         tids = [r.tid for r in replies]
         assert len(set(tids)) == 10
         assert all(tid[1] == server.uid for tid in tids)
 
     def test_expired_context_falls_back_to_current_ust(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
-        assert server._context_snapshot((424242, server.uid)) == server.ust
+        assert server.coordinator.context_snapshot((424242, server.uid)) == server.ust
 
     def test_context_expiry_cleans_abandoned_transactions(self, tiny_config):
         from dataclasses import replace
@@ -68,7 +68,7 @@ class TestCoordinator:
         run_for(cluster, 2.0)
         server = cluster.server(0, 0)
         assert server.metrics.contexts_expired >= 1
-        assert not server._contexts
+        assert not server.coordinator.contexts
 
 
 class TestCohort:
@@ -76,7 +76,7 @@ class TestCohort:
         server = tiny_cluster.server(0, 0)
         server.store.apply("p0:k000000", "newer", ut=server.ust + 5000, tid=(9, 9), sr=0)
         replies, reply = collect_reply()
-        server.handle_ReadSliceReq(
+        server.reads.handle_read_slice(
             "x", ReadSliceReq(keys=("p0:k000000",), snapshot=server.ust), reply
         )
         (key, version), = replies[0].versions
@@ -85,7 +85,7 @@ class TestCohort:
     def test_read_slice_unknown_key_raises(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
         with pytest.raises(LookupError):
-            server.handle_ReadSliceReq(
+            server.reads.handle_read_slice(
                 "x", ReadSliceReq(keys=("ghost",), snapshot=server.ust), lambda r: None
             )
 
@@ -94,7 +94,7 @@ class TestCohort:
         replies, reply = collect_reply()
         snapshot = server.ust
         hwt = server.hlc.current + 777
-        server.handle_PrepareReq(
+        server.coordinator.handle_prepare(
             "x",
             PrepareReq(tid=(1, 1), snapshot=snapshot, highest_ts=hwt, writes=(("p0:k000000", "v"),)),
             reply,
@@ -107,13 +107,13 @@ class TestCohort:
     def test_commit_moves_prepared_to_committed(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
         replies, reply = collect_reply()
-        server.handle_PrepareReq(
+        server.coordinator.handle_prepare(
             "x",
             PrepareReq(tid=(1, 1), snapshot=0, highest_ts=0, writes=(("p0:k000000", "v"),)),
             reply,
         )
         ct = replies[0].proposed_ts + 5
-        server.handle_CommitTxMsg(
+        server.coordinator.handle_commit_tx(
             "x", CommitTxMsg(tid=(1, 1), commit_ts=ct, decided_at=0.0), None
         )
         assert server.prepared_count == 0
@@ -123,7 +123,7 @@ class TestCohort:
     def test_commit_for_unknown_tid_raises(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
         with pytest.raises(KeyError):
-            server.handle_CommitTxMsg(
+            server.coordinator.handle_commit_tx(
                 "x", CommitTxMsg(tid=(404, 404), commit_ts=1, decided_at=0.0), None
             )
 
@@ -133,25 +133,25 @@ class TestApplyLoop:
         """ub = min(prepared) - 1 while a transaction is in flight."""
         server = tiny_cluster.server(0, 0)
         replies, reply = collect_reply()
-        server.handle_PrepareReq(
+        server.coordinator.handle_prepare(
             "x", PrepareReq(tid=(1, 1), snapshot=0, highest_ts=0, writes=(("p0:k000000", "v"),)),
             reply,
         )
-        assert server._version_clock_bound() == replies[0].proposed_ts - 1
+        assert server.replication.version_clock_bound() == replies[0].proposed_ts - 1
 
     def test_version_clock_bound_tracks_clock_when_idle(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
-        bound = server._version_clock_bound()
+        bound = server.replication.version_clock_bound()
         assert bound >= server.hlc.current - 1
         run_for(tiny_cluster, 0.1)
-        assert server._version_clock_bound() > bound
+        assert server.replication.version_clock_bound() > bound
 
     def test_committed_below_bound_applied_in_order(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
-        base = server._version_clock_bound()
+        base = server.replication.version_clock_bound()
         for i, offset in enumerate((3, 1, 2)):
             replies, reply = collect_reply()
-            server.handle_PrepareReq(
+            server.coordinator.handle_prepare(
                 "x",
                 PrepareReq(
                     tid=(100 + i, 1), snapshot=0, highest_ts=base,
@@ -159,7 +159,7 @@ class TestApplyLoop:
                 ),
                 reply,
             )
-            server.handle_CommitTxMsg(
+            server.coordinator.handle_commit_tx(
                 "x",
                 CommitTxMsg(tid=(100 + i, 1), commit_ts=replies[0].proposed_ts, decided_at=0.0),
                 None,
@@ -184,7 +184,7 @@ class TestApplyLoop:
             run_for(cluster, 0.01)
             for server in cluster.all_servers():
                 own = server.vv[server.dc_id]
-                for ct, _, _, _ in server._committed:
+                for ct, _, _, _ in server.replication.committed:
                     assert ct > own, "unapplied commit below the version clock"
 
     def test_proposition_2_remote(self, tiny_cluster):

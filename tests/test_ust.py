@@ -86,7 +86,7 @@ class TestSafety:
     def test_version_clock_never_regresses(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
         with pytest.raises(AssertionError):
-            server._advance_version_clock(0)
+            server.replication.advance_version_clock(0)
 
     def test_snapshot_reads_never_block(self, tiny_cluster):
         """The non-blocking property: a read at the UST is served from data
@@ -192,7 +192,7 @@ class TestGossipPlumbing:
         for dc in range(spec.n_dcs):
             root = tiny_cluster.server(dc, spec.dc_tree(dc).root)
             assert root.is_root
-            assert set(root._dc_reports) == set(range(spec.n_dcs))
+            assert set(root.stabilization.dc_reports) == set(range(spec.n_dcs))
 
     def test_non_roots_do_not_gossip_across_dcs(self, tiny_cluster):
         spec = tiny_cluster.spec
@@ -202,7 +202,7 @@ class TestGossipPlumbing:
                 server = tiny_cluster.server(dc, partition)
                 assert server.is_root == (partition == tree.root)
                 if not server.is_root:
-                    assert not server._dc_reports
+                    assert not server.stabilization.dc_reports
 
     def test_heartbeats_flow_when_idle(self, tiny_cluster):
         run_for(tiny_cluster, 0.5)
