@@ -13,20 +13,23 @@ with its renderer, the paper's claim and the shape assertions, and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..config import SimulationConfig, WorkloadConfig, mix_workload
-from ..consistency.streaming import StreamingChecker, StreamingOracle
+from ..config import SimulationConfig
+from ..consistency.streaming import StreamingChecker
 from ..faults.plan import FaultEvent, FaultPlan
 from ..workload.runner import SessionStats
 from .harness import (
     Cluster,
     ExperimentResult,
     build_cluster,
-    deploy_sessions,
+    recording,
     run_experiment,
+    run_recorded,
+    start_cluster,
 )
+from .sweep import config_from_params
 
 
 @dataclass(frozen=True)
@@ -109,60 +112,41 @@ DEFAULT_SCALE = SCALES["small"]
 
 
 # ----------------------------------------------------------------------
-# Configuration builders
+# Run parameters
 # ----------------------------------------------------------------------
-def base_config(
-    scale: BenchScale,
-    *,
-    n_dcs: Optional[int] = None,
-    machines_per_dc: Optional[int] = None,
-    workload: Optional[WorkloadConfig] = None,
-    threads: int = 1,
-    seed: int = 42,
-    visibility_sample_rate: float = 0.0,
-) -> SimulationConfig:
-    """The default-workload configuration at the given scale."""
-    cluster = ClusterSpec.from_machines(
-        n_dcs=n_dcs if n_dcs is not None else scale.n_dcs,
-        machines_per_dc=machines_per_dc if machines_per_dc is not None else scale.machines_per_dc,
-        replication_factor=scale.replication_factor,
-    )
-    if workload is None:
-        workload = WorkloadConfig.read_heavy()
-    workload = replace(
-        workload,
-        keys_per_partition=scale.keys_per_partition,
-        threads_per_client=threads,
-    )
-    return SimulationConfig(
-        cluster=cluster,
-        workload=workload,
-        seed=seed,
-        warmup=scale.warmup,
-        duration=scale.duration,
-        visibility_sample_rate=visibility_sample_rate,
-    )
+def scale_params(scale: BenchScale, **overrides: Any) -> Dict[str, Any]:
+    """Flat run parameters of the default workload at ``scale``.
 
-
-def start_sessions(
-    config: SimulationConfig, protocol: str, oracle: Optional[StreamingOracle] = None
-) -> Tuple[Cluster, Callable[[float], int]]:
-    """Build a cluster and start every session, for runs read at boundaries.
-
-    Returns the cluster and ``advance(until)``, which runs the simulation to
-    ``until`` and returns the transactions completed so far.
+    The namespace is the one ``repro run``, sweep specs and ``POST /runs``
+    share (:data:`repro.bench.sweep.PARAM_DEFAULTS`), so any figure run can
+    be re-run from its parameters.  One thread per client, the paper's four
+    partitions per transaction and seed 42 unless ``overrides`` say otherwise
+    (``partitions_per_tx=None`` is the namespace's ``min(4, machines)``).
     """
-    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
-    stats = SessionStats()
-    for driver in deploy_sessions(cluster, stats):
-        driver.start()
+    params: Dict[str, Any] = {
+        "dcs": scale.n_dcs,
+        "machines": scale.machines_per_dc,
+        "rf": scale.replication_factor,
+        "keys": scale.keys_per_partition,
+        "warmup": scale.warmup,
+        "duration": scale.duration,
+        "threads": 1,
+        "partitions_per_tx": 4,
+        "seed": 42,
+    }
+    params.update(overrides)
+    return params
 
-    def advance(until: float) -> int:
-        """Run to simulated time ``until``; transactions completed so far."""
-        cluster.sim.run(until=until)
-        return stats.meter.completed_total
 
-    return cluster, advance
+def scale_config(scale: BenchScale, **overrides: Any) -> Tuple[SimulationConfig, str]:
+    """:func:`scale_params` through the shared translation: ``(config, protocol)``."""
+    return config_from_params(scale_params(scale, **overrides))
+
+
+def _completed_by(cluster: Cluster, stats: SessionStats, until: float) -> int:
+    """Run to simulated time ``until``; transactions completed so far."""
+    cluster.sim.run(until=until)
+    return stats.meter.completed_total
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +169,6 @@ def figure_1(
 ) -> List[CurvePoint]:
     """Throughput vs average latency curves (Figures 1a / 1b)."""
     ladder = tuple(thread_ladder) if thread_ladder is not None else scale.thread_ladder
-    workload = mix_workload(mix)
     points: List[CurvePoint] = []
     for protocol in protocols:
         # "BPR needs a higher number of concurrent client threads to fully
@@ -197,8 +180,9 @@ def figure_1(
             top = ladder[-1]
             protocol_ladder = ladder + (top * 2, top * 4)
         for threads in protocol_ladder:
-            config = base_config(scale, workload=workload, threads=threads)
-            result = run_experiment(config, protocol=protocol)
+            result = run_experiment(
+                *scale_config(scale, mix=mix, threads=threads, protocol=protocol)
+            )
             points.append(CurvePoint(protocol=protocol, threads=threads, result=result))
             if result.mean_cpu_utilization >= 0.97:
                 break  # saturated: further rungs only add queueing latency
@@ -267,33 +251,23 @@ class ScalePoint:
 
 def saturated_run(
     scale: BenchScale,
-    *,
-    n_dcs: int,
-    machines_per_dc: int,
-    workload: Optional[WorkloadConfig] = None,
     thread_ladder: Optional[Sequence[int]] = None,
-    protocol: str = "paris",
+    **params: Any,
 ) -> Tuple[int, ExperimentResult]:
     """Climb a thread ladder until throughput stops improving (saturation).
 
-    Mirrors the paper's methodology: each configuration is loaded with as
-    many closed-loop threads as it takes to saturate it, and the saturated
-    throughput is reported.  The ladder doubles per rung and stops early once
-    an extra rung gains less than 5 %.
+    Mirrors the paper's methodology: each configuration (``params`` over
+    :func:`scale_params`) is loaded with as many closed-loop threads as it
+    takes to saturate it, and the saturated throughput is reported.  The
+    ladder doubles per rung and stops early once an extra rung gains less
+    than 5 %.
     """
     if thread_ladder is None:
         top = scale.saturating_threads
         thread_ladder = tuple(top * (2 ** i) for i in range(5))
     best: Optional[Tuple[int, ExperimentResult]] = None
     for threads in thread_ladder:
-        config = base_config(
-            scale,
-            n_dcs=n_dcs,
-            machines_per_dc=machines_per_dc,
-            workload=workload,
-            threads=threads,
-        )
-        result = run_experiment(config, protocol=protocol)
+        result = run_experiment(*scale_config(scale, threads=threads, **params))
         if best is not None and result.throughput < best[1].throughput * 1.05:
             if result.throughput > best[1].throughput:
                 best = (threads, result)
@@ -305,27 +279,19 @@ def saturated_run(
     return best
 
 
-def _scaling_workload(smallest_machines: int) -> WorkloadConfig:
-    """Default workload with the transaction footprint pinned to fit the
-    smallest configuration of a scaling sweep.
+def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[ScalePoint]:
+    """Saturated PaRiS throughput at each ``(DCs, machines/DC)`` of ``grid``.
 
-    If ``partitions_per_tx`` exceeded the smallest DC's partition pool, small
+    The transaction footprint is pinned to fit the smallest configuration:
+    if ``partitions_per_tx`` exceeded its DCs' partition pool, small
     configurations would silently run cheaper transactions than large ones
     and the sweep would not be comparing like with like.
     """
-    workload = WorkloadConfig.read_heavy()
-    return replace(
-        workload, partitions_per_tx=min(workload.partitions_per_tx, smallest_machines)
-    )
-
-
-def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[ScalePoint]:
-    """Saturated PaRiS throughput at each ``(DCs, machines/DC)`` of ``grid``."""
-    workload = _scaling_workload(min(machines for _, machines in grid))
+    partitions_per_tx = min(4, min(machines for _, machines in grid))
     points = []
     for n_dcs, machines in grid:
         threads, result = saturated_run(
-            scale, n_dcs=n_dcs, machines_per_dc=machines, workload=workload
+            scale, dcs=n_dcs, machines=machines, partitions_per_tx=partitions_per_tx
         )
         points.append(
             ScalePoint(
@@ -395,14 +361,7 @@ def figure_3(
         thread_ladder = (max(1, top // 4), top, top * 4)
     points = []
     for locality in localities:
-        workload = replace(WorkloadConfig.read_heavy(), locality=locality)
-        threads, result = saturated_run(
-            scale,
-            n_dcs=scale.n_dcs,
-            machines_per_dc=scale.machines_per_dc,
-            workload=workload,
-            thread_ladder=thread_ladder,
-        )
+        threads, result = saturated_run(scale, thread_ladder, locality=locality)
         points.append(
             LocalityPoint(locality=locality, threads_at_peak=threads, result=result)
         )
@@ -430,12 +389,11 @@ def figure_4(
         threads = max(1, scale.saturating_threads // 4)
     results = []
     for protocol in ("paris", "bpr"):
-        config = base_config(
-            scale, threads=threads, visibility_sample_rate=sample_rate
+        config, _ = scale_config(
+            scale, threads=threads, visibility_sample_rate=sample_rate, protocol=protocol
         )
-        results.append(
-            VisibilityResult(protocol=protocol, result=run_experiment(config, protocol=protocol))
-        )
+        result = run_experiment(config, protocol=protocol)
+        results.append(VisibilityResult(protocol=protocol, result=result))
     return results
 
 
@@ -459,10 +417,9 @@ def blocking_time(
     """BPR's average blocking time at high load (quoted in Section V-B)."""
     rows = []
     for mix in mixes:
-        config = base_config(
-            scale, workload=mix_workload(mix), threads=scale.saturating_threads
+        result = run_experiment(
+            *scale_config(scale, mix=mix, threads=scale.saturating_threads, protocol="bpr")
         )
-        result = run_experiment(config, protocol="bpr")
         rows.append(
             BlockingResult(
                 mix=mix,
@@ -543,36 +500,30 @@ def partition_stall(
     # One closed-loop thread per client: the scenario is qualitative
     # (availability, not saturation), and the consistency checker's closure
     # walk is super-linear in history size, so keep the history small.
-    workload = replace(
-        WorkloadConfig.read_heavy(),
-        locality=1.0,
-        partitions_per_tx=min(4, scale.machines_per_dc),
-        keys_per_partition=scale.keys_per_partition,
-        threads_per_client=1,
-    )
     rows: List[PartitionStallResult] = []
     for protocol in protocols:
         checker = StreamingChecker()
-        config = SimulationConfig(
-            cluster=ClusterSpec.from_machines(
-                n_dcs=scale.n_dcs,
-                machines_per_dc=scale.machines_per_dc,
-                replication_factor=scale.replication_factor,
-            ),
-            workload=workload,
+        config, _ = scale_config(
+            scale,
+            locality=1.0,
+            partitions_per_tx=None,
             seed=seed,
-            warmup=scale.warmup,
-            duration=scale.duration,
             faults=plan,
+            protocol=protocol,
         )
-        cluster, advance = start_sessions(config, protocol, StreamingOracle(checker=checker))
-        committed_before = advance(window_start)
-        committed_during = advance(window_end) - committed_before
-        parked_at_heal = sum(
-            getattr(server, "parked_reads", 0) for server in cluster.all_servers()
-        )
-        staleness_at_heal = cluster.ust_staleness()
-        committed_after = advance(drain_until) - committed_before - committed_during
+        with recording(checker=checker) as oracle:
+            cluster, stats = start_cluster(config, protocol, oracle=oracle)
+            committed_before = _completed_by(cluster, stats, window_start)
+            committed_during = _completed_by(cluster, stats, window_end) - committed_before
+            parked_at_heal = sum(
+                getattr(server, "parked_reads", 0) for server in cluster.all_servers()
+            )
+            staleness_at_heal = cluster.ust_staleness()
+            committed_after = (
+                _completed_by(cluster, stats, drain_until)
+                - committed_before
+                - committed_during
+            )
         blocking_samples = [
             sample
             for server in cluster.all_servers()
@@ -688,44 +639,34 @@ def reconfig_soak(
     drain window closes inside the run; like ``partition_stall`` the load is
     one closed-loop thread per client to keep the checked history small.
     """
+    from ..config import ReconfigConfig
     from ..protocols import get_protocol
-    from ..workload.profiles import get_profile
 
     churn_start = scale.warmup + 0.05 * scale.duration
     churn_end = scale.warmup + 0.95 * scale.duration
     drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
-    spec = ClusterSpec.from_machines(
-        n_dcs=scale.n_dcs,
-        machines_per_dc=scale.machines_per_dc,
-        replication_factor=scale.replication_factor,
-    )
-    plan = reconfig_soak_plan(spec, churn_start, churn_end)
-    workload = replace(
-        get_profile("hotspot_shift").apply(WorkloadConfig.read_heavy()),
-        partitions_per_tx=min(4, scale.machines_per_dc),
-        keys_per_partition=scale.keys_per_partition,
-        threads_per_client=1,
-    )
+    plan = reconfig_soak_plan(scale_config(scale)[0].cluster, churn_start, churn_end)
     joins = sum(1 for e in plan if e.action in ("add_replica", "add_dc"))
     leaves = sum(1 for e in plan if e.action in ("remove_replica", "remove_dc"))
     rows: List[ReconfigSoakResult] = []
     for protocol in protocols:
-        from ..config import ReconfigConfig
-
         checker = StreamingChecker(level=get_protocol(protocol).consistency)
-        config = SimulationConfig(
-            cluster=spec,
-            workload=workload,
+        config, _ = scale_config(
+            scale,
+            workload="hotspot_shift",
+            partitions_per_tx=None,
             seed=seed,
-            warmup=scale.warmup,
-            duration=scale.duration,
             faults=plan,
-            reconfig=ReconfigConfig(drain_delay=min(0.25, 0.1 * scale.duration)),
+            protocol=protocol,
         )
-        cluster, advance = start_sessions(config, protocol, StreamingOracle(checker=checker))
-        committed_before = advance(churn_start)
-        committed_during = advance(churn_end) - committed_before
-        committed_total = advance(drain_until)
+        config = config.with_(
+            reconfig=ReconfigConfig(drain_delay=min(0.25, 0.1 * scale.duration))
+        )
+        with recording(checker=checker) as oracle:
+            cluster, stats = start_cluster(config, protocol, oracle=oracle)
+            committed_before = _completed_by(cluster, stats, churn_start)
+            committed_during = _completed_by(cluster, stats, churn_end) - committed_before
+            committed_total = _completed_by(cluster, stats, drain_until)
         rows.append(
             ReconfigSoakResult(
                 protocol=protocol,
@@ -760,24 +701,14 @@ def capacity_comparison(scale: BenchScale = DEFAULT_SCALE) -> List[CapacityRow]:
     """Partial replication's storage advantage, modelled and measured."""
     rows = []
     for rf, label in ((scale.replication_factor, "partial (paper)"), (scale.n_dcs, "full")):
-        cluster_spec = ClusterSpec.from_machines(
-            n_dcs=scale.n_dcs,
-            machines_per_dc=scale.machines_per_dc * rf // scale.replication_factor,
-            replication_factor=rf,
-        )
-        workload = replace(
-            WorkloadConfig.read_heavy(),
-            keys_per_partition=scale.keys_per_partition,
-            threads_per_client=1,
-        )
-        config = SimulationConfig(
-            cluster=cluster_spec,
-            workload=workload,
-            seed=42,
+        config, protocol = scale_config(
+            scale,
+            machines=scale.machines_per_dc * rf // scale.replication_factor,
+            rf=rf,
             warmup=0.5,
             duration=0.5,
         )
-        cluster = build_cluster(config, protocol="paris")
+        cluster = build_cluster(config, protocol=protocol)
         versions_by_dc: Dict[int, int] = {}
         for (dc_id, _), server in cluster.servers.items():
             versions_by_dc[dc_id] = versions_by_dc.get(dc_id, 0) + server.store.version_count
@@ -786,8 +717,8 @@ def capacity_comparison(scale: BenchScale = DEFAULT_SCALE) -> List[CapacityRow]:
             CapacityRow(
                 label=label,
                 replication_factor=rf,
-                storage_fraction_per_dc=cluster_spec.storage_fraction_per_dc(),
-                capacity_multiplier=cluster_spec.capacity_vs_full_replication(),
+                storage_fraction_per_dc=config.cluster.storage_fraction_per_dc(),
+                capacity_multiplier=config.cluster.capacity_vs_full_replication(),
                 measured_versions_per_dc=mean_versions,
             )
         )
@@ -819,7 +750,7 @@ def ablation_stabilization(
     """
     rows = []
     for interval in intervals:
-        config = base_config(
+        config, protocol = scale_config(
             scale,
             threads=max(1, scale.saturating_threads // 8),
             visibility_sample_rate=0.25,
@@ -829,7 +760,7 @@ def ablation_stabilization(
                 config.protocol, gst_interval=interval, ust_interval=interval
             )
         )
-        result = run_experiment(config, protocol="paris")
+        result = run_experiment(config, protocol=protocol)
         rows.append(
             StabilizationPoint(
                 interval=interval,
@@ -869,31 +800,20 @@ def propagation_cost(
         replication_factors = sorted({scale.replication_factor, scale.n_dcs})
     rows = []
     for rf in replication_factors:
-        cluster_spec = ClusterSpec(
-            n_dcs=scale.n_dcs,
-            # Keep the *partition count* fixed so the workload is identical;
-            # only the number of replicas per partition changes.
-            n_partitions=scale.n_dcs * scale.machines_per_dc
-            // scale.replication_factor,
-            replication_factor=rf,
+        # Machines grow with RF so the *partition count* stays fixed and the
+        # workload identical; only the replicas per partition change.
+        config, protocol = scale_config(
+            scale,
+            machines=scale.machines_per_dc * rf // scale.replication_factor,
+            rf=rf,
+            threads=max(1, scale.saturating_threads // 8),
+            partitions_per_tx=None,
         )
-        workload = replace(
-            WorkloadConfig.read_heavy(),
-            keys_per_partition=scale.keys_per_partition,
-            threads_per_client=max(1, scale.saturating_threads // 8),
-            partitions_per_tx=min(4, len(cluster_spec.dc_partitions(0))),
-        )
-        config = SimulationConfig(
-            cluster=cluster_spec,
-            workload=workload,
-            seed=42,
-            warmup=scale.warmup,
-            duration=scale.duration,
-        )
-        cluster, advance = start_sessions(config, "paris")
-        commits_before = advance(config.warmup)
+        cluster, stats = start_cluster(config, protocol)
+        commits_before = _completed_by(cluster, stats, config.warmup)
         inter_dc_before = _inter_dc_replication(cluster)
-        commits = advance(config.warmup + config.duration) - commits_before
+        end = config.warmup + config.duration
+        commits = _completed_by(cluster, stats, end) - commits_before
         messages = _inter_dc_replication(cluster) - inter_dc_before
         rows.append(
             PropagationRow(
@@ -935,23 +855,15 @@ def ablation_clocks(
     back and updates take far longer to become visible.  HLCs advance with
     wall-clock time and keep the stable snapshot fresh.
     """
-    from ..config import ClockConfig
-
     rows = []
     for mode in modes:
-        config = base_config(
+        config, protocol = scale_config(
             scale,
             threads=max(1, scale.saturating_threads // 8),
             visibility_sample_rate=0.25,
         )
-        config = config.with_(
-            clocks=ClockConfig(
-                max_offset=config.clocks.max_offset,
-                max_drift=config.clocks.max_drift,
-                mode=mode,
-            )
-        )
-        result = run_experiment(config, protocol="paris")
+        config = config.with_(clocks=replace(config.clocks, mode=mode))
+        result = run_experiment(config, protocol=protocol)
         rows.append(
             ClockAblationPoint(
                 mode=mode,
@@ -994,11 +906,6 @@ def ablation_client_cache(scale: BenchScale = DEFAULT_SCALE) -> List[CacheAblati
     rows = []
     for label, client_cls in (("paris", None), ("paris-no-cache", NoCacheClient)):
         checker = StreamingChecker()
-        config = base_config(scale, threads=1, seed=11)
-        # Hot keys + few keys maximise re-reads of own writes.
-        config = config.with_(
-            workload=replace(config.workload, keys_per_partition=10, zipf_theta=0.9)
-        )
         protocol = "paris"
         if client_cls is not None:
             # The registry seam: same server components, broken client.
@@ -1012,7 +919,10 @@ def ablation_client_cache(scale: BenchScale = DEFAULT_SCALE) -> List[CacheAblati
                 )
             )
         try:
-            run_experiment(config, protocol=protocol, oracle=StreamingOracle(checker=checker))
+            # Hot keys + few keys maximise re-reads of own writes.
+            config, _ = scale_config(scale, keys=10, seed=11, protocol=protocol)
+            config = config.with_(workload=replace(config.workload, zipf_theta=0.9))
+            run_recorded(config, protocol, checker=checker)
         finally:
             if client_cls is not None:
                 unregister(protocol)

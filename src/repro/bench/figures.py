@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..sim.latency import LatencyModel
 from . import experiments as exp
 from . import report, results, sweep
 from .experiments import BenchScale
@@ -227,7 +226,7 @@ def _check_fig3(points: list, scale: BenchScale) -> None:
 # Figure 4: update visibility latency
 # ----------------------------------------------------------------------
 def _wan_diameter(scale: BenchScale) -> float:
-    return LatencyModel.for_paper_deployment(scale.n_dcs).max_one_way()
+    return exp.scale_config(scale)[0].latency_model().max_one_way()
 
 
 def _measured_fig4(rows: list, scale: BenchScale) -> str:

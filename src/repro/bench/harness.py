@@ -8,25 +8,30 @@ The harness mirrors the paper's methodology (Section V-A):
 * a warmup period (UST convergence) followed by a measurement window;
 * throughput = committed transactions per simulated second in the window,
   latency = transaction start-to-finish inside the window.
+
+Every run — CLI, sweep, served, replayed, figure, shard worker — is the
+same three pieces: :func:`start_cluster`, :func:`drive` over a ``(time,
+kind)`` schedule, and the :func:`recording` / :func:`profiled` contexts;
+:func:`run_recorded` is the one entry point that combines them all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from ..clocks.hlc import timestamp_to_seconds
 from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec
 from ..config import SimulationConfig
-from ..consistency.streaming import StreamingChecker, StreamingOracle
+from ..consistency.streaming import StreamingChecker, StreamingOracle, read_events
 from ..core.client import PaRiSClient
 from ..faults.engine import FaultInjector
 from ..protocols import get_protocol
 from ..protocols.engine import ProtocolServer
 from ..sim.kernel import Simulator
-from ..sim.latency import LatencyModel
 from ..sim.network import Network
 from ..sim.rng import RngRegistry
 from ..sim.stats import mean_cdf, percentile
@@ -163,13 +168,7 @@ def build_cluster(
     server_cls = get_protocol(protocol).server_cls
     sim = Simulator()
     rngs = RngRegistry(config.seed)
-    if config.regions is not None:
-        latency = LatencyModel(config.regions, jitter_fraction=config.latency_jitter)
-    else:
-        latency = LatencyModel.for_paper_deployment(
-            config.cluster.n_dcs, jitter_fraction=config.latency_jitter
-        )
-    network = Network(sim, latency, rngs)
+    network = Network(sim, config.latency_model(), rngs)
 
     servers: Dict[Tuple[int, int], ProtocolServer] = {}
     spec = config.cluster
@@ -339,6 +338,91 @@ class ExperimentResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def start_cluster(
+    config: SimulationConfig,
+    protocol: Optional[str] = None,
+    oracle: Optional[StreamingOracle] = None,
+    local_dcs: Optional[Iterable[int]] = None,
+) -> Tuple[Cluster, SessionStats]:
+    """Build a cluster, deploy its sessions and start every one of them.
+
+    The cluster sits at simulated time zero with its closed loops scheduled;
+    :func:`drive` (or the caller's own ``cluster.sim.run``) advances it.
+    """
+    cluster = build_cluster(
+        config, protocol=protocol, oracle=oracle, local_dcs=local_dcs
+    )
+    stats = SessionStats()
+    for driver in deploy_sessions(cluster, stats):
+        driver.start()
+    return cluster, stats
+
+
+def drive(
+    cluster: Cluster,
+    stats: SessionStats,
+    schedule: Iterable[Tuple[float, str]],
+    exchange: Optional[Callable[[int], None]] = None,
+) -> None:
+    """Advance a started cluster over a ``(time, kind)`` schedule.
+
+    ``"open"`` and ``"close"`` run up to and including their time and then
+    open / close the measurement window; ``"step"`` runs up to but excluding
+    it (a shard's lookahead barrier, see
+    :func:`repro.sim.sharded.barrier_schedule`).  ``exchange(index)`` runs
+    after each entry's events and before its window edge: a shard swaps its
+    cross-cut envelopes with the other shards there.
+    """
+    sim = cluster.sim
+    for index, (until, kind) in enumerate(schedule):
+        if kind == "step":
+            sim.run_window(until)
+        else:
+            sim.run(until=until)
+        if exchange is not None:
+            exchange(index)
+        if kind == "open":
+            stats.open_window(sim.now)
+        elif kind == "close":
+            stats.close_window(sim.now)
+
+
+@contextlib.contextmanager
+def recording(
+    trace_out: Optional[PathLike] = None, checker: Optional[StreamingChecker] = None
+) -> Iterator[Optional[StreamingOracle]]:
+    """The oracle that feeds ``checker`` and spills to ``trace_out``.
+
+    Every event the oracle records goes to ``checker`` (judged inline) and,
+    with ``trace_out``, to a JSONL trace closed when the block exits.  With
+    neither there is nothing to record and the oracle is ``None``.
+    """
+    sink = TraceWriter(trace_out) if trace_out is not None else None
+    try:
+        recorded = sink is not None or checker is not None
+        yield StreamingOracle(sink=sink, checker=checker) if recorded else None
+    finally:
+        if sink is not None:
+            sink.close()
+
+
+@contextlib.contextmanager
+def profiled(path: Optional[PathLike]) -> Iterator[None]:
+    """Dump a cProfile of the enclosed block to ``path``; a no-op without one."""
+    if not path:
+        yield
+        return
+    import cProfile
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        yield
+    finally:
+        profiler.disable()
+    profiler.dump_stats(path)
+
+
 def run_cluster(
     config: SimulationConfig,
     protocol: Optional[str] = None,
@@ -349,19 +433,9 @@ def run_cluster(
     For callers that read the cluster after the run (kernel event count,
     per-server CPU counters) and not only the summary.
     """
-    cluster = build_cluster(config, protocol=protocol, oracle=oracle)
-    stats = SessionStats()
-    drivers = deploy_sessions(cluster, stats)
-    for driver in drivers:
-        driver.start()
-
-    sim = cluster.sim
-    sim.run(until=config.warmup)
-    stats.open_window(sim.now)
-    measure_end = config.warmup + config.duration
-    sim.run(until=measure_end)
-    stats.close_window(sim.now)
-
+    cluster, stats = start_cluster(config, protocol=protocol, oracle=oracle)
+    end = config.warmup + config.duration
+    drive(cluster, stats, [(config.warmup, "open"), (end, "close")])
     return cluster, summarize(cluster, stats)
 
 
@@ -380,23 +454,45 @@ def run_recorded(
     *,
     trace_out: Optional[PathLike] = None,
     checker: Optional[StreamingChecker] = None,
+    shards: int = 1,
+    profile: Optional[PathLike] = None,
 ) -> ExperimentResult:
     """:func:`run_experiment` with its consistency events recorded.
 
-    Every event the oracle records goes to ``checker`` (judged inline) and,
-    with ``trace_out``, to a JSONL trace closed before this returns.  This
-    is the one wiring ``repro run --big``/``check``, the serve tier and
-    ``repro replay`` share, which is what makes a replayed trace comparable
-    to the recorded one byte for byte.  With neither, no oracle is attached.
+    The one entry point that combines :func:`recording`, :func:`profiled`
+    and the sharded runner: ``repro run`` / ``check`` / ``chaos``, the serve
+    tier and ``repro replay`` all come through here, which is what makes a
+    replayed trace comparable to the recorded one byte for byte.
+
+    With ``shards > 1`` the DCs run on that many worker processes
+    (:func:`repro.sim.sharded.run_sharded_experiment`; one profile per
+    shard, ``<profile>.shard<i>``).  Each shard spills its own events; the
+    merged, commit-time-ordered trace then feeds ``checker`` exactly as the
+    live single-kernel stream would (same bytes, so same counters and
+    verdict), from a scratch file when the caller keeps no ``trace_out``.
     """
-    sink = TraceWriter(trace_out) if trace_out is not None else None
-    try:
-        recording = sink is not None or checker is not None
-        oracle = StreamingOracle(sink=sink, checker=checker) if recording else None
-        return run_experiment(config, protocol=protocol, oracle=oracle)
-    finally:
-        if sink is not None:
-            sink.close()
+    if shards == 1:
+        with profiled(profile), recording(trace_out, checker) as oracle:
+            return run_experiment(config, protocol=protocol, oracle=oracle)
+
+    import os
+    import tempfile
+
+    from ..sim.sharded import run_sharded_experiment
+
+    with contextlib.ExitStack() as stack:
+        merged = trace_out
+        if checker is not None and merged is None:
+            scratch = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-big-")
+            )
+            merged = os.path.join(scratch, "trace.jsonl")
+        result = run_sharded_experiment(
+            config, shards, protocol=protocol, trace_path=merged, profile_path=profile
+        )
+        if checker is not None:
+            checker.run(read_events(merged))
+    return result
 
 
 def summarize(cluster: Cluster, stats: SessionStats) -> ExperimentResult:

@@ -72,7 +72,7 @@ from .harness import run_experiment
 #: for repro.sim.sharded); trajectories moved for every configuration.
 CACHE_VERSION = 6
 
-#: Run parameters and their defaults (mirroring ``repro run``'s flags).
+#: Run parameters and their defaults (``repro run``'s flags take theirs here).
 #: ``partitions_per_tx=None`` means "min(4, machines)", the CLI's behaviour.
 #: ``workload=None`` means "no profile": the mix alone shapes the workload;
 #: a profile name (see repro.workload.profiles) overrides the mix/skew and
@@ -94,6 +94,9 @@ PARAM_DEFAULTS: Dict[str, Any] = {
     "faults": None,
     "preset": None,
 }
+
+#: The seed of a run that names none (``repro run``, ``POST /runs``).
+DEFAULT_SEED = 1
 
 #: Parameters a spec may set in ``base``.
 BASE_PARAMS = frozenset(PARAM_DEFAULTS)

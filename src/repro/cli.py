@@ -46,11 +46,10 @@ Commands
 from __future__ import annotations
 
 import argparse
-import contextlib
 import pathlib
 import sys
 import time
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, TextIO, Tuple
 
 from .bench import experiments as exp
 from .bench import figures, report, results, sweep
@@ -360,7 +359,7 @@ def _add_protocol_arg(parser: argparse.ArgumentParser) -> None:
         "--protocol",
         metavar="NAME",
         type=_protocol_name,
-        default="paris",
+        default=sweep.PARAM_DEFAULTS["protocol"],
         help="registered protocol to run (see 'repro protocols')",
     )
 
@@ -384,65 +383,50 @@ def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dcs", type=int, default=3, help="number of DCs")
+    # Every run parameter, flag or not, defaults to the namespace's own value.
+    parser.set_defaults(**sweep.PARAM_DEFAULTS, seed=sweep.DEFAULT_SEED)
+    parser.add_argument("--dcs", type=int, help="number of DCs")
     parser.add_argument(
         "--preset",
         metavar="NAME",
-        default=None,
         help="geo-real topology preset naming one cloud region per DC "
         "(see docs/topologies.md); must match --dcs",
     )
-    parser.add_argument("--machines", type=int, default=2, help="machines per DC")
-    parser.add_argument("--rf", type=int, default=2, help="replication factor")
-    parser.add_argument("--threads", type=int, default=4, help="threads per client")
-    parser.add_argument("--mix", choices=tuple(MIXES), default="95:5")
+    parser.add_argument("--machines", type=int, help="machines per DC")
+    parser.add_argument("--rf", type=int, help="replication factor")
+    parser.add_argument("--threads", type=int, help="threads per client")
+    parser.add_argument("--mix", choices=tuple(MIXES))
     parser.add_argument(
         "--workload",
         metavar="PROFILE",
-        default=None,
         help="named workload profile overriding --mix (see 'repro profiles')",
     )
-    parser.add_argument("--locality", type=float, default=0.95)
-    parser.add_argument("--keys", type=int, default=100, help="keys per partition")
-    parser.add_argument("--warmup", type=float, default=1.0, help="simulated seconds")
-    parser.add_argument("--duration", type=float, default=1.5, help="simulated seconds")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--locality", type=float)
+    parser.add_argument("--keys", type=int, help="keys per partition")
+    parser.add_argument("--warmup", type=float, help="simulated seconds")
+    parser.add_argument("--duration", type=float, help="simulated seconds")
+    parser.add_argument("--seed", type=int)
 
 
 def params_from_args(
     args: argparse.Namespace, *, inline_faults: bool = False
 ) -> dict:
-    """The flat run-parameter mapping equivalent to the CLI flags.
+    """The resolved flat run-parameter mapping equivalent to the CLI flags.
 
     With ``inline_faults`` a ``--faults`` plan file is loaded and inlined as
     a mapping, making the parameters self-contained — the form the run
     repository persists, so a saved record replays identically wherever the
     original plan file ends up.
     """
-    protocol = getattr(args, "protocol", "paris")
-    if not isinstance(protocol, str):
+    params = {name: getattr(args, name) for name in (*sweep.PARAM_DEFAULTS, "seed")}
+    if not isinstance(params["protocol"], str):
         # `compare` takes a protocol *list*; the shared config is
         # protocol-agnostic and each run names its protocol explicitly.
-        protocol = "paris"
-    params = {
-        "protocol": protocol,
-        "dcs": args.dcs,
-        "machines": args.machines,
-        "rf": args.rf,
-        "threads": args.threads,
-        "mix": args.mix,
-        "workload": getattr(args, "workload", None),
-        "locality": args.locality,
-        "keys": args.keys,
-        "warmup": args.warmup,
-        "duration": args.duration,
-        "seed": args.seed,
-        "faults": getattr(args, "faults", None) or None,
-        "preset": getattr(args, "preset", None),
-    }
+        params["protocol"] = sweep.PARAM_DEFAULTS["protocol"]
+    params["faults"] = params["faults"] or None
     if inline_faults and params["faults"] is not None:
         params["faults"] = FaultPlan.load(params["faults"]).to_dict()
-    return params
+    return sweep.resolve_params(params)
 
 
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
@@ -497,98 +481,61 @@ def cmd_run(args: argparse.Namespace) -> int:
     (which re-executes sequentially and still matches).  Unshardable
     inputs — more shards than DCs, membership fault plans — exit 2 with a
     named error.
+
+    With ``--json`` stdout carries the JSON document alone; every status
+    line goes to stderr.
     """
     from .sim.sharded import ShardingError
 
+    config = config_from_args(args)
+    checker: Optional[StreamingChecker] = None
+    trace_path: Optional[str] = None
+    if args.big:
+        checker = StreamingChecker(
+            window=args.window, level=get_protocol(args.protocol).consistency
+        )
+        trace_path = args.trace_out or None
     try:
         if args.shards < 1:
             raise ShardingError(f"--shards must be >= 1: {args.shards}")
-        return _cmd_run_inner(args)
+        result = run_recorded(
+            config,
+            args.protocol,
+            trace_out=trace_path,
+            checker=checker,
+            shards=args.shards,
+            profile=args.profile,
+        )
     except ShardingError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 
-
-def _cmd_run_inner(args: argparse.Namespace) -> int:
-    """The body of ``repro run`` (ShardingError handled by the wrapper)."""
-    config = config_from_args(args)
-    if not args.big:
+    status_out = sys.stderr if args.json else None
+    print(result.to_json() if args.json else format_result(result))
+    if checker is not None:
+        print(
+            f"streaming check ({args.window:g}s window, level '{checker.level}'): "
+            f"{checker.commits_checked} commits / {checker.reads_checked} reads, "
+            f"{checker.versions_retired} versions retired, "
+            f"{checker.state_size} in window, {len(checker.violations)} violations",
+            file=status_out,
+        )
+        if trace_path is not None:
+            # Every line of the trace is one event the checker consumed.
+            trace_events = checker.commits_checked + checker.reads_checked
+            print(f"trace: {trace_events} events -> {trace_path}", file=status_out)
+    if args.profile:
+        paths = [args.profile]
         if args.shards > 1:
-            from .sim.sharded import run_sharded_experiment
-
-            result = run_sharded_experiment(
-                config, args.shards, protocol=args.protocol,
-                profile_path=args.profile,
-            )
-        else:
-            with _profiled(args.profile):
-                result = run_experiment(config, protocol=args.protocol)
-        if args.json:
-            print(result.to_json())
-        else:
-            print(format_result(result))
-        _report_profile(args)
-        if args.save:
-            _save_to_repository(args, result)
-        return 0
-
-    level = get_protocol(args.protocol).consistency
-    trace_path: Optional[str] = None
-    if args.shards > 1:
-        import os
-        import tempfile
-
-        from .sim.sharded import run_sharded_experiment
-
-        # Sharded big runs stream each shard's events to its own spill
-        # file; the merged, commit-time-ordered trace then feeds the
-        # windowed checker exactly as a live single-kernel stream would
-        # (same bytes, so same counters and verdict).  The checker needs
-        # that merged file even when the caller didn't ask to keep one.
-        scratch: Optional[tempfile.TemporaryDirectory] = None
-        if args.trace_out:
-            trace_path = args.trace_out
-        else:
-            scratch = tempfile.TemporaryDirectory(prefix="repro-big-")
-            trace_path = os.path.join(scratch.name, "trace.jsonl")
-        try:
-            result = run_sharded_experiment(
-                config,
-                args.shards,
-                protocol=args.protocol,
-                trace_path=trace_path,
-                profile_path=args.profile,
-            )
-            checker = check_trace(trace_path, window=args.window, level=level)
-        finally:
-            if scratch is not None:
-                scratch.cleanup()
-                trace_path = None
-    else:
-        with _profiled(args.profile):
-            result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
-        trace_path = args.trace_out or None
-    violations = checker.violations
-    if args.json:
-        print(result.to_json())
-    else:
-        print(format_result(result))
-    print(
-        f"streaming check ({args.window:g}s window, level '{level}'): "
-        f"{checker.commits_checked} commits / {checker.reads_checked} reads, "
-        f"{checker.versions_retired} versions retired, "
-        f"{checker.state_size} in window, {len(violations)} violations"
-    )
-    if trace_path is not None:
-        # Every line of the trace is one event the checker consumed.
-        trace_events = checker.commits_checked + checker.reads_checked
-        print(f"trace: {trace_events} events -> {trace_path}")
-    _report_profile(args)
-    status = _report_violations(violations)
+            paths = [f"{args.profile}.shard{i}" for i in range(args.shards)]
+        print(f"profile: {', '.join(paths)}", file=status_out)
+    status = 0
+    if checker is not None:
+        status = _report_violations(checker.violations, status_out)
     if args.save:
         # The run completed either way; a violating run is still worth
         # persisting (and replaying while debugging it).
-        _save_to_repository(args, result, trace_path=trace_path)
+        _save_to_repository(args, result, trace_path=trace_path, out=status_out)
     return status
 
 
@@ -608,39 +555,13 @@ def _run_checked(
     return result, checker
 
 
-@contextlib.contextmanager
-def _profiled(path: Optional[str]) -> Iterator[None]:
-    """Dump a cProfile of the enclosed block to ``path``; a no-op without one."""
-    if not path:
-        yield
-        return
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield
-    finally:
-        profiler.disable()
-    profiler.dump_stats(path)
-
-
-def _report_violations(violations: Sequence[Violation]) -> int:
+def _report_violations(
+    violations: Sequence[Violation], out: Optional[TextIO] = None
+) -> int:
     """Print the first violations; the exit status of a checking command."""
     for violation in violations[:20]:
-        print(f"  {violation}")
+        print(f"  {violation}", file=out)
     return 1 if violations else 0
-
-
-def _report_profile(args: argparse.Namespace) -> None:
-    """Name the cProfile dump(s) that ``repro run --profile`` left behind."""
-    if not getattr(args, "profile", None):
-        return
-    if args.shards > 1:
-        paths = ", ".join(f"{args.profile}.shard{i}" for i in range(args.shards))
-    else:
-        paths = args.profile
-    print(f"profile: {paths}")
 
 
 def _save_to_repository(
@@ -648,6 +569,7 @@ def _save_to_repository(
     result: ExperimentResult,
     *,
     trace_path: Optional[str] = None,
+    out: Optional[TextIO] = None,
 ) -> None:
     """Persist a just-completed ``repro run`` into the run repository."""
     from .serve.repository import RunRepository
@@ -663,7 +585,8 @@ def _save_to_repository(
     stored = "record + trace" if record["trace_digest"] else "record"
     print(
         f"saved {stored} {run_id[:12]} -> {repository.root} "
-        f"(replay: 'repro replay {run_id[:12]}')"
+        f"(replay: 'repro replay {run_id[:12]}')",
+        file=out,
     )
 
 

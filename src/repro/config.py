@@ -19,10 +19,13 @@ docs/architecture.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .cluster.topology import ClusterSpec
 from .faults.plan import FaultPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sim.latency import LatencyModel
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,18 @@ class SimulationConfig:
     def with_(self, **overrides) -> "SimulationConfig":
         """A copy with the given top-level fields replaced."""
         return replace(self, **overrides)
+
+    def latency_model(self) -> "LatencyModel":
+        """The WAN this deployment runs on: ``regions``, or the paper's first
+        ``n_dcs`` regions, with this configuration's jitter.
+        """
+        from .sim.latency import LatencyModel
+
+        if self.regions is not None:
+            return LatencyModel(self.regions, jitter_fraction=self.latency_jitter)
+        return LatencyModel.for_paper_deployment(
+            self.cluster.n_dcs, jitter_fraction=self.latency_jitter
+        )
 
 
 def small_test_config(

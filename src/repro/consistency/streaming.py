@@ -519,12 +519,17 @@ class StreamingOracle:
             self.checker.feed(event)
 
 
+def read_events(path) -> Iterator[TraceEvent]:
+    """Stream a persisted JSONL trace back as the events it recorded."""
+    return (decode_event(obj) for obj in read_jsonl(path))
+
+
 def check_trace(
     path, window: Optional[float] = None, level: str = "tcc"
 ) -> StreamingChecker:
     """Re-check a persisted JSONL trace; returns the finished checker."""
     checker = StreamingChecker(window=window, level=level)
-    checker.run(decode_event(obj) for obj in read_jsonl(path))
+    checker.run(read_events(path))
     return checker
 
 

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..bench import results as results_mod
 from ..bench.sweep import (
+    DEFAULT_SEED,
     SweepSpec,
     SweepSpecError,
     config_from_params,
@@ -273,7 +274,7 @@ class ServeService:
         if unknown:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
         params = dict(params)
-        params.setdefault("seed", 1)  # the CLI's default seed
+        params.setdefault("seed", DEFAULT_SEED)
         try:
             resolved = resolve_params(params)
             config_from_params(resolved)  # full validation before queuing

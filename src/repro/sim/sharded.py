@@ -28,7 +28,6 @@ nothing to parallelise — ``repro run --shards`` requires ``N <= n_dcs``.
 
 from __future__ import annotations
 
-import cProfile
 import traceback
 from multiprocessing.connection import Connection
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
@@ -144,52 +143,27 @@ def _shard_worker(conn: Connection, payload: Dict[str, Any]) -> None:
     """
     # Imported here (not at module top) to keep the parent-side import of
     # this module free of the bench->sim->bench cycle at class-load time.
-    from ..bench.harness import build_cluster, collect_measures, deploy_sessions
-    from ..consistency.streaming import StreamingOracle
-    from ..workload.runner import SessionStats
-    from .trace import TraceWriter
+    from ..bench import harness
 
     try:
-        profiler: Optional[cProfile.Profile] = None
-        if payload["profile_path"]:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        writer: Optional[TraceWriter] = None
-        oracle: Optional[StreamingOracle] = None
-        if payload["trace_path"]:
-            writer = TraceWriter(payload["trace_path"])
-            oracle = StreamingOracle(sink=writer)
-        cluster = build_cluster(
-            payload["config"],
-            protocol=payload["protocol"],
-            oracle=oracle,
-            local_dcs=payload["local_dcs"],
-        )
-        stats = SessionStats()
-        drivers = deploy_sessions(cluster, stats)
-        for driver in drivers:
-            driver.start()
-        sim = cluster.sim
-        network = cluster.network
-        for index, (barrier, kind) in enumerate(payload["schedule"]):
-            if kind == "step":
-                sim.run_window(barrier)
-            else:
-                sim.run(until=barrier)
-            conn.send(("barrier", index, network.drain_outbox()))
-            for deliver_at, envelope in conn.recv():
-                network.inject(deliver_at, envelope)
-            if kind == "open":
-                stats.open_window(sim.now)
-            elif kind == "close":
-                stats.close_window(sim.now)
-        measures = collect_measures(cluster, stats)
-        if writer is not None:
-            writer.close()
-            measures["trace_events"] = writer.count
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(payload["profile_path"])
+        with harness.profiled(payload["profile_path"]), harness.recording(
+            payload["trace_path"]
+        ) as oracle:
+            cluster, stats = harness.start_cluster(
+                payload["config"],
+                protocol=payload["protocol"],
+                oracle=oracle,
+                local_dcs=payload["local_dcs"],
+            )
+            network = cluster.network
+
+            def exchange(index: int) -> None:
+                conn.send(("barrier", index, network.drain_outbox()))
+                for deliver_at, envelope in conn.recv():
+                    network.inject(deliver_at, envelope)
+
+            harness.drive(cluster, stats, payload["schedule"], exchange)
+            measures = harness.collect_measures(cluster, stats)
         conn.send(("done", measures))
         conn.close()
     except BaseException:  # noqa: BLE001 - ship the traceback to the parent
@@ -256,13 +230,7 @@ def run_sharded_experiment(
                 f"rewire servers across the shard cut; run without --shards"
             )
     assignment = shard_dcs(config.cluster.n_dcs, shards)
-    if config.regions is not None:
-        latency = LatencyModel(config.regions, jitter_fraction=config.latency_jitter)
-    else:
-        latency = LatencyModel.for_paper_deployment(
-            config.cluster.n_dcs, jitter_fraction=config.latency_jitter
-        )
-    window = lookahead_window(latency, assignment)
+    window = lookahead_window(config.latency_model(), assignment)
     schedule = barrier_schedule(config.warmup, config.warmup + config.duration, window)
     shard_of = {dc: i for i, dcs in enumerate(assignment) for dc in dcs}
 

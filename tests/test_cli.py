@@ -30,6 +30,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("command", ["run", "compare", "check", "chaos"])
+    def test_flag_defaults_are_the_param_defaults(self, command):
+        """One table of run-parameter defaults: the flags take theirs from it."""
+        from repro.bench.sweep import DEFAULT_SEED, PARAM_DEFAULTS, resolve_params
+
+        args = cli.build_parser().parse_args([command])
+        for name in set(PARAM_DEFAULTS) - {"protocol"}:  # compare's is a list
+            assert getattr(args, name) == PARAM_DEFAULTS[name], name
+        assert args.seed == DEFAULT_SEED
+        assert cli.params_from_args(args) == resolve_params({"seed": DEFAULT_SEED})
+
     def test_config_from_args(self):
         args = cli.build_parser().parse_args(["run", *FAST, "--mix", "50:50"])
         config = cli.config_from_args(args)
@@ -181,6 +192,24 @@ class TestJsonOutput:
         assert data["protocol"] == "paris"
         assert data["throughput"] > 0
         assert isinstance(data["visibility_cdf"], list)
+
+    def test_run_big_json_is_one_document_at_any_shard_count(self, capsys, tmp_path):
+        """Status lines go to stderr under --json, so stdout parses."""
+        import json
+
+        documents = []
+        for shards in ("1", "2"):
+            assert cli.main([
+                "run", *FAST, "--big", "--json", "--shards", shards,
+                "--save", "--repo", str(tmp_path / "repo"),
+                "--profile", str(tmp_path / "run.stats"),
+            ]) == 0
+            captured = capsys.readouterr()
+            documents.append(json.loads(captured.out))
+            for line in ("streaming check", "profile: ", "saved record "):
+                assert line in captured.err and line not in captured.out
+        assert documents[0] == documents[1]
+        assert documents[0]["transactions_measured"] > 0
 
     def test_result_round_trips_through_json(self):
         import json

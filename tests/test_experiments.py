@@ -8,6 +8,9 @@ import pytest
 
 from repro.bench import experiments as exp
 from repro.bench import report
+from repro.bench.sweep import config_from_params
+from repro.config import mix_workload
+from repro.protocols import protocol_names
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +38,13 @@ class TestScales:
         assert (paper.n_dcs, paper.machines_per_dc) == (5, 18)
 
     def test_mix_workloads(self):
-        assert exp.mix_workload("95:5").reads_per_tx == 19
-        assert exp.mix_workload("50:50").writes_per_tx == 10
+        assert mix_workload("95:5").reads_per_tx == 19
+        assert mix_workload("50:50").writes_per_tx == 10
         with pytest.raises(ValueError):
-            exp.mix_workload("80:20")
+            mix_workload("80:20")
 
     def test_base_config_applies_scale(self, micro_scale):
-        config = exp.base_config(micro_scale, threads=3)
+        config, _ = config_from_params(exp.scale_params(micro_scale, threads=3))
         assert config.cluster.n_dcs == micro_scale.n_dcs
         assert config.workload.threads_per_client == 3
         assert config.workload.keys_per_partition == micro_scale.keys_per_partition
@@ -160,7 +163,9 @@ class TestAblations:
         assert "stabilization" in report.render_stabilization(rows).lower()
 
     def test_cache_ablation_flags_only_broken_variant(self, micro_scale):
+        registered = protocol_names()
         rows = exp.ablation_client_cache(micro_scale)
+        assert protocol_names() == registered  # the throwaway spec is gone again
         healthy, broken = rows
         assert healthy.violations == 0
         assert broken.violations > 0

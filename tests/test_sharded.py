@@ -15,8 +15,9 @@ import json
 import pytest
 
 from repro import cli, small_test_config
-from repro.bench.harness import run_experiment
+from repro.bench.harness import run_experiment, run_recorded
 from repro.consistency.streaming import (
+    StreamingChecker,
     StreamingOracle,
     TraceMergeError,
     merge_traces,
@@ -169,6 +170,31 @@ class TestByteIdentity:
         assert (tmp_path / "sh.jsonl").read_bytes() == (
             tmp_path / "seq.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("keep_trace", [True, False], ids=["trace", "scratch"])
+    def test_run_recorded_feeds_the_checker_the_same_stream(self, keep_trace, tmp_path):
+        """``run_recorded(shards=N)`` owns the merged trace and the post-merge
+        check: same bytes and same checker counters as the live ``shards=1``
+        stream, whether or not the caller keeps the trace.
+        """
+        config, counters, traces = _config(), [], []
+        for shards in (1, 2):
+            checker = StreamingChecker(window=0.1)
+            trace = tmp_path / f"s{shards}.jsonl" if keep_trace else None
+            result = run_recorded(
+                config, "paris", trace_out=trace, checker=checker, shards=shards
+            )
+            counters.append((
+                result.to_dict(),
+                checker.commits_checked,
+                checker.reads_checked,
+                checker.versions_retired,
+                len(checker.violations),
+            ))
+            traces.append(trace.read_bytes() if keep_trace else None)
+        assert counters[0] == counters[1]
+        assert counters[0][1] > 0 and counters[0][3] > 0
+        assert traces[0] == traces[1]
 
     def test_shard_files_left_beside_merged_trace(self, tmp_path):
         run_sharded_experiment(

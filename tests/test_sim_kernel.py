@@ -497,3 +497,59 @@ def test_map_future_is_gone():
         if "map_future" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def _calls(tree):
+    """``(called name, call node)`` for every call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield getattr(node.func, "attr", getattr(node.func, "id", None)), node
+
+
+def _enclosing_functions(tree, names):
+    """Names of the outermost functions of ``tree`` that call one of ``names``."""
+    return {
+        outer.name
+        for outer in tree.body
+        if isinstance(outer, (ast.FunctionDef, ast.ClassDef))
+        for name, _ in _calls(outer)
+        if name in names
+    }
+
+
+def test_the_run_spine_is_written_once():
+    """Start / drive / record live in ``bench/harness.py`` and nowhere else.
+
+    One function opens and closes the measurement window; the CLI, the
+    figures and the shard worker wire no oracle, trace sink or profiler of
+    their own; and a ``SimulationConfig`` is assembled only by its own
+    module and by ``config_from_params``.
+    """
+    trees = {
+        str(path.relative_to(_SRC)): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(_SRC.rglob("*.py"))
+    }
+    window_edges = {
+        (relative, function)
+        for relative, tree in trees.items()
+        if relative not in ("workload/runner.py", "sim/stats.py")
+        for function in _enclosing_functions(tree, {"open_window", "close_window"})
+    }
+    assert window_edges == {("bench/harness.py", "drive")}
+
+    for relative in ("cli.py", "bench/experiments.py", "sim/sharded.py"):
+        wired = {name for name, _ in _calls(trees[relative])} & {"StreamingOracle", "TraceWriter"}
+        profilers = [
+            node
+            for node in ast.walk(trees[relative])
+            if (isinstance(node, ast.Name) and node.id == "cProfile")
+            or (isinstance(node, ast.Import) and any(a.name == "cProfile" for a in node.names))
+        ]
+        assert (relative, wired, profilers) == (relative, set(), [])
+
+    builders = {
+        relative
+        for relative, tree in trees.items()
+        if any(name == "SimulationConfig" for name, _ in _calls(tree))
+    }
+    assert builders == {"config.py", "bench/sweep.py"}
