@@ -17,7 +17,7 @@ Run:  python examples/capacity_planning.py
 import dataclasses
 
 from repro.bench import experiments as exp
-from repro.bench import report
+from repro.bench.figures import FIGURES
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
 
     print("== Storage footprint: partial (RF=2) vs full replication ==\n")
     rows = exp.capacity_comparison(scale)
-    print(report.render_capacity(rows))
+    print(FIGURES["capacity"].render(rows))
     partial, full = rows
     print(
         f"\nA {scale.n_dcs}-DC deployment with RF={partial.replication_factor} "
@@ -39,7 +39,7 @@ def main() -> None:
     # Low-locality points need far more threads to saturate (the paper went
     # from 32 to 512); the ladder's top rung is what makes 50:50 comparable.
     points = exp.figure_3(scale, localities=(1.0, 0.9, 0.5), thread_ladder=(8, 32, 128))
-    print(report.render_figure_3(points))
+    print(FIGURES["fig3"].render(points))
     fully_local = points[0].result
     half_local = points[-1].result
     print(

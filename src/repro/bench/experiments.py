@@ -1,24 +1,28 @@
 """One entry point per table/figure of the paper's evaluation (Section V).
 
 Each function runs the simulated counterpart of one experiment and returns
-structured rows; :mod:`repro.bench.report` renders them in the paper's
-format.  Experiments accept a :class:`BenchScale` so the same code drives
+its rows: a measured run is a :class:`Run` (its flat run parameters and its
+:class:`ExperimentResult`); only rows that are not one run (a fault episode,
+a storage footprint, a traffic count) have a dataclass of their own.
+Experiments accept a :class:`BenchScale` so the same code drives
 quick CI-sized runs and the full paper-shaped deployment (5 DCs x 18
 machines); the *shape* of every result is scale-invariant, which is what the
 reproduction checks: :mod:`repro.bench.figures` pairs every function here
-with its renderer, the paper's claim and the shape assertions, and
-``repro figure`` / ``benchmarks/run_all.py`` (EXPERIMENTS.md) loop over it.
+with the columns of its table, the paper's claim and the shape assertions,
+and ``repro figure`` / ``benchmarks/run_all.py`` (EXPERIMENTS.md) loop over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..config import SimulationConfig
+from ..config import ReconfigConfig, SimulationConfig
 from ..consistency.streaming import StreamingChecker
+from ..core.client import PaRiSClient
 from ..faults.plan import FaultEvent, FaultPlan
+from ..protocols import get_protocol, register, unregister
 from ..workload.runner import SessionStats
 from .harness import (
     Cluster,
@@ -143,6 +147,25 @@ def scale_config(scale: BenchScale, **overrides: Any) -> Tuple[SimulationConfig,
     return config_from_params(scale_params(scale, **overrides))
 
 
+class Run(NamedTuple):
+    """One measured run of a figure: what it was built from, what it measured.
+
+    ``params`` is the exact flat dict the run was configured from
+    (:func:`scale_params`), so ``run_experiment(*config_from_params(params))``
+    measures ``result`` again.  The two ablations also record the one value
+    they set through ``config.with_`` (``stabilization_interval``,
+    ``clock_mode``), which the run-parameter namespace cannot express.
+    """
+
+    params: Dict[str, Any]
+    result: ExperimentResult
+
+
+def _run(params: Dict[str, Any]) -> Run:
+    """Configure a run from ``params`` and measure it."""
+    return Run(params, run_experiment(*config_from_params(params)))
+
+
 def _completed_by(cluster: Cluster, stats: SessionStats, until: float) -> int:
     """Run to simulated time ``until``; transactions completed so far."""
     cluster.sim.run(until=until)
@@ -152,24 +175,15 @@ def _completed_by(cluster: Cluster, stats: SessionStats, until: float) -> int:
 # ----------------------------------------------------------------------
 # Figure 1: throughput vs latency, PaRiS vs BPR
 # ----------------------------------------------------------------------
-@dataclass
-class CurvePoint:
-    """One load point of a throughput/latency curve."""
-
-    protocol: str
-    threads: int
-    result: ExperimentResult
-
-
 def figure_1(
     mix: str = "95:5",
     scale: BenchScale = DEFAULT_SCALE,
     thread_ladder: Optional[Sequence[int]] = None,
     protocols: Sequence[str] = ("paris", "bpr"),
-) -> List[CurvePoint]:
+) -> List[Run]:
     """Throughput vs average latency curves (Figures 1a / 1b)."""
     ladder = tuple(thread_ladder) if thread_ladder is not None else scale.thread_ladder
-    points: List[CurvePoint] = []
+    points: List[Run] = []
     for protocol in protocols:
         # "BPR needs a higher number of concurrent client threads to fully
         # utilize the processing power left idle by blocked reads" (Section
@@ -180,18 +194,16 @@ def figure_1(
             top = ladder[-1]
             protocol_ladder = ladder + (top * 2, top * 4)
         for threads in protocol_ladder:
-            result = run_experiment(
-                *scale_config(scale, mix=mix, threads=threads, protocol=protocol)
-            )
-            points.append(CurvePoint(protocol=protocol, threads=threads, result=result))
-            if result.mean_cpu_utilization >= 0.97:
+            point = _run(scale_params(scale, mix=mix, threads=threads, protocol=protocol))
+            points.append(point)
+            if point.result.mean_cpu_utilization >= 0.97:
                 break  # saturated: further rungs only add queueing latency
     return points
 
 
-def peak_throughput(points: List[CurvePoint], protocol: str) -> CurvePoint:
+def peak_throughput(points: List[Run], protocol: str) -> Run:
     """The highest-throughput point of one protocol's curve."""
-    candidates = [p for p in points if p.protocol == protocol]
+    candidates = [p for p in points if p.params["protocol"] == protocol]
     if not candidates:
         raise ValueError(f"no points for protocol {protocol!r}")
     return max(candidates, key=lambda p: p.result.throughput)
@@ -202,15 +214,15 @@ class Figure1Summary:
     """The headline comparisons the paper quotes for Figure 1."""
 
     mix: str
-    paris_peak: CurvePoint
-    bpr_peak: CurvePoint
+    paris_peak: Run
+    bpr_peak: Run
     throughput_gain: float
     #: Mean-latency ratio BPR/PaRiS at matched load (each protocol's peak).
     latency_ratio: float
     bpr_blocking_at_peak: float
 
 
-def summarize_figure_1(mix: str, points: List[CurvePoint]) -> Figure1Summary:
+def summarize_figure_1(mix: str, points: List[Run]) -> Figure1Summary:
     """Compute the paper's headline ratios from a Figure 1 sweep."""
     paris_peak = peak_throughput(points, "paris")
     bpr_peak = peak_throughput(points, "bpr")
@@ -239,47 +251,38 @@ def summarize_figure_1(mix: str, points: List[CurvePoint]) -> Figure1Summary:
 # ----------------------------------------------------------------------
 # Figure 2: scalability
 # ----------------------------------------------------------------------
-@dataclass
-class ScalePoint:
-    """One bar of the scalability bar charts."""
-
-    n_dcs: int
-    machines_per_dc: int
-    threads_at_peak: int
-    result: ExperimentResult
-
-
 def saturated_run(
     scale: BenchScale,
     thread_ladder: Optional[Sequence[int]] = None,
     **params: Any,
-) -> Tuple[int, ExperimentResult]:
+) -> Run:
     """Climb a thread ladder until throughput stops improving (saturation).
 
     Mirrors the paper's methodology: each configuration (``params`` over
     :func:`scale_params`) is loaded with as many closed-loop threads as it
-    takes to saturate it, and the saturated throughput is reported.  The
-    ladder doubles per rung and stops early once an extra rung gains less
-    than 5 %.
+    takes to saturate it, and the saturated run is returned (its
+    ``params["threads"]`` is the thread count at peak).  The ladder doubles
+    per rung and stops early once an extra rung gains less than 5 %.
     """
     if thread_ladder is None:
         top = scale.saturating_threads
         thread_ladder = tuple(top * (2 ** i) for i in range(5))
-    best: Optional[Tuple[int, ExperimentResult]] = None
+    best: Optional[Run] = None
     for threads in thread_ladder:
-        result = run_experiment(*scale_config(scale, threads=threads, **params))
-        if best is not None and result.throughput < best[1].throughput * 1.05:
-            if result.throughput > best[1].throughput:
-                best = (threads, result)
+        run = _run(scale_params(scale, threads=threads, **params))
+        if best is not None and run.result.throughput < best.result.throughput * 1.05:
+            if run.result.throughput > best.result.throughput:
+                best = run
             break
-        best = (threads, result)
-        if result.mean_cpu_utilization >= 0.97:
+        best = run
+        if run.result.mean_cpu_utilization >= 0.97:
             break  # CPU-bound: more threads cannot raise throughput
-    assert best is not None
+    if best is None:
+        raise ValueError("empty thread ladder")
     return best
 
 
-def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[ScalePoint]:
+def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[Run]:
     """Saturated PaRiS throughput at each ``(DCs, machines/DC)`` of ``grid``.
 
     The transaction footprint is pinned to fit the smallest configuration:
@@ -288,47 +291,38 @@ def _figure_2(scale: BenchScale, grid: Sequence[Tuple[int, int]]) -> List[ScaleP
     and the sweep would not be comparing like with like.
     """
     partitions_per_tx = min(4, min(machines for _, machines in grid))
-    points = []
-    for n_dcs, machines in grid:
-        threads, result = saturated_run(
-            scale, dcs=n_dcs, machines=machines, partitions_per_tx=partitions_per_tx
-        )
-        points.append(
-            ScalePoint(
-                n_dcs=n_dcs,
-                machines_per_dc=machines,
-                threads_at_peak=threads,
-                result=result,
-            )
-        )
-    return points
+    return [
+        saturated_run(scale, dcs=n_dcs, machines=machines, partitions_per_tx=partitions_per_tx)
+        for n_dcs, machines in grid
+    ]
 
 
-def figure_2a(scale: BenchScale = DEFAULT_SCALE) -> List[ScalePoint]:
+def figure_2a(scale: BenchScale = DEFAULT_SCALE) -> List[Run]:
     """PaRiS saturated throughput vs machines per DC (Figure 2a)."""
     return _figure_2(scale, [(d, m) for d in scale.fig2a_dcs for m in scale.fig2a_machines])
 
 
-def figure_2b(scale: BenchScale = DEFAULT_SCALE) -> List[ScalePoint]:
+def figure_2b(scale: BenchScale = DEFAULT_SCALE) -> List[Run]:
     """PaRiS saturated throughput vs number of DCs (Figure 2b)."""
     return _figure_2(scale, [(d, m) for m in scale.fig2b_machines for d in scale.fig2b_dcs])
 
 
-def scaling_factor(points: List[ScalePoint], *, by: str) -> Dict[int, float]:
+def scaling_factor(points: List[Run], *, by: str) -> Dict[int, float]:
     """Throughput ratio largest/smallest configuration, per group.
 
-    ``by='dcs'`` groups Figure 2a curves (scaling in machines/DC);
-    ``by='machines'`` groups Figure 2b curves (scaling in DCs).
+    ``by`` is the run parameter that names a group and the other one is the
+    axis scaled along: ``by='dcs'`` groups Figure 2a curves (scaling in
+    machines/DC), ``by='machines'`` groups Figure 2b curves (scaling in DCs).
     """
-    groups: Dict[int, List[ScalePoint]] = {}
+    axis = {"dcs": "machines", "machines": "dcs"}.get(by)
+    if axis is None:
+        raise ValueError(f"by must be 'dcs' or 'machines', not {by!r}")
+    groups: Dict[int, List[Run]] = {}
     for point in points:
-        key = point.n_dcs if by == "dcs" else point.machines_per_dc
-        groups.setdefault(key, []).append(point)
+        groups.setdefault(point.params[by], []).append(point)
     factors = {}
     for key, group in groups.items():
-        group = sorted(
-            group, key=lambda p: p.machines_per_dc if by == "dcs" else p.n_dcs
-        )
+        group = sorted(group, key=lambda p: p.params[axis])
         first, last = group[0].result.throughput, group[-1].result.throughput
         factors[key] = last / first if first else float("inf")
     return factors
@@ -337,20 +331,11 @@ def scaling_factor(points: List[ScalePoint], *, by: str) -> Dict[int, float]:
 # ----------------------------------------------------------------------
 # Figure 3: locality sweep
 # ----------------------------------------------------------------------
-@dataclass
-class LocalityPoint:
-    """Saturation throughput and latency at one locality ratio."""
-
-    locality: float
-    threads_at_peak: int
-    result: ExperimentResult
-
-
 def figure_3(
     scale: BenchScale = DEFAULT_SCALE,
     localities: Sequence[float] = (1.0, 0.95, 0.90, 0.50),
     thread_ladder: Optional[Sequence[int]] = None,
-) -> List[LocalityPoint]:
+) -> List[Run]:
     """Throughput and latency when varying locality (Figures 3a / 3b).
 
     As in the paper, lower locality needs more client threads to saturate the
@@ -359,77 +344,41 @@ def figure_3(
     if thread_ladder is None:
         top = scale.saturating_threads
         thread_ladder = (max(1, top // 4), top, top * 4)
-    points = []
-    for locality in localities:
-        threads, result = saturated_run(scale, thread_ladder, locality=locality)
-        points.append(
-            LocalityPoint(locality=locality, threads_at_peak=threads, result=result)
-        )
-    return points
+    return [saturated_run(scale, thread_ladder, locality=locality) for locality in localities]
 
 
 # ----------------------------------------------------------------------
 # Figure 4: update visibility latency CDF
 # ----------------------------------------------------------------------
-@dataclass
-class VisibilityResult:
-    """Per-protocol visibility CDF (mean of per-partition CDFs)."""
-
-    protocol: str
-    result: ExperimentResult
-
-
 def figure_4(
     scale: BenchScale = DEFAULT_SCALE,
     threads: Optional[int] = None,
     sample_rate: float = 0.25,
-) -> List[VisibilityResult]:
+) -> List[Run]:
     """Update visibility latency of PaRiS vs BPR (Figure 4)."""
     if threads is None:
         threads = max(1, scale.saturating_threads // 4)
-    results = []
-    for protocol in ("paris", "bpr"):
-        config, _ = scale_config(
-            scale, threads=threads, visibility_sample_rate=sample_rate, protocol=protocol
+    return [
+        _run(
+            scale_params(
+                scale, threads=threads, visibility_sample_rate=sample_rate, protocol=protocol
+            )
         )
-        result = run_experiment(config, protocol=protocol)
-        results.append(VisibilityResult(protocol=protocol, result=result))
-    return results
+        for protocol in ("paris", "bpr")
+    ]
 
 
 # ----------------------------------------------------------------------
 # Section V-B text: BPR blocking time at peak throughput
 # ----------------------------------------------------------------------
-@dataclass
-class BlockingResult:
-    """Average read blocking time of BPR for one mix."""
-
-    mix: str
-    threads: int
-    blocking_mean: float
-    blocked_fraction: float
-    throughput: float
-
-
 def blocking_time(
     scale: BenchScale = DEFAULT_SCALE, mixes: Sequence[str] = ("95:5", "50:50")
-) -> List[BlockingResult]:
+) -> List[Run]:
     """BPR's average blocking time at high load (quoted in Section V-B)."""
-    rows = []
-    for mix in mixes:
-        result = run_experiment(
-            *scale_config(scale, mix=mix, threads=scale.saturating_threads, protocol="bpr")
-        )
-        rows.append(
-            BlockingResult(
-                mix=mix,
-                threads=scale.saturating_threads,
-                blocking_mean=result.blocking_mean,
-                blocked_fraction=result.blocked_fraction,
-                throughput=result.throughput,
-            )
-        )
-    return rows
+    return [
+        _run(scale_params(scale, mix=mix, threads=scale.saturating_threads, protocol="bpr"))
+        for mix in mixes
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -498,8 +447,9 @@ def partition_stall(
             window_end = max(heals)
         drain_until = max(drain_until, window_end + 1.0)
     # One closed-loop thread per client: the scenario is qualitative
-    # (availability, not saturation), and the consistency checker's closure
-    # walk is super-linear in history size, so keep the history small.
+    # (availability, not saturation), and the inline checker is fed every
+    # event of the history, so more load would lengthen the checked run
+    # without sharpening the contrast.
     rows: List[PartitionStallResult] = []
     for protocol in protocols:
         checker = StreamingChecker()
@@ -639,9 +589,6 @@ def reconfig_soak(
     drain window closes inside the run; like ``partition_stall`` the load is
     one closed-loop thread per client to keep the checked history small.
     """
-    from ..config import ReconfigConfig
-    from ..protocols import get_protocol
-
     churn_start = scale.warmup + 0.05 * scale.duration
     churn_end = scale.warmup + 0.95 * scale.duration
     drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
@@ -728,21 +675,10 @@ def capacity_comparison(scale: BenchScale = DEFAULT_SCALE) -> List[CapacityRow]:
 # ----------------------------------------------------------------------
 # Ablations (ours; design choices docs/architecture.md calls out)
 # ----------------------------------------------------------------------
-@dataclass
-class StabilizationPoint:
-    """Staleness/visibility at one stabilization period."""
-
-    interval: float
-    ust_staleness: float
-    visibility_mean: float
-    throughput: float
-    stabilization_messages: int
-
-
 def ablation_stabilization(
     scale: BenchScale = DEFAULT_SCALE,
     intervals: Sequence[float] = (0.001, 0.005, 0.020, 0.050),
-) -> List[StabilizationPoint]:
+) -> List[Run]:
     """Sensitivity of data staleness to the stabilization period.
 
     The paper runs its stabilization every 5 ms; this sweep quantifies the
@@ -750,24 +686,19 @@ def ablation_stabilization(
     """
     rows = []
     for interval in intervals:
-        config, protocol = scale_config(
-            scale,
-            threads=max(1, scale.saturating_threads // 8),
-            visibility_sample_rate=0.25,
+        params = scale_params(
+            scale, threads=max(1, scale.saturating_threads // 8), visibility_sample_rate=0.25
         )
+        config, protocol = config_from_params(params)
         config = config.with_(
             protocol=replace(
                 config.protocol, gst_interval=interval, ust_interval=interval
             )
         )
-        result = run_experiment(config, protocol=protocol)
         rows.append(
-            StabilizationPoint(
-                interval=interval,
-                ust_staleness=result.ust_staleness,
-                visibility_mean=result.visibility_mean,
-                throughput=result.throughput,
-                stabilization_messages=result.messages_total,
+            Run(
+                {**params, "stabilization_interval": interval},
+                run_experiment(config, protocol=protocol),
             )
         )
     return rows
@@ -836,19 +767,9 @@ def _inter_dc_replication(cluster) -> int:
     return cluster.network.metrics.by_type.get("ReplicateMsg", 0)
 
 
-@dataclass
-class ClockAblationPoint:
-    """Visibility/throughput of one clock mode."""
-
-    mode: str
-    visibility_mean: float
-    visibility_p99: float
-    throughput: float
-
-
 def ablation_clocks(
     scale: BenchScale = DEFAULT_SCALE, modes: Sequence[str] = ("hlc", "logical")
-) -> List[ClockAblationPoint]:
+) -> List[Run]:
     """HLC vs pure logical clocks (Section III-B's freshness argument).
 
     Logical clocks advance only on events, so quiet partitions hold the UST
@@ -857,20 +778,13 @@ def ablation_clocks(
     """
     rows = []
     for mode in modes:
-        config, protocol = scale_config(
-            scale,
-            threads=max(1, scale.saturating_threads // 8),
-            visibility_sample_rate=0.25,
+        params = scale_params(
+            scale, threads=max(1, scale.saturating_threads // 8), visibility_sample_rate=0.25
         )
+        config, protocol = config_from_params(params)
         config = config.with_(clocks=replace(config.clocks, mode=mode))
-        result = run_experiment(config, protocol=protocol)
         rows.append(
-            ClockAblationPoint(
-                mode=mode,
-                visibility_mean=result.visibility_mean,
-                visibility_p99=result.visibility_p99,
-                throughput=result.throughput,
-            )
+            Run({**params, "clock_mode": mode}, run_experiment(config, protocol=protocol))
         )
     return rows
 
@@ -891,9 +805,6 @@ def ablation_client_cache(scale: BenchScale = DEFAULT_SCALE) -> List[CacheAblati
     Without WC_c, a client's own committed writes are invisible until the UST
     catches up, breaking read-your-writes — the checker must catch it.
     """
-    from ..core.client import PaRiSClient
-    from ..protocols import get_protocol, register, unregister
-
     class NoCacheClient(PaRiSClient):
         """PaRiS client with the write cache disabled (broken on purpose)."""
 

@@ -3,8 +3,12 @@
 :data:`FIGURES` holds one :class:`Figure` per table, figure, quoted number
 or claim of the paper (Section V, and the claims of Sections I, III and VI),
 plus our three ablations and the design-space study.  An entry names the
-experiment that produces the rows, the renderer, the paper's claim, the
-sentence that sets the measured shape against it, and the shape assertions.
+experiment that produces the rows, the table that renders them (a
+:func:`repro.bench.report.table` whose columns are declared here, next to
+the entry's checks), the paper's claim, the sentence that sets the measured
+shape against it, and the shape assertions.  A measured row is an
+:class:`~repro.bench.experiments.Run`: ``run.params`` holds what a column
+reports about the configuration, ``run.result`` what it measured.
 ``repro figure``, ``benchmarks/run_all.py`` (EXPERIMENTS.md) and CI's
 ``figures-smoke`` job loop over the table, and tier-1 tests hold the figure
 maps of README.md and docs/experiments.md to its names; adding an artifact
@@ -23,11 +27,11 @@ import math
 import pathlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import experiments as exp
 from . import report, results, sweep
-from .experiments import BenchScale
+from .experiments import BenchScale, Run
 
 #: The committed sweep spec behind the ``design_space`` entry; relative, so
 #: the figure is regenerated from the repository root (as CI does).
@@ -57,7 +61,8 @@ class Figure:
     paper: str
     #: ``run(scale) -> rows``: the experiment.
     run: Callable[[BenchScale], Any]
-    #: ``render(rows) -> str``: the table ``repro figure`` prints.
+    #: ``render(rows) -> str``: the table ``repro figure`` prints
+    #: (a :func:`repro.bench.report.table`, or a function composing one).
     render: Callable[[Any], str]
     #: ``measured(rows, scale) -> str``: the measured shape, in one sentence.
     measured: Callable[[Any, BenchScale], str]
@@ -82,12 +87,28 @@ def _run_fig1(mix: str, scale: BenchScale) -> Tuple[list, exp.Figure1Summary]:
     return points, exp.summarize_figure_1(mix, points)
 
 
-def _render_fig1(rows: Tuple[list, exp.Figure1Summary]) -> str:
+_FIG1_COLUMNS = (
+    ("protocol", lambda run: run.params["protocol"]),
+    ("threads", lambda run: run.params["threads"]),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+    ("avg lat (ms)", lambda run: f"{run.result.latency_mean_ms:.2f}"),
+    ("p99 lat (ms)", lambda run: f"{run.result.latency_p99 * 1000:.2f}"),
+    ("block (ms)", lambda run: f"{run.result.blocking_mean * 1000:.2f}"),
+)
+
+
+def _render_fig1(rows: Tuple[List[Run], exp.Figure1Summary]) -> str:
+    """The curve points per protocol, then the headline ratios the paper quotes."""
     points, summary = rows
+    paris, bpr = summary.paris_peak.result, summary.bpr_peak.result
+    curve = report.table(f"Figure 1 ({summary.mix} r:w) — throughput vs latency", *_FIG1_COLUMNS)
     return (
-        report.render_figure_1(summary.mix, points)
-        + "\n"
-        + report.render_figure_1_summary(summary)
+        f"{curve(points)}\n"
+        f"mix {summary.mix}: PaRiS peak {paris.throughput:.0f} tx/s @ "
+        f"{paris.latency_mean_ms:.2f} ms; "
+        f"BPR peak {bpr.throughput:.0f} tx/s @ {bpr.latency_mean_ms:.2f} ms; "
+        f"throughput gain {summary.throughput_gain:.2f}x, latency ratio "
+        f"{summary.latency_ratio:.2f}x, BPR blocking {summary.bpr_blocking_at_peak * 1000:.1f} ms"
     )
 
 
@@ -115,13 +136,13 @@ def _check_fig1a(rows: Tuple[list, exp.Figure1Summary], scale: BenchScale) -> No
     points, summary = rows
     _expect(summary.throughput_gain > 1.0, "PaRiS must out-throughput BPR")
     _expect(summary.latency_ratio > 2.0, "PaRiS must be several times faster")
-    paris = {p.threads: p for p in points if p.protocol == "paris"}
+    paris = {p.params["threads"]: p for p in points if p.params["protocol"] == "paris"}
     for point in points:
-        twin = paris.get(point.threads)
-        if point.protocol == "bpr" and twin is not None:
+        twin = paris.get(point.params["threads"])
+        if point.params["protocol"] == "bpr" and twin is not None:
             _expect(
                 twin.result.latency_mean < point.result.latency_mean,
-                f"PaRiS is slower than BPR at {point.threads} threads",
+                f"PaRiS is slower than BPR at {point.params['threads']} threads",
             )
 
 
@@ -141,23 +162,35 @@ def _check_fig1b(rows: Tuple[list, exp.Figure1Summary], scale: BenchScale) -> No
 # ----------------------------------------------------------------------
 # Section V-B quote: BPR's read blocking time
 # ----------------------------------------------------------------------
-def _measured_blocking(rows: list, scale: BenchScale) -> str:
+_render_blocking = report.table(
+    "BPR read blocking time at high load (Section V-B)",
+    ("mix", lambda run: run.params["mix"]),
+    ("threads", lambda run: run.params["threads"]),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+    ("avg block (ms)", lambda run: f"{run.result.blocking_mean * 1000:.1f}"),
+    ("blocked frac", lambda run: f"{run.result.blocked_fraction:.2f}"),
+)
+
+
+def _measured_blocking(rows: List[Run], scale: BenchScale) -> str:
     return (
         "**Measured:** "
-        + ", ".join(f"{row.blocking_mean * 1000:.1f} ms ({row.mix})" for row in rows)
+        + ", ".join(
+            f"{row.result.blocking_mean * 1000:.1f} ms ({row.params['mix']})" for row in rows
+        )
         + " — set by the one-way latency to the peer replica plus the apply "
         "period, the same mechanism the paper identifies."
     )
 
 
-def _check_blocking(rows: list, scale: BenchScale) -> None:
+def _check_blocking(rows: List[Run], scale: BenchScale) -> None:
     """Blocking is tens of milliseconds, nearly every read blocks, and the
     write-heavy mix blocks at least as long as the read-heavy one.
     """
-    by_mix = {row.mix: row for row in rows}
+    by_mix = {row.params["mix"]: row.result for row in rows}
     for row in rows:
-        _expect(0.005 < row.blocking_mean < 0.5, "blocking should be tens of ms")
-        _expect(row.blocked_fraction > 0.5, "fresh snapshots park almost every read")
+        _expect(0.005 < row.result.blocking_mean < 0.5, "blocking should be tens of ms")
+        _expect(row.result.blocked_fraction > 0.5, "fresh snapshots park almost every read")
     _expect(
         by_mix["50:50"].blocking_mean >= by_mix["95:5"].blocking_mean * 0.8,
         "the write-heavy mix must block about as long as the read-heavy one",
@@ -167,7 +200,18 @@ def _check_blocking(rows: list, scale: BenchScale) -> None:
 # ----------------------------------------------------------------------
 # Figure 2: scalability
 # ----------------------------------------------------------------------
-def _measured_scaling(points: list, sizes: Sequence[int], by: str, unit: str) -> str:
+_FIG2_COLUMNS = (
+    ("DCs", lambda run: run.params["dcs"]),
+    ("machines/DC", lambda run: run.params["machines"]),
+    ("threads@peak", lambda run: run.params["threads"]),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+    ("cpu util", lambda run: f"{run.result.mean_cpu_utilization:.2f}"),
+)
+_render_fig2a = report.table("Figure 2a — PaRiS scalability", *_FIG2_COLUMNS)
+_render_fig2b = report.table("Figure 2b — PaRiS scalability", *_FIG2_COLUMNS)
+
+
+def _measured_scaling(points: List[Run], sizes: Sequence[int], by: str, unit: str) -> str:
     factors = exp.scaling_factor(points, by=by)
     return (
         "**Measured:** "
@@ -176,7 +220,7 @@ def _measured_scaling(points: list, sizes: Sequence[int], by: str, unit: str) ->
     )
 
 
-def _check_scaling(points: list, sizes: Sequence[int], by: str, unit: str) -> None:
+def _check_scaling(points: List[Run], sizes: Sequence[int], by: str, unit: str) -> None:
     """Scaling the deployment by k multiplies saturated throughput by nearly k."""
     ideal = max(sizes) / min(sizes)
     for key, factor in exp.scaling_factor(points, by=by).items():
@@ -189,21 +233,35 @@ def _check_scaling(points: list, sizes: Sequence[int], by: str, unit: str) -> No
 # ----------------------------------------------------------------------
 # Figure 3: locality sweep
 # ----------------------------------------------------------------------
-def _measured_fig3(points: list, scale: BenchScale) -> str:
+def _locality_label(locality: float) -> str:
+    """``local:multi`` percentages, e.g. ``95:5`` for a locality of 0.95."""
+    return f"{round(locality * 100)}:{round((1 - locality) * 100)}"
+
+
+_render_fig3 = report.table(
+    "Figure 3 — locality sweep (PaRiS)",
+    ("local:multi", lambda run: _locality_label(run.params["locality"])),
+    ("threads@peak", lambda run: run.params["threads"]),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+    ("avg lat (ms)", lambda run: f"{run.result.latency_mean_ms:.2f}"),
+)
+
+
+def _measured_fig3(points: List[Run], scale: BenchScale) -> str:
     fully, half = points[0].result, points[-1].result
     return (
         f"**Measured:** throughput ratio {half.throughput / fully.throughput:.2f}x, "
         f"latency ratio {half.latency_mean / fully.latency_mean:.1f}x, threads "
-        f"{points[0].threads_at_peak} -> {points[-1].threads_at_peak}."
+        f"{points[0].params['threads']} -> {points[-1].params['threads']}."
     )
 
 
-def _check_fig3(points: list, scale: BenchScale) -> None:
+def _check_fig3(points: List[Run], scale: BenchScale) -> None:
     """3a: the 50:50 point keeps most of the 100:0 throughput, at more
     threads (saturation is CPU-bound).  3b: latency grows monotonically and
     several-fold as transactions start crossing the WAN.
     """
-    by_locality = {p.locality: p for p in points}
+    by_locality = {p.params["locality"]: p for p in points}
     fully_local = by_locality[1.0].result.throughput
     half_local = by_locality[0.5].result.throughput
     _expect(
@@ -211,7 +269,7 @@ def _check_fig3(points: list, scale: BenchScale) -> None:
         f"throughput collapsed: {fully_local:.0f} -> {half_local:.0f} tx/s",
     )
     _expect(
-        by_locality[0.5].threads_at_peak >= by_locality[1.0].threads_at_peak,
+        by_locality[0.5].params["threads"] >= by_locality[1.0].params["threads"],
         "lower locality must need at least as many threads to saturate",
     )
     latencies = [p.result.latency_mean for p in points]  # descending locality
@@ -229,8 +287,32 @@ def _wan_diameter(scale: BenchScale) -> float:
     return exp.scale_config(scale)[0].latency_model().max_one_way()
 
 
-def _measured_fig4(rows: list, scale: BenchScale) -> str:
-    by_protocol = {r.protocol: r.result for r in rows}
+def _curve_percentile(curve: List[Tuple[float, float]], fraction: float) -> Optional[float]:
+    """The first value whose CDF reaches ``fraction`` (the last one past the end)."""
+    for value, cdf in curve:
+        if cdf >= fraction:
+            return value
+    return curve[-1][0] if curve else None
+
+
+def _visibility_ms(run: Run, fraction: float) -> str:
+    value = _curve_percentile(run.result.visibility_cdf, fraction)
+    return f"{value * 1000:.1f}" if value is not None else "-"
+
+
+_render_fig4 = report.table(
+    "Figure 4 — update visibility latency CDF",
+    ("protocol", lambda run: run.params["protocol"]),
+    ("p10 (ms)", lambda run: _visibility_ms(run, 0.10)),
+    ("p50 (ms)", lambda run: _visibility_ms(run, 0.50)),
+    ("p90 (ms)", lambda run: _visibility_ms(run, 0.90)),
+    ("p99 (ms)", lambda run: _visibility_ms(run, 0.99)),
+    ("mean (ms)", lambda run: f"{run.result.visibility_mean * 1000:.1f}"),
+)
+
+
+def _measured_fig4(rows: List[Run], scale: BenchScale) -> str:
+    by_protocol = {r.params["protocol"]: r.result for r in rows}
     gap = by_protocol["paris"].visibility_p99 - by_protocol["bpr"].visibility_p99
     return (
         f"**Measured:** p99 gap {gap * 1000:.0f} ms with a WAN diameter of "
@@ -239,11 +321,11 @@ def _measured_fig4(rows: list, scale: BenchScale) -> str:
     )
 
 
-def _check_fig4(rows: list, scale: BenchScale) -> None:
+def _check_fig4(rows: List[Run], scale: BenchScale) -> None:
     """BPR's CDF lies left of PaRiS's; PaRiS's is bounded by the WAN diameter
     plus a few stabilization rounds, which is also the size of the gap.
     """
-    by_protocol = {r.protocol: r.result for r in rows}
+    by_protocol = {r.params["protocol"]: r.result for r in rows}
     paris, bpr = by_protocol["paris"], by_protocol["bpr"]
     _expect(
         paris.visibility_cdf and bpr.visibility_cdf,
@@ -265,6 +347,20 @@ def _check_fig4(rows: list, scale: BenchScale) -> None:
 # ----------------------------------------------------------------------
 # Table I
 # ----------------------------------------------------------------------
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+_render_table1 = report.table(
+    "Table I — taxonomy of CC systems",
+    ("System", lambda entry: entry.name),
+    ("Txs", lambda entry: entry.transactions),
+    ("Nonbl. reads", lambda entry: _yes_no(entry.nonblocking_reads)),
+    ("Partial rep.", lambda entry: _yes_no(entry.partial_replication)),
+    ("Meta-data", lambda entry: entry.metadata),
+)
+
+
 def _measured_table1(entries: Sequence[report.SystemEntry], scale: BenchScale) -> str:
     return (
         "Regenerated from the systems knowledge base; PaRiS remains the "
@@ -301,6 +397,16 @@ def _check_table1(entries: Sequence[report.SystemEntry], scale: BenchScale) -> N
 # ----------------------------------------------------------------------
 # Sections I/VI claims: storage capacity and propagation cost
 # ----------------------------------------------------------------------
+_render_capacity = report.table(
+    "Storage capacity: partial vs full replication",
+    ("strategy", lambda row: row.label),
+    ("RF", lambda row: row.replication_factor),
+    ("dataset frac/DC", lambda row: f"{row.storage_fraction_per_dc:.2f}"),
+    ("capacity vs full", lambda row: f"{row.capacity_multiplier:.2f}x"),
+    ("versions/DC", lambda row: f"{row.measured_versions_per_dc:.0f}"),
+)
+
+
 def _measured_capacity(rows: list, scale: BenchScale) -> str:
     return (
         f"**Measured:** each DC stores {rows[0].storage_fraction_per_dc:.2f} of "
@@ -328,6 +434,15 @@ def _check_capacity(rows: list, scale: BenchScale) -> None:
         math.isclose(measured_ratio, scale.replication_factor / scale.n_dcs, rel_tol=0.05),
         f"measured per-DC storage ratio {measured_ratio:.3f} is off the R/M model",
     )
+
+
+_render_propagation = report.table(
+    "Update propagation cost: partial vs full replication",
+    ("RF", lambda row: row.replication_factor),
+    ("inter-DC replicate msgs", lambda row: row.inter_dc_replication_messages),
+    ("commits", lambda row: row.transactions_committed),
+    ("msgs/commit", lambda row: f"{row.messages_per_commit:.2f}"),
+)
 
 
 def _propagation_rows(rows: list, scale: BenchScale) -> tuple:
@@ -364,7 +479,17 @@ def _check_propagation(rows: list, scale: BenchScale) -> None:
 # ----------------------------------------------------------------------
 # Ablations (ours)
 # ----------------------------------------------------------------------
-def _measured_stabilization(rows: list, scale: BenchScale) -> str:
+_render_stabilization = report.table(
+    "Ablation — stabilization period vs staleness",
+    ("period (ms)", lambda run: f"{run.params['stabilization_interval'] * 1000:.0f}"),
+    ("UST staleness (ms)", lambda run: f"{run.result.ust_staleness * 1000:.1f}"),
+    ("visibility mean (ms)", lambda run: f"{run.result.visibility_mean * 1000:.1f}"),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+    ("messages", lambda run: run.result.messages_total),
+)
+
+
+def _measured_stabilization(rows: List[Run], scale: BenchScale) -> str:
     return (
         "The paper fixes Delta_G = Delta_U = 5 ms; the sweep shows staleness "
         "degrading as the period grows while throughput stays flat — the "
@@ -372,20 +497,29 @@ def _measured_stabilization(rows: list, scale: BenchScale) -> str:
     )
 
 
-def _check_stabilization(rows: list, scale: BenchScale) -> None:
+def _check_stabilization(rows: List[Run], scale: BenchScale) -> None:
     """Staleness grows with the period; throughput does not move, because
     gossip is off the critical path.
     """
     _expect(len(rows) >= 3, "the sweep needs at least three periods")
     _expect(
-        rows[0].ust_staleness < rows[-1].ust_staleness,
+        rows[0].result.ust_staleness < rows[-1].result.ust_staleness,
         "staleness must grow with the stabilization period",
     )
-    throughputs = [row.throughput for row in rows]
+    throughputs = [row.result.throughput for row in rows]
     _expect(
         max(throughputs) < min(throughputs) * 1.5,
         "throughput must stay within a modest band",
     )
+
+
+_render_cache = report.table(
+    "Ablation — client write cache (UST alone is not causal)",
+    ("variant", lambda row: row.protocol_variant),
+    ("commits", lambda row: row.commits),
+    ("violations", lambda row: row.violations),
+    ("kinds", lambda row: ",".join(row.violation_kinds) or "-"),
+)
 
 
 def _measured_cache(rows: list, scale: BenchScale) -> str:
@@ -411,12 +545,21 @@ def _check_cache(rows: list, scale: BenchScale) -> None:
     )
 
 
-def _clock_rows(rows: list) -> tuple:
-    by_mode = {row.mode: row for row in rows}
+_render_clocks = report.table(
+    "Ablation — HLC vs logical clocks (UST freshness)",
+    ("clock mode", lambda run: run.params["clock_mode"]),
+    ("visibility mean (ms)", lambda run: f"{run.result.visibility_mean * 1000:.1f}"),
+    ("visibility p99 (ms)", lambda run: f"{run.result.visibility_p99 * 1000:.1f}"),
+    ("tx/s", lambda run: f"{run.result.throughput:.0f}"),
+)
+
+
+def _clock_rows(rows: List[Run]) -> tuple:
+    by_mode = {row.params["clock_mode"]: row.result for row in rows}
     return by_mode["hlc"], by_mode["logical"]
 
 
-def _measured_clocks(rows: list, scale: BenchScale) -> str:
+def _measured_clocks(rows: List[Run], scale: BenchScale) -> str:
     hlc, logical = _clock_rows(rows)
     return (
         f"**Measured:** mean visibility latency {hlc.visibility_mean * 1000:.1f} ms "
@@ -425,7 +568,7 @@ def _measured_clocks(rows: list, scale: BenchScale) -> str:
     )
 
 
-def _check_clocks(rows: list, scale: BenchScale) -> None:
+def _check_clocks(rows: List[Run], scale: BenchScale) -> None:
     """HLCs keep update visibility fresher; both modes stay live."""
     hlc, logical = _clock_rows(rows)
     _expect(
@@ -438,6 +581,34 @@ def _check_clocks(rows: list, scale: BenchScale) -> None:
 # ----------------------------------------------------------------------
 # Section III-C claim: availability under an inter-DC partition
 # ----------------------------------------------------------------------
+_PARTITION_COLUMNS = (
+    ("protocol", lambda row: row.protocol),
+    ("tx before", lambda row: row.committed_before),
+    ("tx during", lambda row: row.committed_during),
+    ("tx after", lambda row: row.committed_after),
+    ("parked @ heal", lambda row: row.parked_at_heal),
+    ("blocked slices", lambda row: row.blocked_slices),
+    ("max block (s)", lambda row: f"{row.blocking_max:.2f}"),
+    ("staleness @ heal (s)", lambda row: f"{row.ust_staleness_at_heal:.2f}"),
+    ("violations", lambda row: row.violations),
+)
+
+
+def _render_partition(rows: List[exp.PartitionStallResult]) -> str:
+    """The episode table, then the contrast in one sentence when BPR stalled."""
+    heading = f"Availability under an inter-DC partition (plan: {rows[0].plan_name})"
+    text = report.table(heading, *_PARTITION_COLUMNS)(rows)
+    by_protocol = {row.protocol: row for row in rows}
+    paris, bpr = by_protocol.get("paris"), by_protocol.get("bpr")
+    if paris is not None and bpr is not None and bpr.committed_during < paris.committed_during:
+        text += (
+            f"\n\nPaRiS committed {paris.committed_during} transactions during the partition "
+            f"with {paris.blocked_slices} blocked reads; BPR committed "
+            f"{bpr.committed_during} with {bpr.parked_at_heal} reads still parked at heal."
+        )
+    return text
+
+
 def _measured_partition(rows: list, scale: BenchScale) -> str:
     by_protocol = {row.protocol: row for row in rows}
     return (
@@ -470,20 +641,48 @@ def _check_partition(rows: list, scale: BenchScale) -> None:
 # ----------------------------------------------------------------------
 # Design-space study (ours): a committed sweep spec instead of a function
 # ----------------------------------------------------------------------
-def design_space_summary(scale: BenchScale) -> dict:
-    """Execute (or resume) the committed design-space sweep and aggregate it.
+def design_space_groups(scale: BenchScale) -> List[dict]:
+    """Execute (or resume) the committed design-space sweep; its summary's groups.
 
-    The spec fixes its own deployment, so ``scale`` is ignored; the sweep
-    engine's content-addressed cache (``sweep_results/``) makes re-rendering
-    free once the runs exist.
+    One group per (protocol, workload) cell, as :func:`repro.bench.results.aggregate`
+    writes it (``params`` and per-metric ``metrics`` statistics).  The spec
+    fixes its own deployment, so ``scale`` is ignored; the sweep engine's
+    content-addressed cache (``sweep_results/``) makes re-rendering free once
+    the runs exist.
     """
     spec = sweep.SweepSpec.load(DESIGN_SPACE_SPEC)
-    return results.aggregate(
-        sweep.execute_sweep(spec, "sweep_results").records, spec=spec
-    )
+    summary = results.aggregate(sweep.execute_sweep(spec, "sweep_results").records, spec=spec)
+    return summary["groups"]
 
 
-def _measured_design_space(summary: dict, scale: BenchScale) -> str:
+def _mean(group: dict, metric: str) -> float:
+    """A group's mean of ``metric``; zero when no run reported it."""
+    stats = group["metrics"].get(metric)
+    return stats["mean"] if stats else 0.0
+
+
+def _metadata_per_tx(group: dict) -> float:
+    """Causal-metadata wire bytes amortised per measured transaction."""
+    return _mean(group, "metadata_bytes_total") / max(_mean(group, "transactions_measured"), 1.0)
+
+
+# Throughput and latency, update-visibility freshness, metadata bytes per
+# transaction and stale-read retry rounds: the axes along which the
+# registered variants trade against each other (docs/design_space.md).
+_render_design_space = report.table(
+    "Design space — protocol x workload trade-offs",
+    ("protocol", lambda group: group["params"].get("protocol", "?")),
+    ("workload", lambda group: group["params"].get("workload") or "default"),
+    ("tx/s", lambda group: f"{_mean(group, 'throughput'):,.0f}"),
+    ("lat (ms)", lambda group: f"{_mean(group, 'latency_mean') * 1000:.2f}"),
+    ("p99 (ms)", lambda group: f"{_mean(group, 'latency_p99') * 1000:.2f}"),
+    ("vis (ms)", lambda group: f"{_mean(group, 'visibility_mean') * 1000:.1f}"),
+    ("meta B/tx", lambda group: f"{_metadata_per_tx(group):,.0f}"),
+    ("retries", lambda group: f"{_mean(group, 'read_retries_total'):,.0f}"),
+)
+
+
+def _measured_design_space(groups: List[dict], scale: BenchScale) -> str:
     return (
         "Ours, not the paper's: every registered protocol on three workload "
         f"shapes, run from the committed sweep spec `{DESIGN_SPACE_SPEC}` at the "
@@ -521,7 +720,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper:** 29 ms (95:5) and 41 ms (50:50) average blocking at "
             "top throughput.",
             run=exp.blocking_time,
-            render=report.render_blocking,
+            render=_render_blocking,
             measured=_measured_blocking,
             check=_check_blocking,
         ),
@@ -530,7 +729,7 @@ FIGURES: Dict[str, Figure] = {
             title="Figure 2a — scalability in machines per DC",
             paper="**Paper:** ideal 3x from 6 to 18 machines/DC.",
             run=exp.figure_2a,
-            render=partial(report.render_figure_2, which="2a"),
+            render=_render_fig2a,
             measured=lambda rows, scale: _measured_scaling(
                 rows, scale.fig2a_machines, "dcs", "DCs"
             ),
@@ -543,7 +742,7 @@ FIGURES: Dict[str, Figure] = {
             title="Figure 2b — scalability in DCs",
             paper="**Paper:** ideal 3.33x from 3 to 10 DCs.",
             run=exp.figure_2b,
-            render=partial(report.render_figure_2, which="2b"),
+            render=_render_fig2b,
             measured=lambda rows, scale: _measured_scaling(
                 rows, scale.fig2b_dcs, "machines", "machines/DC"
             ),
@@ -558,7 +757,7 @@ FIGURES: Dict[str, Figure] = {
             "KTx/s) while latency explodes 8 -> 150 ms, with the saturating "
             "thread count growing 32 -> 512.",
             run=exp.figure_3,
-            render=report.render_figure_3,
+            render=_render_fig3,
             measured=_measured_fig3,
             check=_check_fig3,
         ),
@@ -568,7 +767,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper:** BPR strictly fresher; ~200 ms worst-case difference "
             "at 5 DCs.",
             run=exp.figure_4,
-            render=report.render_figure_4,
+            render=_render_fig4,
             measured=_measured_fig4,
             check=_check_fig4,
         ),
@@ -577,7 +776,7 @@ FIGURES: Dict[str, Figure] = {
             title="Table I — taxonomy",
             paper="",
             run=lambda scale: report.TAXONOMY,
-            render=report.render_table_1,
+            render=_render_table1,
             measured=_measured_table1,
             check=_check_table1,
         ),
@@ -587,7 +786,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper claim (Sections I, V):** handles larger datasets than "
             "full-replication systems.",
             run=exp.capacity_comparison,
-            render=report.render_capacity,
+            render=_render_capacity,
             measured=_measured_capacity,
             check=_check_capacity,
         ),
@@ -597,7 +796,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper claim (Section I):** updates performed in one DC are "
             "propagated to fewer replicas.",
             run=exp.propagation_cost,
-            render=report.render_propagation,
+            render=_render_propagation,
             measured=_measured_propagation,
             check=_check_propagation,
         ),
@@ -606,7 +805,7 @@ FIGURES: Dict[str, Figure] = {
             title="Ablation — stabilization period",
             paper="",
             run=exp.ablation_stabilization,
-            render=report.render_stabilization,
+            render=_render_stabilization,
             measured=_measured_stabilization,
             check=_check_stabilization,
         ),
@@ -615,7 +814,7 @@ FIGURES: Dict[str, Figure] = {
             title="Ablation — client write cache",
             paper="",
             run=exp.ablation_client_cache,
-            render=report.render_cache_ablation,
+            render=_render_cache,
             measured=_measured_cache,
             check=_check_cache,
         ),
@@ -625,7 +824,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper (Section III-B):** HLCs improve the freshness of the "
             "snapshot determined by UST over logical clocks.",
             run=exp.ablation_clocks,
-            render=report.render_clock_ablation,
+            render=_render_clocks,
             measured=_measured_clocks,
             check=_check_clocks,
         ),
@@ -635,7 +834,7 @@ FIGURES: Dict[str, Figure] = {
             paper="**Paper (Section III-C):** a partitioned DC freezes the UST "
             "everywhere, but reads never block.",
             run=exp.partition_stall,
-            render=report.render_partition_stall,
+            render=_render_partition,
             measured=_measured_partition,
             check=_check_partition,
         ),
@@ -643,8 +842,8 @@ FIGURES: Dict[str, Figure] = {
             name="design_space",
             title="Design space — protocol x workload trade-offs",
             paper="",
-            run=design_space_summary,
-            render=report.render_design_space,
+            run=design_space_groups,
+            render=_render_design_space,
             measured=_measured_design_space,
         ),
     )

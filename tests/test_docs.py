@@ -154,11 +154,11 @@ class TestFigureCatalogue:
         (name_arg,) = [a for a in subcommands["figure"]._actions if a.dest == "name"]
         assert list(name_arg.choices) == list(FIGURES)
 
-    def test_every_experiment_and_renderer_is_in_the_catalogue(self):
-        """An experiment or renderer nothing in the table names is dead or lost."""
+    def test_every_experiment_is_in_the_catalogue(self):
+        """An experiment nothing in the table names is dead or lost."""
         import inspect
 
-        from repro.bench import experiments, figures, report
+        from repro.bench import experiments, figures
 
         source = inspect.getsource(figures)
         experiment_names = [
@@ -175,10 +175,34 @@ class TestFigureCatalogue:
         assert len(experiment_names) >= 12
         for name in experiment_names:
             assert f"exp.{name}" in source, f"experiments.{name} is not in FIGURES"
-        renderers = [name for name in vars(report) if name.startswith("render_")]
-        assert len(renderers) >= 14
-        for name in renderers:
-            assert f"report.{name}" in source, f"report.{name} is not in FIGURES"
+
+    def test_tables_are_column_lists_in_the_catalogue(self):
+        """``report`` has one renderer, ``table``; no figure has a renderer of its own there."""
+        from repro.bench import report
+
+        assert [name for name in vars(report) if name.startswith("render_")] == []
+
+    def test_a_run_row_is_a_run(self):
+        """No row type in ``experiments`` wraps an ``ExperimentResult``: a run's row is ``Run``."""
+        import dataclasses
+        import typing
+
+        from repro.bench import experiments
+        from repro.bench.harness import ExperimentResult
+
+        row_types = [
+            value
+            for value in vars(experiments).values()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and value.__module__ == experiments.__name__
+        ]
+        assert len(row_types) >= 6
+        for row_type in row_types:
+            hints = typing.get_type_hints(row_type)
+            assert ExperimentResult not in hints.values(), (
+                f"{row_type.__name__} carries an ExperimentResult; return experiments.Run"
+            )
 
     def test_readme_figure_map_lists_the_catalogue(self):
         from repro.bench.figures import FIGURES

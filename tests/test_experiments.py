@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import experiments as exp
 from repro.bench import report
+from repro.bench.figures import FIGURES
+from repro.bench.harness import run_experiment
 from repro.bench.sweep import config_from_params
 from repro.config import mix_workload
 from repro.protocols import protocol_names
@@ -65,13 +68,13 @@ class TestFigure1:
     def test_curve_shape(self, points):
         by_protocol = {}
         for point in points:
-            by_protocol.setdefault(point.protocol, []).append(point)
+            by_protocol.setdefault(point.params["protocol"], []).append(point)
         assert set(by_protocol) == {"paris", "bpr"}
         assert len(by_protocol["paris"]) >= 2
         # BPR's ladder is extended past PaRiS's so its curve can saturate.
         assert len(by_protocol["bpr"]) >= len(by_protocol["paris"])
-        assert max(p.threads for p in by_protocol["bpr"]) >= max(
-            p.threads for p in by_protocol["paris"]
+        assert max(p.params["threads"] for p in by_protocol["bpr"]) >= max(
+            p.params["threads"] for p in by_protocol["paris"]
         )
 
     def test_paris_dominates_bpr(self, points):
@@ -85,18 +88,16 @@ class TestFigure1:
         assert all(
             peak.result.throughput >= p.result.throughput
             for p in points
-            if p.protocol == "paris"
+            if p.params["protocol"] == "paris"
         )
         with pytest.raises(ValueError):
             exp.peak_throughput(points, "nope")
 
     def test_rendering(self, points):
-        text = report.render_figure_1("95:5", points)
-        assert "Figure 1" in text
-        assert "paris" in text and "bpr" in text
-        summary_text = report.render_figure_1_summary(
-            exp.summarize_figure_1("95:5", points)
-        )
+        text = FIGURES["fig1a"].render((points, exp.summarize_figure_1("95:5", points)))
+        table, summary_text = text.rsplit("\n", 1)
+        assert "Figure 1" in table
+        assert "paris" in table and "bpr" in table
         assert "throughput gain" in summary_text
 
 
@@ -107,7 +108,7 @@ class TestFigure2:
         factors = exp.scaling_factor(points, by="dcs")
         # Doubling machines/DC should give clearly more throughput.
         assert factors[3] > 1.5
-        assert "Figure 2a" in report.render_figure_2(points, "2a")
+        assert "Figure 2a" in FIGURES["fig2a"].render(points)
 
     def test_scaling_in_dcs(self, micro_scale):
         points = exp.figure_2b(micro_scale)
@@ -115,35 +116,52 @@ class TestFigure2:
         # 3 -> 5 DCs: close to the 5/3 ideal.
         assert factors[2] > 1.2
 
+    def test_scaling_factor_names_a_run_parameter(self):
+        points = [
+            exp.Run({"dcs": dcs, "machines": machines}, SimpleNamespace(throughput=throughput))
+            for dcs, machines, throughput in ((3, 4, 400.0), (3, 2, 200.0), (5, 2, 300.0))
+        ]
+        assert exp.scaling_factor(points, by="dcs") == {3: 2.0, 5: 1.0}
+        assert exp.scaling_factor(points, by="machines") == {4: 1.0, 2: 1.5}
+        with pytest.raises(ValueError, match="'dcs' or 'machines'"):
+            exp.scaling_factor(points, by="n_dcs")
+
 
 class TestFigure3:
     def test_locality_sweep_shape(self, micro_scale):
         points = exp.figure_3(micro_scale, localities=(1.0, 0.5), thread_ladder=(4, 16))
-        assert [p.locality for p in points] == [1.0, 0.5]
+        assert [p.params["locality"] for p in points] == [1.0, 0.5]
         fully, half = points
         assert fully.result.latency_mean < half.result.latency_mean
-        assert "Figure 3" in report.render_figure_3(points)
+        assert "Figure 3" in FIGURES["fig3"].render(points)
+
+    def test_an_empty_ladder_is_an_error(self, micro_scale):
+        with pytest.raises(ValueError, match="empty thread ladder"):
+            exp.saturated_run(micro_scale, thread_ladder=())
 
 
 class TestFigure4:
     def test_visibility_comparison(self, micro_scale):
         results = exp.figure_4(micro_scale, threads=1, sample_rate=1.0)
-        by_protocol = {r.protocol: r.result for r in results}
+        by_protocol = {r.params["protocol"]: r.result for r in results}
         assert set(by_protocol) == {"paris", "bpr"}
         # Figure 4's shape: BPR exposes updates sooner than PaRiS.
         assert (
             by_protocol["bpr"].visibility_mean < by_protocol["paris"].visibility_mean
         )
-        text = report.render_figure_4(results)
+        text = FIGURES["fig4"].render(results)
         assert "visibility" in text
 
 
 class TestBlockingAndCapacity:
     def test_blocking_rows(self, micro_scale):
         rows = exp.blocking_time(micro_scale, mixes=("95:5",))
-        assert rows[0].blocking_mean > 0.005  # tens of ms of WAN lag
-        assert rows[0].blocked_fraction > 0.5
-        assert "blocking" in report.render_blocking(rows)
+        assert rows[0].result.blocking_mean > 0.005  # tens of ms of WAN lag
+        assert rows[0].result.blocked_fraction > 0.5
+        assert "blocking" in FIGURES["blocking"].render(rows)
+        # A row is its parameters: running them again measures the same result.
+        (row,) = rows
+        assert run_experiment(*config_from_params(row.params)) == row.result
 
     def test_capacity_rows(self, micro_scale):
         rows = exp.capacity_comparison(micro_scale)
@@ -151,16 +169,16 @@ class TestBlockingAndCapacity:
         assert partial.capacity_multiplier > 1.0
         assert full.capacity_multiplier == 1.0
         assert partial.measured_versions_per_dc < full.measured_versions_per_dc
-        assert "capacity" in report.render_capacity(rows).lower()
+        assert "capacity" in FIGURES["capacity"].render(rows).lower()
 
 
 class TestAblations:
     def test_stabilization_sweep(self, micro_scale):
         rows = exp.ablation_stabilization(micro_scale, intervals=(0.002, 0.05))
         fast, slow = rows
-        assert fast.ust_staleness < slow.ust_staleness
-        assert fast.visibility_mean < slow.visibility_mean
-        assert "stabilization" in report.render_stabilization(rows).lower()
+        assert fast.result.ust_staleness < slow.result.ust_staleness
+        assert fast.result.visibility_mean < slow.result.visibility_mean
+        assert "stabilization" in FIGURES["ablation_stabilization"].render(rows).lower()
 
     def test_cache_ablation_flags_only_broken_variant(self, micro_scale):
         registered = protocol_names()
@@ -170,7 +188,7 @@ class TestAblations:
         assert healthy.violations == 0
         assert broken.violations > 0
         assert "read-your-writes" in broken.violation_kinds
-        assert "cache" in report.render_cache_ablation(rows).lower()
+        assert "cache" in FIGURES["ablation_cache"].render(rows).lower()
 
 
 class TestTable1:
@@ -183,7 +201,7 @@ class TestTable1:
         assert report.unique_full_support() == ["PaRiS (this work)"]
 
     def test_render(self):
-        text = report.render_table_1()
+        text = FIGURES["table1"].render(report.TAXONOMY)
         assert "Table I" in text
         assert "PaRiS (this work)" in text
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro import build_cluster, small_test_config
 from repro.bench.experiments import BenchScale, partition_stall
-from repro.bench.report import render_partition_stall
+from repro.bench.figures import FIGURES
 from repro.faults import FaultPlan
 from repro.sim.trace import Tracer
 
@@ -77,7 +77,7 @@ class TestPartitionStall:
             assert row.violations == 0
 
     def test_report_renders(self, stall_rows):
-        text = render_partition_stall(list(stall_rows.values()))
+        text = FIGURES["partition"].render(list(stall_rows.values()))
         assert "paris" in text and "bpr" in text and "violations" in text
 
 

@@ -1,16 +1,12 @@
-"""Unit tests for report rendering edge cases."""
+"""Unit tests for the catalogue's tables and their rendering edge cases."""
 
 from __future__ import annotations
 
+import pytest
 
-from repro.bench import report
-from repro.bench.experiments import (
-    BlockingResult,
-    CapacityRow,
-    ClockAblationPoint,
-    StabilizationPoint,
-    VisibilityResult,
-)
+from repro.bench import figures, report
+from repro.bench.experiments import CapacityRow, PropagationRow, Run
+from repro.bench.figures import FIGURES
 from repro.bench.harness import ExperimentResult
 
 
@@ -51,36 +47,48 @@ class TestFormatTable:
         assert "42" in text and "3.5" in text
 
 
+class TestTable:
+    def test_heading_over_one_column_per_header(self):
+        render = report.table("Heading", ("n", lambda row: row), ("twice", lambda row: 2 * row))
+        assert render([1, 20]).splitlines() == [
+            "Heading",
+            "n   twice",
+            "--  -----",
+            "1   2    ",
+            "20  40   ",
+        ]
+
+
 class TestCurvePercentile:
     def test_picks_first_at_or_above(self):
         curve = [(1.0, 0.0), (2.0, 0.5), (3.0, 1.0)]
-        assert report._curve_percentile(curve, 0.5) == 2.0
-        assert report._curve_percentile(curve, 0.6) == 3.0
+        assert figures._curve_percentile(curve, 0.5) == 2.0
+        assert figures._curve_percentile(curve, 0.6) == 3.0
 
     def test_empty_curve(self):
-        assert report._curve_percentile([], 0.5) is None
+        assert figures._curve_percentile([], 0.5) is None
 
     def test_beyond_last(self):
         curve = [(1.0, 0.0), (2.0, 0.9)]
-        assert report._curve_percentile(curve, 0.99) == 2.0
+        assert figures._curve_percentile(curve, 0.99) == 2.0
 
 
 class TestRenderers:
     def test_render_figure_4_with_missing_curve(self):
         results = [
-            VisibilityResult(protocol="paris", result=make_result(visibility_cdf=[])),
+            Run({"protocol": "paris"}, make_result(visibility_cdf=[])),
         ]
-        text = report.render_figure_4(results)
+        text = FIGURES["fig4"].render(results)
         assert "-" in text  # placeholder for missing percentiles
 
     def test_render_blocking(self):
         rows = [
-            BlockingResult(
-                mix="95:5", threads=32, blocking_mean=0.03,
-                blocked_fraction=0.9, throughput=5000.0,
+            Run(
+                {"mix": "95:5", "threads": 32},
+                make_result(blocking_mean=0.03, blocked_fraction=0.9, throughput=5000.0),
             )
         ]
-        text = report.render_blocking(rows)
+        text = FIGURES["blocking"].render(rows)
         assert "30.0" in text and "0.90" in text
 
     def test_render_capacity(self):
@@ -91,31 +99,43 @@ class TestRenderers:
                 measured_versions_per_dc=200.0,
             )
         ]
-        text = report.render_capacity(rows)
+        text = FIGURES["capacity"].render(rows)
         assert "2.50x" in text
 
     def test_render_stabilization(self):
         rows = [
-            StabilizationPoint(
-                interval=0.005, ust_staleness=0.150,
-                visibility_mean=0.160, throughput=4000.0,
-                stabilization_messages=123456,
+            Run(
+                {"stabilization_interval": 0.005},
+                make_result(
+                    ust_staleness=0.150, visibility_mean=0.160, throughput=4000.0,
+                    messages_total=123456,
+                ),
             )
         ]
-        text = report.render_stabilization(rows)
+        text = FIGURES["ablation_stabilization"].render(rows)
         assert "5" in text and "150.0" in text
 
     def test_render_clock_ablation(self):
         rows = [
-            ClockAblationPoint(
-                mode="hlc", visibility_mean=0.16, visibility_p99=0.21, throughput=3500.0
+            Run(
+                {"clock_mode": "hlc"},
+                make_result(visibility_mean=0.16, visibility_p99=0.21, throughput=3500.0),
             ),
-            ClockAblationPoint(
-                mode="logical", visibility_mean=0.50, visibility_p99=0.90, throughput=3400.0
+            Run(
+                {"clock_mode": "logical"},
+                make_result(visibility_mean=0.50, visibility_p99=0.90, throughput=3400.0),
             ),
         ]
-        text = report.render_clock_ablation(rows)
+        text = FIGURES["ablation_clocks"].render(rows)
         assert "hlc" in text and "logical" in text
+
+    @pytest.mark.parametrize(
+        "locality, label", [(1.0, "100:0"), (0.95, "95:5"), (0.57, "57:43"), (0.29, "29:71")]
+    )
+    def test_render_figure_3_locality_label(self, locality, label):
+        rows = [Run({"locality": locality, "threads": 8}, make_result())]
+        (row,) = FIGURES["fig3"].render(rows).splitlines()[3:]
+        assert row.split()[0] == label
 
     def test_taxonomy_metadata_kinds(self):
         kinds = {entry.metadata for entry in report.TAXONOMY}
@@ -124,8 +144,6 @@ class TestRenderers:
 
 class TestPropagationRendering:
     def test_render_propagation(self):
-        from repro.bench.experiments import PropagationRow
-
         rows = [
             PropagationRow(
                 replication_factor=2,
@@ -140,7 +158,7 @@ class TestPropagationRendering:
                 messages_per_commit=8.0,
             ),
         ]
-        text = report.render_propagation(rows)
+        text = FIGURES["propagation"].render(rows)
         assert "msgs/commit" in text
         assert "8.00" in text
 
@@ -178,7 +196,7 @@ class TestDesignSpaceRendering:
                 },
             ]
         }
-        lines = report.render_design_space(summary).splitlines()
+        lines = FIGURES["design_space"].render(summary["groups"]).splitlines()
         assert lines[0] == "Design space — protocol x workload trade-offs"
         assert lines[1].split() == [
             "protocol", "workload", "tx/s", "lat", "(ms)", "p99", "(ms)",
