@@ -8,11 +8,12 @@ Usage:
 One section per entry of :data:`repro.bench.figures.FIGURES`: the rendered
 artifact, the paper's claim and the measured shape.  Entries are independent
 experiments, so ``--workers N`` fans them out across processes via
-:func:`repro.bench.sweep.parallel_map`; the assembled document holds no
+:func:`repro.workers.pool_map`; the assembled document holds no
 wall-clock text and is identical at any worker count.  Exits 1 if any
 entry's shape check fails (the document is written either way).  Run from
 the repository root: the ``design_space`` entry reads its committed sweep
-spec and the ``sweep_results/`` cache relative to the current directory.
+spec and the default run repository (``results/``) relative to the current
+directory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional, Sequence
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import experiments as exp  # noqa: E402
-from repro.bench import figures, runner, sweep  # noqa: E402
+from repro.bench import figures, runner  # noqa: E402
+from repro.workers import pool_map  # noqa: E402
 
 DEFAULT_OUT = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -80,7 +82,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"assembling {len(figures.FIGURES)} sections at scale '{args.scale}' "
         f"with {args.workers} worker(s)"
     )
-    built = sweep.parallel_map(
+    built = pool_map(
         figures.section,
         [(name, scale) for name in figures.FIGURES],
         workers=args.workers,

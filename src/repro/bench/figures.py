@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..config import DEFAULT_REPO_DIR
 from . import experiments as exp
 from . import report, results, sweep
 from .experiments import BenchScale, Run
@@ -646,13 +647,16 @@ def design_space_groups(scale: BenchScale) -> List[dict]:
 
     One group per (protocol, workload) cell, as :func:`repro.bench.results.aggregate`
     writes it (``params`` and per-metric ``metrics`` statistics).  The spec
-    fixes its own deployment, so ``scale`` is ignored; the sweep engine's
-    content-addressed cache (``sweep_results/``) makes re-rendering free once
-    the runs exist.
+    fixes its own deployment, so ``scale`` is ignored; the runs live in the
+    default run repository (``results/``), which makes re-rendering free
+    once they exist.
     """
-    spec = sweep.SweepSpec.load(DESIGN_SPACE_SPEC)
-    summary = results.aggregate(sweep.execute_sweep(spec, "sweep_results").records, spec=spec)
-    return summary["groups"]
+    # Imported here so that loading the catalogue does not load repro.serve.
+    from ..serve.repository import RunRepository
+
+    repository = RunRepository(DEFAULT_REPO_DIR)
+    report = sweep.execute_sweep(sweep.SweepSpec.load(DESIGN_SPACE_SPEC), repository)
+    return results.write_sweep_summary(report, repository.root)[0]["groups"]
 
 
 def _mean(group: dict, metric: str) -> float:
@@ -854,7 +858,7 @@ def section(task: Tuple[str, BenchScale]) -> Tuple[str, Optional[str]]:
     """Run one entry: its EXPERIMENTS.md section and its shape failure, if any.
 
     Takes one ``(name, scale)`` argument and lives at module level so
-    :func:`repro.bench.sweep.parallel_map` can ship it to worker processes.
+    :func:`repro.workers.pool_map` can ship it to worker processes.
     """
     name, scale = task
     entry = FIGURES[name]

@@ -1,7 +1,7 @@
 """Aggregate cached sweep runs into deterministic statistical summaries.
 
 The sweep engine (:mod:`repro.bench.sweep`) leaves one JSON record per run in
-a content-addressed results directory; this module reduces those records to
+the content-addressed run repository; this module reduces those records to
 the numbers a figure needs: runs are grouped by their parameters *minus the
 seed* (so repeats of one configuration land in one group), and every numeric
 metric of :class:`repro.bench.harness.ExperimentResult` is summarised as
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pathlib
 import statistics
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import runner
-from .sweep import SweepSpec, canonical_json, short_value
+from .sweep import SweepReport, SweepSpec, canonical_json, short_value
 
 #: Result fields that are curves or labels, not scalar metrics.
 NON_METRIC_FIELDS = frozenset({"visibility_cdf", "protocol"})
@@ -136,6 +137,20 @@ def aggregate(
 def dump_summary(summary: Mapping[str, Any], path: runner.PathLike) -> None:
     """Write a summary as deterministic (sorted-key) JSON, atomically."""
     runner.write_json(path, summary)
+
+
+def write_sweep_summary(
+    report: SweepReport, root: runner.PathLike
+) -> Tuple[Dict[str, Any], pathlib.Path]:
+    """Aggregate a sweep and write ``<root>/sweeps/<name>/summary.json``.
+
+    ``root`` is the run repository the sweep ran against, so the summary
+    sits next to the runs it was derived from; returns it and its path.
+    """
+    summary = aggregate(report.records, spec=report.spec)
+    path = pathlib.Path(root) / "sweeps" / report.spec.name / "summary.json"
+    dump_summary(summary, path)
+    return summary, path
 
 
 def render_summary_table(summary: Mapping[str, Any], metric: str = "throughput") -> str:

@@ -8,12 +8,15 @@ concrete runs.  The engine then
 * derives every run's seed deterministically from the spec's root seed and
   the run's own parameters (:func:`derive_seed`), so the run set — and every
   result — is identical at any worker count and in any execution order;
-* executes pending runs across ``--workers`` processes (each run is one
-  independent deterministic simulation, so process parallelism is free);
-* caches each completed run under a content-addressed file name
+* looks every run up in the run repository
+  (:class:`repro.serve.repository.RunRepository`) under its content address
   (:func:`run_key`, the SHA-256 of the run's fully resolved parameters), so
-  an interrupted sweep resumes where it stopped instead of restarting;
-* hands the cached records to :mod:`repro.bench.results` for aggregation
+  an interrupted sweep resumes where it stopped instead of restarting, and a
+  run saved or served with the same parameters is reused;
+* executes the misses across ``--workers`` processes (each run is one
+  independent deterministic simulation, so process parallelism is free),
+  each worker writing its run's repository record itself;
+* hands the stored records to :mod:`repro.bench.results` for aggregation
   into mean/median/CI summaries.
 
 The JSON schema, the seed-derivation and resume semantics, and the committed
@@ -32,10 +35,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import pathlib
 from dataclasses import dataclass, field, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -43,7 +46,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -56,6 +58,9 @@ from ..protocols import protocol_names
 from ..workload.profiles import get_profile
 from . import runner
 from .harness import run_experiment
+
+if TYPE_CHECKING:  # the repository module imports this one
+    from ..serve.repository import RunRepository
 
 #: Bumped whenever run semantics change incompatibly: a new version makes
 #: every previously cached result a miss instead of silently reusing it.
@@ -157,8 +162,8 @@ def resolve_params(
     :data:`PARAM_DEFAULTS`, and the ``partitions_per_tx=None`` placeholder
     resolves to the CLI's ``min(4, machines)`` policy.  Both the sweep
     expansion and the run repository (:mod:`repro.serve.repository`) resolve
-    through here, so a CLI run, a served run, and a sweep cache entry with
-    the same effective parameters share one identity.
+    through here, so a CLI run, a served run, and a sweep cell with the
+    same effective parameters share one identity.
     """
     unknown = set(params) - BASE_PARAMS - {"seed"}
     if unknown:
@@ -245,9 +250,9 @@ class SweepSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        # The name becomes a directory under --results-dir: require a leading
+        # The name becomes a directory under <repo>/sweeps/: require a leading
         # alphanumeric so "." / ".." / hidden-file names cannot traverse or
-        # collapse the results tree.
+        # collapse the repository tree.
         if (
             not self.name
             or not self.name[0].isalnum()
@@ -388,7 +393,7 @@ class RunSpec:
 
     #: Fully resolved parameters (defaults filled in, seed included).
     params: Dict[str, Any]
-    #: Content hash of :attr:`params` — the cache file name.
+    #: Content hash of :attr:`params` — the run's repository id.
     key: str
     #: Position in the sweep's deterministic run order (display only).
     index: int
@@ -496,49 +501,21 @@ def expand(spec: SweepSpec) -> List[RunSpec]:
 
 
 # ----------------------------------------------------------------------
-# Execution: cache + worker pool
+# Execution: the run repository is the cache
 # ----------------------------------------------------------------------
-def execute_run(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Run one simulation from flat parameters and return its cache record."""
+def _execute_and_record(task: Tuple[Dict[str, Any], str, str]) -> None:
+    """Worker entry point: execute one run and write its repository record.
+
+    The worker (not the parent) writes ``runs/<id>.json``, atomically, so
+    every completed run survives even if the coordinating process is killed
+    mid-sweep.  Only the parent writes the index.
+    """
+    from ..serve.repository import write_record  # serve imports this module
+
+    params, root, source = task
     config, protocol = config_from_params(params)
     result = run_experiment(config, protocol=protocol)
-    return {
-        "key": run_key(params),
-        "params": dict(params),
-        "result": result.to_dict(),
-    }
-
-
-def _execute_and_cache(task: Tuple[Dict[str, Any], str]) -> str:
-    """Worker entry point: execute one run and persist it atomically.
-
-    The worker (not the parent) writes the cache file, so every completed run
-    survives even if the coordinating process is killed mid-sweep.
-    """
-    params, path = task
-    record = execute_run(params)
-    runner.write_json(path, record)
-    return record["key"]
-
-
-def run_path(runs_dir: runner.PathLike, run: RunSpec) -> pathlib.Path:
-    """The cache file of one run."""
-    return pathlib.Path(runs_dir) / f"{run.key}.json"
-
-
-def load_record(path: pathlib.Path) -> Optional[Dict[str, Any]]:
-    """Load one cached run record; ``None`` if absent or unreadable.
-
-    A corrupt file (e.g. from a pre-atomic-write tool) is treated as a cache
-    miss rather than an error: the run simply re-executes.
-    """
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(record, dict) or "result" not in record or "params" not in record:
-        return None
-    return record
+    write_record(root, params, result.to_dict(), source=source)
 
 
 @dataclass
@@ -547,11 +524,11 @@ class SweepReport:
 
     spec: SweepSpec
     runs: List[RunSpec]
-    #: Keys served from the results cache (in run order).
+    #: Keys already in the repository (in run order).
     cached: List[str] = field(default_factory=list)
-    #: Keys actually executed by this invocation (in completion order).
+    #: Keys executed by this invocation (in run order).
     executed: List[str] = field(default_factory=list)
-    #: Cache records of every run, in deterministic run order.
+    #: Stored repository records of every run, in deterministic run order.
     records: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -563,98 +540,55 @@ class SweepReport:
 ProgressFn = Callable[[str, RunSpec], None]
 
 
-def sweep_dir(results_dir: runner.PathLike, spec: SweepSpec) -> pathlib.Path:
-    """The per-spec directory holding cached runs and the summary."""
-    return pathlib.Path(results_dir) / spec.name
-
-
 def execute_sweep(
     spec: SweepSpec,
-    results_dir: runner.PathLike,
+    repository: RunRepository,
     *,
     workers: int = 1,
     force: bool = False,
     progress: Optional[ProgressFn] = None,
-    repository: Optional[Any] = None,
 ) -> SweepReport:
-    """Execute (or resume) a sweep and return its report.
+    """Execute (or resume) a sweep against a run repository; return its report.
 
-    Completed runs found under ``results_dir/<name>/runs/`` are reused
-    (unless ``force``); the rest are executed across ``workers`` processes.
-    The report's records are always in the sweep's deterministic run order,
-    independent of worker count and completion order.
-
-    ``repository`` (a :class:`repro.serve.repository.RunRepository`) hooks
-    the cache writes: every completed record — cached or freshly executed —
-    is also ingested into the run repository under the *same* content
-    address as the sweep cache file, so sweep results become queryable and
-    replayable like any other persisted run (docs/serving.md).  Ingestion
-    is idempotent; re-running a cached sweep does not duplicate entries.
+    A run whose intact record (:meth:`RunRepository.lookup`) the repository
+    already holds is a hit and is left untouched (unless ``force``); the
+    misses are executed across ``workers`` processes and stored with source
+    ``sweep:<name>``.  The report's records are read back from the
+    repository in the sweep's deterministic run order, so they are
+    independent of worker count and of which runs were hits; the index is
+    written once, here, after the workers return.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
     runs = expand(spec)
-    runs_dir = sweep_dir(results_dir, spec) / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
     report = SweepReport(spec=spec, runs=runs)
     pending: List[RunSpec] = []
-    records_by_key: Dict[str, Dict[str, Any]] = {}
     for run in runs:
-        record = None if force else load_record(run_path(runs_dir, run))
-        if record is not None:
-            records_by_key[run.key] = record
-            report.cached.append(run.key)
-            if progress:
-                progress("cached", run)
-        else:
+        if force or repository.lookup(run.key) is None:
             pending.append(run)
+            continue
+        report.cached.append(run.key)
+        if progress:
+            progress("cached", run)
 
-    tasks = [(run.params, str(run_path(runs_dir, run))) for run in pending]
-    by_key = {run.key: run for run in pending}
-    if len(tasks) <= 1 or workers == 1:
-        for task in tasks:
-            key = _execute_and_cache(task)
-            report.executed.append(key)
-            if progress:
-                progress("executed", by_key[key])
-    else:
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            for key in pool.imap_unordered(_execute_and_cache, tasks):
-                report.executed.append(key)
-                if progress:
-                    progress("executed", by_key[key])
+    def on_executed(index: int, task: Any) -> None:
+        """Record (and report) one executed run as its result arrives."""
+        report.executed.append(pending[index].key)
+        if progress:
+            progress("executed", pending[index])
 
+    source = f"sweep:{spec.name}"
+    tasks = [(run.params, str(repository.root), source) for run in pending]
+    workers_mod.pool_map(
+        _execute_and_record, tasks, workers=workers, progress=on_executed
+    )
     for run in runs:
-        record = records_by_key.get(run.key)
-        if record is None:  # executed this invocation: read what the worker wrote
-            record = load_record(run_path(runs_dir, run))
+        record = repository.lookup(run.key)
         if record is None:  # pragma: no cover - worker failures raise above
-            raise RuntimeError(f"run {run.key} produced no cache record")
+            raise RuntimeError(f"run {run.key} left no intact repository record")
         report.records.append(record)
-    if repository is not None:
-        for record in report.records:
-            repository.ingest(record, source=f"sweep:{spec.name}")
+    repository.register(report.records)
     return report
-
-
-def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    workers: int = 1,
-    progress: Optional[Callable[[int, Any], None]] = None,
-) -> List[Any]:
-    """Order-preserving map over worker processes (inline when ``workers<=1``).
-
-    ``fn`` must be a module-level callable (enforced with a named
-    :class:`repro.workers.WorkerCallableError` when parallelism engages —
-    see :mod:`repro.workers` for the pickling constraints) and ``items``
-    picklable; used by drivers like ``benchmarks/run_all.py`` to fan
-    independent experiment sections out across cores.  ``progress(index,
-    item)`` fires as each item's result arrives (streamed in order via
-    ``imap``, not after a whole-pool barrier).
-    """
-    return workers_mod.pool_map(fn, items, workers=workers, progress=progress)
 
 
 def iter_axes_summary(spec: SweepSpec) -> Iterable[str]:

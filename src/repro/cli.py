@@ -19,8 +19,8 @@ Commands
 ``chaos``     Generate (or load) a fault schedule, run a workload under it,
               and verify consistency survived.
 ``sweep``     Execute a declarative experiment grid (JSON spec) across worker
-              processes, with resumable content-addressed caching
-              (``--save`` also ingests every run into the run repository).
+              processes; every run lands in the run repository, which is
+              also the cache a re-invocation resumes from.
 ``runs``      Query the run repository: persisted runs by protocol,
               workload, preset, source, or time range (docs/serving.md).
 ``replay``    Re-execute a persisted run from its stored config/seed and
@@ -55,14 +55,10 @@ from .bench import experiments as exp
 from .bench import figures, report, results, sweep
 from .bench.harness import ExperimentResult, run_experiment, run_recorded
 from .cluster.topology import ClusterSpec
-from .config import MIXES, SimulationConfig
+from .config import DEFAULT_REPO_DIR, MIXES, SimulationConfig
 from .consistency.streaming import StreamingChecker, Violation, check_trace
 from .faults import FaultPlan, random_plan
 from .protocols import get_protocol, is_registered, protocol_names
-
-#: Default run-repository root (``repro run --save``, ``runs``, ``replay``,
-#: ``serve``; layout in docs/serving.md).
-DEFAULT_REPO_DIR = "results"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_cmd = commands.add_parser(
-        "sweep", help="run a declarative experiment grid (resumable, parallel)"
+        "sweep",
+        help="run a declarative experiment grid in parallel; its runs live "
+        "in the run repository, which a re-run resumes from",
     )
     sweep_cmd.add_argument("spec", help="sweep spec JSON (see docs/experiments.md)")
     sweep_cmd.add_argument(
@@ -198,25 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (results are identical at any worker count)",
     )
     sweep_cmd.add_argument(
-        "--results-dir", default="sweep_results",
-        help="cache/summary root (default: sweep_results/)",
-    )
-    sweep_cmd.add_argument(
-        "--out", default=None,
-        help="summary path (default: <results-dir>/<name>/summary.json)",
-    )
-    sweep_cmd.add_argument(
-        "--force", action="store_true", help="re-execute runs even when cached"
+        "--force", action="store_true",
+        help="re-execute runs even when the repository holds them",
     )
     sweep_cmd.add_argument(
         "--list", action="store_true", dest="list_runs",
         help="print the expanded run list and exit without executing",
-    )
-    sweep_cmd.add_argument(
-        "--save",
-        action="store_true",
-        help="also ingest every completed run into the run repository "
-        "(same content address as the cache entry; docs/serving.md)",
     )
     _add_repo_arg(sweep_cmd)
 
@@ -704,10 +689,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``repro sweep``: execute a declarative experiment grid, then aggregate.
 
-    Completed runs are cached content-addressed under ``--results-dir`` and
-    reused on re-invocation, so an interrupted sweep resumes where it
-    stopped; the aggregated summary is byte-identical at any worker count.
+    Every run is stored in the run repository (``--repo``) under its content
+    address, and a stored run is reused on re-invocation, so an interrupted
+    sweep resumes where it stopped.  The summary, written to
+    ``<repo>/sweeps/<name>/summary.json``, is byte-identical at any worker
+    count.
     """
+    from .serve.repository import RunRepository
+
     spec = sweep.SweepSpec.load(args.spec)
     runs = sweep.expand(spec)
     print(
@@ -719,46 +708,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  [{run.index + 1:3d}/{len(runs)}] {run.key[:12]}  {run.label()}")
         return 0
 
-    total = len(runs)
     started = time.monotonic()
 
     def progress(status: str, run: sweep.RunSpec) -> None:
         """Print one run's cache/execution status as it is known."""
         print(f"  {status:<8} {run.key[:12]}  {run.label()}", flush=True)
 
-    repository = None
-    if args.save:
-        from .serve.repository import RunRepository
-
-        repository = RunRepository(args.repo)
-
+    repository = RunRepository(args.repo)
     report_ = sweep.execute_sweep(
-        spec,
-        args.results_dir,
-        workers=args.workers,
-        force=args.force,
-        progress=progress,
-        repository=repository,
+        spec, repository, workers=args.workers, force=args.force, progress=progress
     )
-    summary = results.aggregate(report_.records, spec=spec)
-    out = (
-        pathlib.Path(args.out)
-        if args.out
-        else sweep.sweep_dir(args.results_dir, spec) / "summary.json"
-    )
-    results.dump_summary(summary, out)
+    summary, out = results.write_sweep_summary(report_, repository.root)
     elapsed = time.monotonic() - started
     print(
-        f"{total} runs: {len(report_.cached)} cached, "
+        f"{report_.total} runs: {len(report_.cached)} cached, "
         f"{len(report_.executed)} executed "
         f"({args.workers} worker{'s' if args.workers != 1 else ''}, {elapsed:.1f}s)"
     )
     print(f"summary ({len(summary['groups'])} groups): {out}")
-    if repository is not None:
-        print(
-            f"run repository: {len(repository)} runs in {repository.root} "
-            "(query with 'repro runs', replay with 'repro replay')"
-        )
+    print(
+        f"run repository: {len(repository)} runs in {repository.root} "
+        "(query with 'repro runs', replay with 'repro replay')"
+    )
     print()
     print(results.render_summary_table(summary))
     return 0
@@ -780,7 +751,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
         if len(repository) == 0:
             print(
                 f"no persisted runs in {repository.root} "
-                "(save one with 'repro run --save' or 'repro sweep --save')"
+                "(save one with 'repro run --save' or 'repro sweep SPEC')"
             )
         else:
             print(

@@ -124,6 +124,12 @@ class ReconfigConfig:
             raise ValueError("drain_delay must be non-negative")
 
 
+#: The run repository's default root, relative to the working directory:
+#: ``repro run --save``, ``sweep``, ``runs``, ``replay``, ``serve`` and the
+#: ``design_space`` figure all read and write here (docs/serving.md).
+DEFAULT_REPO_DIR = "results"
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """The ``repro serve`` front door (see docs/serving.md).
@@ -136,7 +142,7 @@ class ServeConfig:
     """
 
     #: Run-repository root the app persists into (docs/serving.md).
-    results_dir: str = "results"
+    results_dir: str = DEFAULT_REPO_DIR
     #: Bind address.  Loopback by default: the app has no auth layer, so
     #: exposing it beyond the machine is an explicit decision.
     host: str = "127.0.0.1"

@@ -1,9 +1,9 @@
 """The run repository: persisted, content-addressed, replayable results.
 
 Every completed run the repository sees — launched over HTTP by ``repro
-serve``, saved by ``repro run --save``, or ingested from a sweep's cache by
-:func:`repro.bench.sweep.execute_sweep` — becomes one JSON record under
-``results/`` (layout in docs/serving.md):
+serve``, saved by ``repro run --save``, or executed by a sweep
+(:func:`repro.bench.sweep.execute_sweep`, whose cache this is) — becomes one
+JSON record under ``results/`` (layout in docs/serving.md):
 
 ``runs/<run_id>.json``
     The full record: the run's fully resolved flat parameters (fault plans
@@ -20,13 +20,15 @@ serve``, saved by ``repro run --save``, or ingested from a sweep's cache by
     without touching the per-run files.
 
 The run id is :func:`repro.bench.sweep.run_key` — the SHA-256 of the
-canonical resolved parameters, the *same* content-addressing scheme the
-sweep cache uses.  Identity therefore follows content: re-saving an
-identical run is a no-op, a sweep cache entry and a served run with the
-same parameters share one id, and editing a parameter (or the cache
-version) yields a new entry instead of silently shadowing an old one.
-Records are written atomically (:func:`repro.bench.runner.write_json`); the
-index is a derived view and can always be rebuilt by scanning ``runs/``.
+canonical resolved parameters.  Identity therefore follows content:
+re-saving an identical run is a no-op, a sweep cell and a served or saved
+run with the same parameters are one record (so either reuses the other),
+and editing a parameter (or the cache version) yields a new entry instead
+of silently shadowing an old one.  :func:`write_record` is the one place a
+record is built; it writes atomically (:func:`repro.bench.runner.write_json`),
+so sweep worker processes call it directly.  The index is a derived view,
+written only by the process holding the :class:`RunRepository`, and can
+always be rebuilt by scanning ``runs/``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..bench import runner
 from ..bench.results import result_digest
@@ -47,6 +49,8 @@ SCHEMA_VERSION = 1
 
 #: Shortest run-id prefix :meth:`RunRepository.resolve` accepts.
 MIN_PREFIX = 8
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class RepositoryError(Exception):
@@ -70,6 +74,58 @@ def _sha256_file(path: pathlib.Path, chunk: int = 1 << 20) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
+
+
+def write_record(
+    root: runner.PathLike,
+    params: Mapping[str, Any],
+    result: Mapping[str, Any],
+    *,
+    source: str,
+    trace_path: Optional[runner.PathLike] = None,
+) -> Dict[str, Any]:
+    """Build one run's record and write ``<root>/runs/<run_id>.json``; returns it.
+
+    ``params`` are the flat run parameters (resolved through
+    :func:`repro.bench.sweep.resolve_params`, so partial parameter sets are
+    completed exactly like the CLI and sweep engine complete them);
+    ``result`` is the run's ``ExperimentResult.to_dict()``.  When
+    ``trace_path`` names the run's JSONL consistency trace, the file is
+    copied into ``<root>/traces/`` and its byte digest recorded.  The index
+    is not touched: see :meth:`RunRepository.register`.
+    """
+    root = pathlib.Path(root)
+    resolved = resolve_params(params)
+    run_id = run_key(resolved)
+    record: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "run_id": run_id,
+        "params": resolved,
+        "protocol": resolved["protocol"],
+        "result": dict(result),
+        "summary_digest": result_digest(result),
+        "trace_digest": None,
+        "created_unix": round(time.time(), 3),
+        "source": source,
+    }
+    record["created_at"] = _utc_iso(record["created_unix"])
+    if trace_path is not None:
+        record["trace_digest"] = _store_trace(root / "traces", run_id, trace_path)
+    runner.write_json(root / "runs" / f"{run_id}.json", record)
+    return record
+
+
+def _store_trace(traces_dir: pathlib.Path, run_id: str, trace_path: runner.PathLike) -> str:
+    """Copy a trace file into the repository atomically; returns its digest."""
+    source = pathlib.Path(trace_path)
+    if not source.is_file():
+        raise RepositoryError(f"trace file not found: {source}")
+    target = traces_dir / f"{run_id}.jsonl"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+    tmp.write_bytes(source.read_bytes())
+    os.replace(tmp, target)
+    return _sha256_file(target)
 
 
 class RunRepository:
@@ -100,62 +156,19 @@ class RunRepository:
         source: str = "cli",
         trace_path: Optional[runner.PathLike] = None,
     ) -> Dict[str, Any]:
-        """Persist one completed run; returns the stored record.
-
-        ``params`` are the flat run parameters (resolved through
-        :func:`repro.bench.sweep.resolve_params`, so partial parameter sets
-        are completed exactly like the CLI and sweep engine complete them);
-        ``result`` is the run's ``ExperimentResult.to_dict()``.  When
-        ``trace_path`` names the run's JSONL consistency trace, the file is
-        copied into the repository and its byte digest recorded.
-        """
-        resolved = resolve_params(params)
-        run_id = run_key(resolved)
-        record: Dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "run_id": run_id,
-            "params": resolved,
-            "protocol": resolved["protocol"],
-            "result": dict(result),
-            "summary_digest": result_digest(result),
-            "trace_digest": None,
-            "created_unix": round(time.time(), 3),
-            "source": source,
-        }
-        record["created_at"] = _utc_iso(record["created_unix"])
-        if trace_path is not None:
-            record["trace_digest"] = self._store_trace(run_id, trace_path)
-        runner.write_json(self.runs_dir / f"{run_id}.json", record)
-        with self._lock:
-            self._index[run_id] = self._index_entry(record)
-            self._write_index()
+        """Persist and index one completed run (see :func:`write_record`)."""
+        record = write_record(
+            self.root, params, result, source=source, trace_path=trace_path
+        )
+        self.register([record])
         return record
 
-    def ingest(self, record: Mapping[str, Any], *, source: str) -> Optional[Dict[str, Any]]:
-        """Adopt one sweep cache record (``{key, params, result}``).
-
-        The sweep cache and the repository share the content-addressing
-        scheme, so the cache key *is* the run id.  Already-present ids are
-        left untouched (idempotent — resuming a sweep re-ingests nothing);
-        returns the stored record, or ``None`` when the id already existed.
-        """
-        run_id = record.get("key") or run_key(resolve_params(record["params"]))
+    def register(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Index records already written to ``runs/``; one index write."""
         with self._lock:
-            if run_id in self._index:
-                return None
-        return self.save_run(record["params"], record["result"], source=source)
-
-    def _store_trace(self, run_id: str, trace_path: runner.PathLike) -> str:
-        """Copy a trace file into the repository atomically; returns its digest."""
-        source = pathlib.Path(trace_path)
-        if not source.is_file():
-            raise RepositoryError(f"trace file not found: {source}")
-        target = self.traces_dir / f"{run_id}.jsonl"
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(source.read_bytes())
-        os.replace(tmp, target)
-        return _sha256_file(target)
+            for record in records:
+                self._index[record["run_id"]] = self._index_entry(record)
+            self._write_index()
 
     # ------------------------------------------------------------------
     # Reading
@@ -163,10 +176,10 @@ class RunRepository:
     def resolve(self, run_id_or_prefix: str) -> str:
         """Expand a (possibly abbreviated) run id to the full 64-hex id."""
         prefix = run_id_or_prefix.strip().lower()
-        if len(prefix) < MIN_PREFIX:
+        # Hex only: the prefix becomes a glob pattern below.
+        if len(prefix) < MIN_PREFIX or not _HEX_DIGITS.issuperset(prefix):
             raise RepositoryError(
-                f"run id prefix too short (need >= {MIN_PREFIX} hex chars): "
-                f"{run_id_or_prefix!r}"
+                f"run id prefix must be >= {MIN_PREFIX} hex chars: {run_id_or_prefix!r}"
             )
         with self._lock:
             matches = sorted(rid for rid in self._index if rid.startswith(prefix))
@@ -192,7 +205,21 @@ class RunRepository:
         bit rot, a hand-edited file — raises :class:`RepositoryError` naming
         both digests, the same contract ``repro replay`` exits non-zero on.
         """
-        run_id = self.resolve(run_id_or_prefix)
+        return self._load(self.resolve(run_id_or_prefix))
+
+    def lookup(self, run_id: str) -> Optional[Dict[str, Any]]:
+        """The intact record stored under exactly ``run_id``, else ``None``.
+
+        The sweep engine's cache probe: a record :meth:`get` would reject
+        (absent, unreadable, corrupt, tampered) is a miss, not an error.
+        """
+        try:
+            return self._load(run_id)
+        except RepositoryError:
+            return None
+
+    def _load(self, run_id: str) -> Dict[str, Any]:
+        """Read ``runs/<run_id>.json`` and check it is that run, intact."""
         path = self.runs_dir / f"{run_id}.json"
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
@@ -200,9 +227,15 @@ class RunRepository:
             raise RepositoryError(f"cannot read run record {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise RepositoryError(f"corrupt run record {path}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise RepositoryError(f"corrupt run record {path}: not a JSON object")
         for field in ("run_id", "params", "result", "summary_digest"):
             if field not in record:
                 raise RepositoryError(f"corrupt run record {path}: missing {field!r}")
+        if record["run_id"] != run_id:
+            raise RepositoryError(
+                f"corrupt run record {path}: it names run {record['run_id']!r}"
+            )
         stored = record["summary_digest"]
         actual = result_digest(record["result"])
         if stored != actual:
@@ -242,8 +275,8 @@ class RunRepository:
         """Query the index: newest first, every filter conjunctive.
 
         ``since``/``until`` bound the creation time (unix seconds);
-        ``source`` matches exactly (``cli``, ``serve``) or, for sweep
-        ingests, the ``sweep:<name>`` form.
+        ``source`` matches exactly (``cli``, ``serve``) or, for runs a
+        sweep executed, the ``sweep:<name>`` form.
         """
         with self._lock:
             entries = list(self._index.values())

@@ -37,7 +37,6 @@ from ..bench.sweep import (
     config_from_params,
     execute_sweep,
     resolve_params,
-    sweep_dir,
 )
 from ..config import ServeConfig
 from .replay import replay_run
@@ -326,15 +325,12 @@ class ServeService:
         # The pool bound is the machine's oversubscription guard; a sweep
         # asking for more process-parallelism than that is clamped to it.
         workers = min(workers, self.config.workers)
-        sweeps_root = self.repository.root / "sweeps"
 
         def execute() -> Dict[str, Any]:
-            report = execute_sweep(
-                spec, sweeps_root, workers=workers, repository=self.repository
+            report = execute_sweep(spec, self.repository, workers=workers)
+            summary, out = results_mod.write_sweep_summary(
+                report, self.repository.root
             )
-            summary = results_mod.aggregate(report.records, spec=spec)
-            out = sweep_dir(sweeps_root, spec) / "summary.json"
-            results_mod.dump_summary(summary, out)
             return {
                 "name": spec.name,
                 "total": report.total,

@@ -1,10 +1,10 @@
 """Worker-process plumbing shared by the sweep engine and the shard runner.
 
-Both fan-out paths in this codebase — :func:`repro.bench.sweep.parallel_map`
-(independent experiment sections across cores) and
-:mod:`repro.sim.sharded` (one event kernel per DC shard, exchanging
-messages at window barriers) — ride on :mod:`multiprocessing`.  That
-imposes two constraints, documented once, here:
+Both fan-out paths in this codebase — :func:`pool_map` (independent sweep
+runs and experiment sections across cores) and :mod:`repro.sim.sharded`
+(one event kernel per DC shard, exchanging messages at window barriers) —
+ride on :mod:`multiprocessing`.  That imposes two constraints, documented
+once, here:
 
 * **Module-level callables only.**  Worker targets and mapped functions
   are located by qualified name when a child process materialises them, so
@@ -17,7 +17,8 @@ imposes two constraints, documented once, here:
   dicts, lists).  Simulation objects (kernels, networks, servers) never
   cross — workers rebuild them from the configuration.
 
-:func:`pool_map` is the order-preserving map used by ``parallel_map``;
+:func:`pool_map` is the order-preserving map used by
+:func:`repro.bench.sweep.execute_sweep` and ``benchmarks/run_all.py``;
 :func:`spawn_pipe_workers` is the duplex-pipe variant used by the shard
 runner, whose workers converse with the parent at every window barrier
 instead of returning one result.
@@ -41,7 +42,7 @@ def require_module_level(fn: Callable[..., Any], context: str) -> None:
     A callable survives the trip to a worker process only if a child can
     re-import it as ``module.qualname`` and get the same object back.  That
     rules out lambdas, locally defined functions, and bound/instance
-    methods.  ``context`` names the caller (e.g. ``"parallel_map"``) in the
+    methods.  ``context`` names the caller (e.g. ``"pool_map"``) in the
     error message.
     """
     name = getattr(fn, "__qualname__", getattr(fn, "__name__", repr(fn)))

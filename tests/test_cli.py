@@ -250,50 +250,51 @@ class TestSweepCommand:
         return str(path)
 
     def test_list_expands_without_executing(self, spec_path, tmp_path, capsys):
-        results_dir = tmp_path / "sweeps"
-        assert (
-            cli.main(["sweep", spec_path, "--list", "--results-dir", str(results_dir)])
-            == 0
-        )
+        repo = tmp_path / "results"
+        assert cli.main(["sweep", spec_path, "--list", "--repo", str(repo)]) == 0
         out = capsys.readouterr().out
         assert "2 runs" in out
         assert "locality=0.5" in out
-        assert not results_dir.exists()
+        assert not repo.exists()
 
     def test_execute_then_resume_all_cached(self, spec_path, tmp_path, capsys):
         import json
 
-        results_dir = str(tmp_path / "sweeps")
-        assert cli.main(["sweep", spec_path, "--results-dir", results_dir]) == 0
+        repo = str(tmp_path / "results")
+        assert cli.main(["sweep", spec_path, "--repo", repo]) == 0
         first = capsys.readouterr().out
         assert "2 executed" in first
-        summary_path = tmp_path / "sweeps" / "cli-sweep" / "summary.json"
+        summary_path = tmp_path / "results" / "sweeps" / "cli-sweep" / "summary.json"
+        assert f"summary (2 groups): {summary_path}" in first
         summary = json.loads(summary_path.read_text())
         assert summary["name"] == "cli-sweep"
         assert len(summary["groups"]) == 2
         # Second invocation: every run is a cache hit, summary unchanged.
         before = summary_path.read_bytes()
-        assert cli.main(["sweep", spec_path, "--results-dir", results_dir]) == 0
+        assert cli.main(["sweep", spec_path, "--repo", repo]) == 0
         second = capsys.readouterr().out
         assert "2 cached, 0 executed" in second
         assert summary_path.read_bytes() == before
 
-    def test_out_flag_redirects_summary(self, spec_path, tmp_path, capsys):
-        out_path = tmp_path / "elsewhere.json"
-        assert (
-            cli.main(
-                [
-                    "sweep",
-                    spec_path,
-                    "--results-dir",
-                    str(tmp_path / "sweeps"),
-                    "--out",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        assert out_path.exists()
+    def test_run_save_with_cell_params_is_a_cache_hit(self, spec_path, tmp_path, capsys):
+        """`repro run --save` and a sweep cell with the same params are one run."""
+        from repro.bench.sweep import SweepSpec, expand
+        from repro.serve.repository import RunRepository
+
+        cell = expand(SweepSpec.from_dict(self.SPEC))[0]
+        flags = [f"--{name}={cell.params[name]}" for name in self.SPEC["base"]]
+        repo = str(tmp_path / "results")
+        assert cli.main([
+            "run", *flags, f"--locality={cell.params['locality']}",
+            f"--seed={cell.params['seed']}", "--save", "--repo", repo,
+        ]) == 0
+        assert f"saved record {cell.key[:12]}" in capsys.readouterr().out
+        saved = RunRepository(repo).get(cell.key)
+        assert cli.main(["sweep", spec_path, "--repo", repo]) == 0
+        out = capsys.readouterr().out
+        assert f"cached   {cell.key[:12]}" in out
+        assert "1 cached, 1 executed" in out
+        assert RunRepository(repo).get(cell.key) == saved  # source "cli" kept
 
     def test_bad_spec_raises_clean_error(self, tmp_path):
         from repro.bench.sweep import SweepSpecError
@@ -305,7 +306,7 @@ class TestSweepCommand:
 
 
 class TestRunRepositoryCommands:
-    """run --save, runs, and the sweep --save ingest path, CLI-level."""
+    """run --save, runs, and sweeps as repository producers, CLI-level."""
 
     def test_run_save_then_runs_lists_it(self, tmp_path, capsys):
         repo = str(tmp_path / "results")
@@ -328,16 +329,13 @@ class TestRunRepositoryCommands:
         assert cli.main(["runs", "--repo", repo, "--protocol", "bpr"]) == 0
         assert "loosen the filters" in capsys.readouterr().out
 
-    def test_sweep_save_ingests_into_repository(self, tmp_path, capsys):
+    def test_sweep_runs_are_repository_runs(self, tmp_path, capsys):
         import json
 
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(TestSweepCommand.SPEC))
         repo = str(tmp_path / "results")
-        assert cli.main([
-            "sweep", str(spec), "--results-dir", str(tmp_path / "sweeps"),
-            "--save", "--repo", repo,
-        ]) == 0
+        assert cli.main(["sweep", str(spec), "--repo", repo]) == 0
         out = capsys.readouterr().out
         assert "run repository: 2 runs" in out
         assert cli.main(["runs", "--repo", repo, "--source", "sweep:cli-sweep"]) == 0

@@ -12,6 +12,7 @@ from repro.bench.harness import run_experiment
 from repro.bench.sweep import SweepSpec, SweepSpecError, config_from_params, execute_sweep
 from repro.cluster.topology import ClusterSpec
 from repro.config import WorkloadConfig
+from repro.serve.repository import RunRepository
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import (
     ArrivalSchedule,
@@ -299,10 +300,9 @@ class TestSweepWorkloadAxis:
         spec = SweepSpec.from_dict(self.SPEC)
 
         def summary_bytes(root):
-            report = execute_sweep(spec, root, workers=1 if root.name == "w1" else 4)
-            path = root / "summary.json"
-            results.dump_summary(results.aggregate(report.records, spec=spec), path)
-            return path.read_bytes()
+            repository = RunRepository(root)
+            report = execute_sweep(spec, repository, workers=1 if root.name == "w1" else 4)
+            return results.write_sweep_summary(report, repository.root)[1].read_bytes()
 
         serial = summary_bytes(tmp_path / "w1")
         parallel = summary_bytes(tmp_path / "w4")

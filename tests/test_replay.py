@@ -118,6 +118,15 @@ class TestReplayCLI:
         ) == 2
         assert "no persisted run" in capsys.readouterr().err
 
+    def test_glob_pattern_run_id_exits_two(self, tmp_path, capsys):
+        """A run id is hex: '????????' names no run, even with one unindexed."""
+        from repro.serve.repository import write_record
+
+        repo_dir = tmp_path / "results"
+        write_record(repo_dir, {"seed": 1}, {"throughput": 1.0}, source="cli")
+        assert cli.main(["replay", "????????", "--repo", str(repo_dir)]) == 2
+        assert "hex" in capsys.readouterr().err
+
 
 class TestReplayAPI:
     def test_unknown_id_raises(self, tmp_path):

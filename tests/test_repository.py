@@ -19,6 +19,7 @@ from repro.serve.repository import (
     MIN_PREFIX,
     RepositoryError,
     RunRepository,
+    write_record,
 )
 
 #: Tiny-but-real run parameters (same scale as tests/test_cli.py's FAST).
@@ -131,6 +132,14 @@ class TestResolvePrefix:
         with pytest.raises(RepositoryError, match="no persisted run"):
             repo.resolve("0123456789abcdef")
 
+    @pytest.mark.parametrize("pattern", ["????????", "********", "[0-9a-f]*x"])
+    def test_glob_characters_rejected(self, tmp_path, pattern):
+        """Prefixes reach a glob when the index lacks an id: hex only."""
+        repo = RunRepository(tmp_path / "results")
+        write_record(repo.root, FAST_PARAMS, {"throughput": 1.0}, source="cli")
+        with pytest.raises(RepositoryError, match="hex"):
+            repo.resolve(pattern)
+
 
 class TestCorruption:
     def test_tampered_result_names_both_digests(self, tmp_path):
@@ -204,6 +213,8 @@ class TestIndexDurability:
 
 
 class TestSweepIngest:
+    """A sweep reads and writes the repository: its cells are repository runs."""
+
     SPEC = {
         "name": "repo-ingest",
         "seed": 42,
@@ -222,24 +233,26 @@ class TestSweepIngest:
     def test_sweep_runs_land_in_repository(self, tmp_path):
         spec = SweepSpec.from_dict(self.SPEC)
         repo = RunRepository(tmp_path / "results")
-        report = execute_sweep(spec, tmp_path / "sweeps", repository=repo)
+        report = execute_sweep(spec, repo)
         assert len(repo) == report.total == 2
         for entry in repo.list():
             assert entry["source"] == "sweep:repo-ingest"
 
     def test_cache_key_is_run_id(self, tmp_path):
-        """The sweep cache and the repository share one content address."""
+        """A sweep cell's key is its repository run id."""
         spec = SweepSpec.from_dict(self.SPEC)
         repo = RunRepository(tmp_path / "results")
-        execute_sweep(spec, tmp_path / "sweeps", repository=repo)
+        execute_sweep(spec, repo)
         for run in expand(spec):
             assert run.key in repo
+            assert repo.get(run.key)["params"] == run.params
 
     def test_reingest_is_idempotent(self, tmp_path):
         spec = SweepSpec.from_dict(self.SPEC)
         repo = RunRepository(tmp_path / "results")
-        execute_sweep(spec, tmp_path / "sweeps", repository=repo)
+        execute_sweep(spec, repo)
         first = {e["run_id"]: e["created_unix"] for e in repo.list()}
-        # Resume: all cached, nothing re-ingested, timestamps untouched.
-        execute_sweep(spec, tmp_path / "sweeps", repository=repo)
+        # Resume: all cached, nothing rewritten, timestamps untouched.
+        report = execute_sweep(spec, repo)
+        assert len(report.cached) == 2
         assert {e["run_id"]: e["created_unix"] for e in repo.list()} == first

@@ -106,6 +106,16 @@ class TestValidation:
     def test_sweep_without_spec_400(self, service):
         assert service.handle("POST", "/sweeps", body={"workers": 2})[0] == 400
 
+    @pytest.mark.parametrize("pattern", ["????????", "********"])
+    def test_glob_pattern_run_id_404(self, service, pattern):
+        """With a stale index the prefix reaches a glob: it must be hex."""
+        from repro.serve.repository import write_record
+
+        write_record(service.repository.root, FAST_PARAMS, {"throughput": 1.0}, source="cli")
+        status, payload = service.handle("GET", f"/runs/{pattern}")
+        assert status == 404
+        assert "hex" in payload["error"]
+
 
 class TestLaunchAndReplay:
     def test_launch_poll_persist_replay(self, service):
@@ -201,6 +211,9 @@ class TestSweepEndpoint:
         assert all(
             e["source"] == "sweep:served-sweep" for e in listing["runs"]
         )
+        summary_path = service.repository.root / "sweeps" / "served-sweep" / "summary.json"
+        assert job["result"]["summary_path"] == str(summary_path)
+        assert summary_path.exists()
         # Every served sweep run is individually replayable.
         run_id = job["result"]["run_ids"][0]
         _, payload = service.handle("POST", f"/runs/{run_id}/replay")

@@ -300,11 +300,9 @@ class TestWorkerPlumbing:
     def test_pool_map_parallel_preserves_order(self):
         assert pool_map(_square, [3, 1, 2], workers=2) == [9, 1, 4]
 
-    def test_parallel_map_rejects_closures_loudly(self):
-        from repro.bench.sweep import parallel_map
-
+    def test_pool_map_rejects_closures_loudly(self):
         with pytest.raises(WorkerCallableError, match="module-level"):
-            parallel_map(lambda x: x, [1, 2], workers=2)
+            pool_map(lambda x: x, [1, 2], workers=2)
 
 
 FAST = ["--dcs", "3", "--machines", "2", "--threads", "1",
