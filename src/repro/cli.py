@@ -59,6 +59,7 @@ from .config import DEFAULT_REPO_DIR, MIXES, SimulationConfig
 from .consistency.streaming import StreamingChecker, Violation, check_trace
 from .faults import FaultPlan, random_plan
 from .protocols import get_protocol, is_registered, protocol_names
+from .sim.trace import TraceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -615,13 +616,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     docs/design_space.md).
 
     ``--trace-in TRACE`` skips the simulation entirely and re-checks a
-    persisted JSONL trace.  ``--trace-out TRACE`` spills the events of a
-    live run as they are judged.  ``--window`` bounds the checker's memory
-    either way (default: unbounded).
+    persisted JSONL trace; a trace that is missing, truncated or corrupt is
+    one stderr line naming ``file:line`` and exit 2, never a verdict.
+    ``--trace-out TRACE`` spills the events of a live run as they are
+    judged.  ``--window`` bounds the checker's memory either way (default:
+    unbounded).
     """
     level = get_protocol(args.protocol).consistency
     if args.trace_in is not None:
-        checker = check_trace(args.trace_in, window=args.window, level=level)
+        try:
+            checker = check_trace(args.trace_in, window=args.window, level=level)
+        except TraceError as exc:
+            print(f"repro check: bad trace {exc}", file=sys.stderr)
+            return 2
         window_text = "unbounded" if args.window is None else f"{args.window:g}s"
         print(
             f"re-checked {args.trace_in}: {checker.commits_checked} commits / "
@@ -850,12 +857,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     would have written.  A truncated or corrupt shard file is a named
     error (exit 2), never a silently shorter merge.
     """
-    from .consistency.streaming import TraceMergeError, merge_traces
+    from .consistency.streaming import merge_traces
 
     if args.trace_command == "merge":
         try:
             count = merge_traces(args.inputs, args.out)
-        except (TraceMergeError, OSError) as exc:
+        except (TraceError, OSError) as exc:
             print(f"trace merge failed: {exc}", file=sys.stderr)
             return 2
         print(

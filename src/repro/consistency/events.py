@@ -6,9 +6,13 @@ self-contained JSON-line encoding of both so a run's consistency-relevant
 history can be spilled to disk (:class:`repro.sim.trace.TraceWriter`) and
 re-checked later (``repro check --trace-in``, docs/scaling.md).
 
-A commit event carries its *direct dependencies* (the recording session's
-observed frontier at commit time), so decoding never needs oracle session
-state: the event stream alone reconstructs the dependency graph.
+A commit event carries the **dependency delta** of its session: the
+entries of the session's observed frontier (per key, the newest version it
+read or wrote) that were raised since its previous commit, sorted.  Folding
+a client's deltas together in stream order rebuilds that client's whole
+frontier at each of its commits — the direct dependencies of the written
+versions — so decoding still needs no oracle state, but a trace must be read
+from its start and in order (per client; interleaving clients is free).
 
 Schema (one JSON object per line, sorted keys)::
 
@@ -20,7 +24,12 @@ Schema (one JSON object per line, sorted keys)::
     {"t": "commit", "seq": 13, "client": "c:d0.p0.0", "tid": [4, 17],
      "ct": 131072, "at": 1.27,
      "written": [["p0:k000001", 131072, 4, 17, 0]],
-     "deps": [["p1:k000002", 99, 3, 17, 0]]}
+     "added": [["p1:k000002", 99, 3, 17, 0]]}
+
+Traces written before deltas carried the whole frontier under ``"deps"``.
+:func:`decode_event` reads that key into the same field: a full frontier is
+a valid delta, because folding a version into a frontier that already holds
+it (or something newer) changes nothing.
 
 A version id is ``[key, ut, tid_seq, tid_uid, sr]`` and decodes to the
 :data:`VersionId` tuple ``(key, ut, (tid_seq, tid_uid), sr)``.
@@ -64,16 +73,17 @@ class ReadEvent:
 
 @dataclass(frozen=True, slots=True)
 class CommitEvent:
-    """One committed update transaction, with its direct dependencies."""
+    """One committed update transaction, with its session's dependency delta."""
 
     seq: int
     client: str
     tid: Tuple[int, int]
     commit_ts: int
     written: Tuple[VersionId, ...]
-    #: The session's observed frontier at commit time (direct dependencies
-    #: of every written version), sorted for deterministic encoding.
-    deps: Tuple[VersionId, ...]
+    #: The session frontier entries raised since the client's previous commit,
+    #: sorted.  Folded into the frontier the earlier commits built, they give
+    #: the direct dependencies of every written version.
+    added_deps: Tuple[VersionId, ...]
     at: float
 
 
@@ -113,7 +123,7 @@ def encode_commit(event: CommitEvent) -> Dict[str, Any]:
         "tid": list(event.tid),
         "ct": event.commit_ts,
         "written": [_encode_vid(vid) for vid in event.written],
-        "deps": [_encode_vid(vid) for vid in sorted(event.deps)],
+        "added": [_encode_vid(vid) for vid in event.added_deps],
         "at": event.at,
     }
 
@@ -142,13 +152,14 @@ def decode_event(obj: Mapping[str, Any]) -> TraceEvent:
             at=obj["at"],
         )
     if kind == "commit":
+        added = obj["added"] if "added" in obj else obj["deps"]
         return CommitEvent(
             seq=obj["seq"],
             client=obj["client"],
             tid=tuple(obj["tid"]),
             commit_ts=obj["ct"],
             written=tuple(_decode_vid(v) for v in obj["written"]),
-            deps=tuple(_decode_vid(v) for v in obj["deps"]),
+            added_deps=tuple(_decode_vid(v) for v in added),
             at=obj["at"],
         )
     raise ValueError(f"unknown trace event type {kind!r}")

@@ -26,7 +26,10 @@ frontier — for each key, the newest version the client has read or written.
 When the client commits, the new versions' direct dependencies are the
 frontier values at commit time, which matches the causality definition of
 Section II-A: same-thread order, reads-from, and transitivity (recovered by
-the checker's closure walk).
+the checker's closure walk).  A commit event carries only the entries raised
+since the client's previous commit; the checker folds them into its own
+copy of the client's frontier, so it sees the same dependencies without any
+event carrying all K of them.
 
 The checker is sound, not complete: the frontier keeps the newest observed
 version per key of a session, so a violation report is always a real
@@ -55,7 +58,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..clocks.hlc import micros_to_timestamp
-from ..sim.trace import TraceWriter, read_jsonl
+from ..sim.trace import TraceError, TraceWriter, read_jsonl
 from ..storage.version import TransactionId, Version
 from .events import (
     CommitEvent,
@@ -95,6 +98,20 @@ def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
     current = frontier.get(key)
     if current is None or vid > current:
         frontier[key] = vid
+
+
+class _Session:
+    """What the checker knows of one client's commits (never retired)."""
+
+    __slots__ = ("frontier", "max_ut", "last")
+
+    def __init__(self) -> None:
+        #: The client's dependency frontier, folded from its commits' deltas.
+        self.frontier: Dict[str, VersionId] = {}
+        #: The newest ``ut`` in ``frontier`` (raising an entry never lowers it).
+        self.max_ut = -1
+        #: The versions the client's previous commit wrote.
+        self.last: Tuple[VersionId, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,13 +160,12 @@ class StreamingChecker:
             None if window is None else micros_to_timestamp(int(window * 1_000_000))
         )
         self._watermark = 0
-        #: Direct dependencies of each in-window version (event payloads).
+        #: Direct dependencies of each in-window version (its session's
+        #: frontier when it committed).
         self._deps: Dict[VersionId, Tuple[VersionId, ...]] = {}
         #: Memoized per-key frontier of each transaction's dependency closure
         #: (all versions of one transaction share one ``deps`` tuple).
         self._closures: Dict[TransactionId, Dict[str, VersionId]] = {}
-        #: Per client: its last commit's written vids and dependency set.
-        self._last: Dict[str, Tuple[Tuple[VersionId, ...], frozenset]] = {}
         #: Per transaction whose session predecessor ``base`` is still among
         #: its deps: ``(base, deps the predecessor did not have)``.
         self._delta: Dict[TransactionId, Tuple[VersionId, Tuple[VersionId, ...]]] = {}
@@ -165,6 +181,7 @@ class StreamingChecker:
         #: Per-client frontiers (never retired: one vid per client x key).
         self._seen: Dict[str, Dict[str, VersionId]] = {}
         self._own: Dict[str, Dict[str, VersionId]] = {}
+        self._sessions: Dict[str, _Session] = {}
         self._commits_since_retire = 0
 
     # ------------------------------------------------------------------
@@ -195,9 +212,51 @@ class StreamingChecker:
     # ------------------------------------------------------------------
     def _on_commit(self, event: CommitEvent) -> None:
         self.commits_checked += 1
-        deps = event.deps
+        session = self._sessions.get(event.client)
+        if session is None:
+            session = self._sessions[event.client] = _Session()
+        frontier = session.frontier
+        max_ut = session.max_ut
+        raised = []
+        for dep in event.added_deps:
+            current = frontier.get(dep[0])
+            if current is None or dep > current:
+                frontier[dep[0]] = dep
+                raised.append(dep)
+                if dep[1] > max_ut:
+                    max_ut = dep[1]
+        session.max_ut = max_ut
+        written = event.written
+        if written and min(vid[1] for vid in written) <= max_ut:
+            self._check_dependency_timestamps(written, sorted(frontier.values()))
         own = self._own.setdefault(event.client, {})
-        for vid in event.written:
+        if written:
+            deps = tuple(frontier.values())
+            for vid in written:
+                self._deps[vid] = deps
+                heappush(self._version_queue, (vid[1], vid))
+                _merge(own, vid[0], vid)
+            self._tx_writes[event.tid] = written
+            heappush(self._tx_queue, (max(vid[1] for vid in written), event.tid))
+            # The entries raised since the previous commit are exactly the deps
+            # that commit did not have, and they include its own writes.
+            base = next((vid for vid in session.last if frontier.get(vid[0]) == vid), None)
+            if base is not None:
+                self._delta[event.tid] = (base, tuple(dep for dep in raised if dep != base))
+        session.last = written
+        if event.commit_ts > self._watermark:
+            self._watermark = event.commit_ts
+        if self._window_ts is not None:
+            self._commits_since_retire += 1
+            if self._commits_since_retire >= RETIRE_EVERY:
+                self._commits_since_retire = 0
+                self._retire()
+
+    def _check_dependency_timestamps(
+        self, written: Tuple[VersionId, ...], deps: List[VersionId]
+    ) -> None:
+        """Proposition 1: each written version's ut exceeds every dependency's."""
+        for vid in written:
             for dep in deps:
                 if dep[1] >= vid[1]:
                     self.violations.append(
@@ -210,29 +269,6 @@ class StreamingChecker:
                             ),
                         )
                     )
-            self._deps[vid] = deps
-            heappush(self._version_queue, (vid[1], vid))
-            _merge(own, vid[0], vid)
-        if event.written:
-            self._tx_writes[event.tid] = event.written
-            heappush(
-                self._tx_queue,
-                (max(vid[1] for vid in event.written), event.tid),
-            )
-            depset = frozenset(deps)
-            previous, previous_deps = self._last.get(event.client, ((), depset))
-            base = next((vid for vid in previous if vid in depset), None)
-            if base is not None:
-                fresh = depset.difference(previous_deps, (base,))
-                self._delta[event.tid] = (base, tuple(sorted(fresh)))
-            self._last[event.client] = (event.written, depset)
-        if event.commit_ts > self._watermark:
-            self._watermark = event.commit_ts
-        if self._window_ts is not None:
-            self._commits_since_retire += 1
-            if self._commits_since_retire >= RETIRE_EVERY:
-                self._commits_since_retire = 0
-                self._retire()
 
     # ------------------------------------------------------------------
     # Read path
@@ -435,6 +471,10 @@ class StreamingOracle:
     :meth:`record_read` expose ``version`` (Optional[Version]) and
     ``source`` (str) — the client's :class:`~repro.core.client.ReadResult`
     qualifies.
+
+    A consumer must see each client's events in the order they were
+    recorded: a commit carries only the frontier entries its session raised
+    since its previous commit (:class:`~repro.consistency.events.CommitEvent`).
     """
 
     def __init__(
@@ -449,7 +489,15 @@ class StreamingOracle:
         self.reads_recorded = 0
         self.commits_recorded = 0
         self._seq = itertools.count()
-        self._frontiers: Dict[str, Dict[str, VersionId]] = {}
+        #: Per client: its observed frontier, and the entries of it raised
+        #: since the client's last commit.
+        self._sessions: Dict[str, Tuple[Dict[str, VersionId], Dict[str, VersionId]]] = {}
+
+    def _session(self, client: str) -> Tuple[Dict[str, VersionId], Dict[str, VersionId]]:
+        session = self._sessions.get(client)
+        if session is None:
+            session = self._sessions[client] = ({}, {})
+        return session
 
     def record_read(
         self,
@@ -460,7 +508,7 @@ class StreamingOracle:
         at: float,
     ) -> None:
         """Record one read phase; updates the client's observed frontier."""
-        frontier = self._frontiers.setdefault(client, {})
+        frontier, raised = self._session(client)
         returned: Dict[str, Tuple[Optional[VersionId], str]] = {}
         for key, result in results.items():
             version = result.version
@@ -470,7 +518,7 @@ class StreamingOracle:
             vid = version_id(version)
             returned[key] = (vid, result.source)
             if not is_preload(version):
-                _merge(frontier, key, vid)
+                _raise(frontier, raised, key, vid)
         event = ReadEvent(
             seq=next(self._seq),
             client=client,
@@ -495,21 +543,22 @@ class StreamingOracle:
         at: float,
     ) -> None:
         """Record a commit; the written versions depend on the session frontier."""
-        frontier = self._frontiers.setdefault(client, {})
+        frontier, raised = self._session(client)
         for version in read_versions:
             if not is_preload(version):
-                _merge(frontier, version.key, version_id(version))
-        deps = tuple(sorted(frontier.values()))
+                _raise(frontier, raised, version.key, version_id(version))
+        added_deps = tuple(sorted(raised.values()))
+        raised.clear()
         written_ids = tuple(version_id(version) for version in written.values())
         for vid in written_ids:
-            _merge(frontier, vid[0], vid)
+            _raise(frontier, raised, vid[0], vid)
         event = CommitEvent(
             seq=next(self._seq),
             client=client,
             tid=tid,
             commit_ts=commit_ts,
             written=written_ids,
-            deps=deps,
+            added_deps=added_deps,
             at=at,
         )
         self.commits_recorded += 1
@@ -519,9 +568,45 @@ class StreamingOracle:
             self.checker.feed(event)
 
 
+def _raise(
+    frontier: Dict[str, VersionId], raised: Dict[str, VersionId], key: str, vid: VersionId
+) -> None:
+    """:func:`_merge`, also noting in ``raised`` the entry it raised."""
+    current = frontier.get(key)
+    if current is None or vid > current:
+        frontier[key] = raised[key] = vid
+
+
+def _trace_records(path) -> Iterator[Tuple[int, dict]]:
+    """The one validating reader of consistency traces: ``(line, record)`` pairs.
+
+    Built on :func:`~repro.sim.trace.read_jsonl`, which rejects a missing
+    file and any line that is not a JSON object; a record without the
+    ``at``/``seq`` fields every event has is a :class:`TraceError` too.
+    Lines are numbered from 1, counting the non-blank lines a trace writer
+    emits.
+    """
+    for line, obj in enumerate(read_jsonl(path), start=1):
+        if "at" not in obj or "seq" not in obj:
+            raise TraceError(f"{path}:{line}: not a consistency event (no 'at'/'seq' field)")
+        yield line, obj
+
+
 def read_events(path) -> Iterator[TraceEvent]:
-    """Stream a persisted JSONL trace back as the events it recorded."""
-    return (decode_event(obj) for obj in read_jsonl(path))
+    """Stream a persisted JSONL trace back as the events it recorded.
+
+    Commit events carry deltas, so the stream is only meaningful read from
+    its first line on.  A trace that cannot be decoded raises
+    :class:`TraceError` naming ``path:line``.
+    """
+    for line, obj in _trace_records(path):
+        try:
+            event = decode_event(obj)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise TraceError(
+                f"{path}:{line}: not a consistency event ({type(exc).__name__}: {exc})"
+            ) from exc
+        yield event
 
 
 def check_trace(
@@ -533,42 +618,17 @@ def check_trace(
     return checker
 
 
-class TraceMergeError(RuntimeError):
-    """A shard trace could not be merged (truncated, corrupt, or malformed)."""
-
-
 def _read_merge_events(path, index: int) -> Iterator[Tuple[Tuple[float, int, int], dict]]:
     """Stream one shard trace decorated with its merge key.
 
-    The key is ``(at, input_index, position)``: recording-time order first,
+    The key is ``(at, input_index, line)``: recording-time order first,
     then input order for cross-shard ties, then file position (which
     preserves each shard's own recording order, already nondecreasing in
-    ``at``).  Truncated or corrupt lines raise :class:`TraceMergeError`
-    naming the file and line — a short shard file must never merge
-    silently.
+    ``at``).  Truncated or corrupt lines raise :class:`TraceError` naming
+    the file and line — a short shard file must never merge silently.
     """
-    import json
-    import pathlib
-
-    with pathlib.Path(path).open() as handle:
-        position = 0
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceMergeError(
-                    f"corrupt or truncated trace {path}, line {lineno}: {exc}"
-                ) from exc
-            if not isinstance(obj, dict) or "at" not in obj or "seq" not in obj:
-                raise TraceMergeError(
-                    f"not a consistency event in {path}, line {lineno}: "
-                    f"missing 'at'/'seq' fields"
-                )
-            yield (obj["at"], index, position), obj
-            position += 1
+    for line, obj in _trace_records(path):
+        yield (obj["at"], index, line), obj
 
 
 def merge_traces(inputs: List, output) -> int:
@@ -581,12 +641,14 @@ def merge_traces(inputs: List, output) -> int:
     of a sharded run reproduces, byte for byte, the single trace a
     single-kernel run of the same configuration writes.  The merged file is
     directly consumable by ``repro check --trace-in`` and the run
-    repository.
+    repository.  A client's events all come from one input, in file order,
+    so the merge keeps each client's commits in the order their dependency
+    deltas must be folded.
     """
     from heapq import merge as heap_merge
 
     if not inputs:
-        raise TraceMergeError("no input traces to merge")
+        raise TraceError("no input traces to merge")
     streams = [_read_merge_events(path, index) for index, path in enumerate(inputs)]
     with TraceWriter(output) as sink:
         for seq, (_, obj) in enumerate(heap_merge(*streams, key=lambda pair: pair[0])):

@@ -178,10 +178,36 @@ class TraceWriter:
         self.close()
 
 
+class TraceError(ValueError):
+    """A trace file that cannot be read back: missing, truncated, or corrupt.
+
+    The message starts with ``path:line`` (just ``path`` when the file
+    itself cannot be opened).
+    """
+
+
 def read_jsonl(path: Union[str, pathlib.Path]) -> Iterator[Dict[str, Any]]:
-    """Stream the events of a JSONL trace file one dict at a time."""
-    with pathlib.Path(path).open() as handle:
-        for line in handle:
+    """Stream the events of a JSONL trace file one dict at a time.
+
+    Blank lines are skipped.  A file that cannot be opened, a line that is
+    not JSON (a corrupt line, or the cut-off last line of a truncated file)
+    and a line that is not a JSON object raise :class:`TraceError`.
+    """
+    try:
+        handle = pathlib.Path(path).open(errors="replace")
+    except OSError as exc:
+        raise TraceError(f"{path}: cannot open trace ({exc.strerror or exc})") from exc
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(
+                    f"{path}:{lineno}: corrupt or truncated line ({exc.msg})"
+                ) from exc
+            if not isinstance(obj, dict):
+                raise TraceError(f"{path}:{lineno}: not a JSON object")
+            yield obj

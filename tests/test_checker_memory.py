@@ -40,14 +40,15 @@ def event_stream(n_commits: int) -> Iterator[TraceEvent]:
         key = f"k{i % N_KEYS}"
         tid = (i + 1, 1)
         vid = (key, hlc((i + 1) * 0.001), tid, 0)
-        deps = (last_write[client],) if client in last_write else ()
+        # The writer's previous write is the one frontier entry it raised.
+        added = (last_write[client],) if client in last_write else ()
         yield CommitEvent(
             seq=seq,
             client=client,
             tid=tid,
             commit_ts=vid[1],
             written=(vid,),
-            deps=deps,
+            added_deps=added,
             at=float(i),
         )
         seq += 1

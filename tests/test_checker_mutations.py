@@ -182,9 +182,13 @@ class _StreamBuilder:
         client: str,
         written: Sequence[Tuple[str, float]],
         tid: Tuple[int, int],
-        deps: Sequence[tuple] = (),
+        added_deps: Sequence[tuple] = (),
     ) -> List[tuple]:
-        """One committed transaction; returns the written version ids."""
+        """One committed transaction; returns the written version ids.
+
+        ``added_deps`` are the versions the client's frontier gained since its
+        previous commit (the event's delta).
+        """
         vids = [vid(key, seconds, tid) for key, seconds in written]
         self.events.append(
             CommitEvent(
@@ -193,7 +197,7 @@ class _StreamBuilder:
                 tid=tid,
                 commit_ts=max(v[1] for v in vids),
                 written=tuple(vids),
-                deps=tuple(deps),
+                added_deps=tuple(added_deps),
                 at=float(self._seq),
             )
         )
@@ -245,7 +249,7 @@ class TestStreamingMutationsAcrossRetirement:
         """v1 then v2 of key 'a', both pushed beyond the retirement window."""
         builder = _StreamBuilder()
         (v1,) = builder.commit("writer", [("a", 1.0)], tid=(1, 1))
-        (v2,) = builder.commit("writer", [("a", 2.0)], tid=(2, 1), deps=(v1,))
+        (v2,) = builder.commit("writer", [("a", 2.0)], tid=(2, 1), added_deps=(v1,))
         builder.retire_past(2.0)
         return builder, v1, v2
 
@@ -282,8 +286,8 @@ class TestStreamingMutationsAcrossRetirement:
         """
         builder = _StreamBuilder()
         (x1,) = builder.commit("wx", [("x", 1.0)], tid=(1, 1))
-        (x2,) = builder.commit("wx", [("x", 2.0)], tid=(2, 1), deps=(x1,))
-        (y1,) = builder.commit("wy", [("y", 3.0)], tid=(3, 2), deps=(x2,))
+        (x2,) = builder.commit("wx", [("x", 2.0)], tid=(2, 1), added_deps=(x1,))
+        (y1,) = builder.commit("wy", [("y", 3.0)], tid=(3, 2), added_deps=(x2,))
         builder.retire_past(3.0)
         builder.read("frac", {"y": y1, "x": x1})
         checker = builder.check()
@@ -294,7 +298,7 @@ class TestStreamingMutationsAcrossRetirement:
         """Atomic visibility: one half of a retired atomic pair read stale."""
         builder = _StreamBuilder()
         (b1,) = builder.commit("w", [("b", 1.0)], tid=(1, 1))
-        pair = builder.commit("w", [("a", 2.0), ("b", 2.0)], tid=(2, 1), deps=(b1,))
+        pair = builder.commit("w", [("a", 2.0), ("b", 2.0)], tid=(2, 1), added_deps=(b1,))
         a2 = next(v for v in pair if v[0] == "a")
         builder.retire_past(2.0)
         builder.read("frac", {"a": a2, "b": b1})

@@ -444,3 +444,29 @@ class TestBigRunTier:
         out = capsys.readouterr().out
         assert status == 1
         assert "violations" in out and "0 violations" not in out
+
+    @pytest.mark.parametrize(
+        "damage, where",
+        [
+            ("missing", "bad.jsonl: cannot open"),
+            ("truncated", "bad.jsonl:"),
+            ("not json", "bad.jsonl:1: corrupt"),
+            ("bogus type", "bad.jsonl:1: not a consistency event"),
+        ],
+    )
+    def test_bad_trace_is_exit_2_not_a_verdict(self, capsys, tmp_path, damage, where):
+        """Exit 1 means violations; an unreadable trace is one line and exit 2."""
+        trace, bad = tmp_path / "trace.jsonl", tmp_path / "bad.jsonl"
+        if damage == "truncated":
+            assert cli.main(["check", *FAST, "--trace-out", str(trace)]) == 0
+            bad.write_bytes(trace.read_bytes()[:-10])  # the last line, cut short
+        elif damage == "not json":
+            bad.write_text("hello trace\n")
+        elif damage == "bogus type":
+            bad.write_text('{"t":"bogus"}\n')
+        capsys.readouterr()
+        assert cli.main(["check", "--trace-in", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert where in captured.err

@@ -260,9 +260,12 @@ class TestEveryProfileKeepsTCC:
         commits = oracle.checker.commits
         assert commits, "RMW workload must commit"
         written_keys_with_deps = 0
+        frontiers = {}
         for commit in commits:
-            deps = {dep[0] for dep in commit.deps}
-            if {vid[0] for vid in commit.written} & deps:
+            # A commit carries its delta; the session frontier is the fold.
+            frontier = frontiers.setdefault(commit.client, set())
+            frontier.update(dep[0] for dep in commit.added_deps)
+            if {vid[0] for vid in commit.written} & frontier:
                 written_keys_with_deps += 1
         # Read-modify-write: commits depend on prior versions of the very
         # keys they overwrite (the reads round-tripped through the oracle).
