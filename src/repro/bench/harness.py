@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..clocks.hlc import timestamp_to_seconds
 from ..cluster.membership import Membership
@@ -151,6 +151,7 @@ def build_cluster(
     oracle: Optional[StreamingOracle] = None,
     preload: bool = True,
     local_dcs: Optional[Iterable[int]] = None,
+    shard_of: Sequence[int] = (),
 ) -> Cluster:
     """Construct servers, network and (optionally) the preloaded dataset.
 
@@ -159,7 +160,8 @@ def build_cluster(
 
     ``local_dcs`` restricts the build to one DC shard: only servers and
     preloads of those DCs are materialised, and the network buffers sends
-    to the other DCs for the shard runner's barrier exchange (see
+    to the other DCs, bucketed by their shard in ``shard_of`` (DC id ->
+    shard), for the shard runner's barrier exchange (see
     :mod:`repro.sim.sharded`).  The cluster spec, membership, and fault
     validation still cover the whole deployment.
     """
@@ -185,7 +187,7 @@ def build_cluster(
         invalid = sorted(dc for dc in local if not 0 <= dc < spec.n_dcs)
         if invalid:
             raise ValueError(f"local_dcs outside the deployment: {invalid}")
-        network.enable_shard_routing(local)
+        network.enable_shard_routing(local, shard_of)
     for dc_id in range(spec.n_dcs):
         if local is not None and dc_id not in local:
             continue
@@ -343,6 +345,7 @@ def start_cluster(
     protocol: Optional[str] = None,
     oracle: Optional[StreamingOracle] = None,
     local_dcs: Optional[Iterable[int]] = None,
+    shard_of: Sequence[int] = (),
 ) -> Tuple[Cluster, SessionStats]:
     """Build a cluster, deploy its sessions and start every one of them.
 
@@ -350,7 +353,7 @@ def start_cluster(
     :func:`drive` (or the caller's own ``cluster.sim.run``) advances it.
     """
     cluster = build_cluster(
-        config, protocol=protocol, oracle=oracle, local_dcs=local_dcs
+        config, protocol=protocol, oracle=oracle, local_dcs=local_dcs, shard_of=shard_of
     )
     stats = SessionStats()
     for driver in deploy_sessions(cluster, stats):

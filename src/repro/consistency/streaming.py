@@ -419,11 +419,15 @@ class StreamingChecker:
             leaves: List[VersionId] = list(inherited)
             if inner is not None:
                 _merge(frontier, base[0], base)
+            shared = base[2] if inner is not None else None
             for dep in sources:
                 _merge(frontier, dep[0], dep)
                 if dep in known:
-                    for key, inner_vid in closures[dep[2]].items():
-                        _merge(frontier, key, inner_vid)
+                    # A dep written by base's own transaction has base's
+                    # closure, already copied in as ``inner``.
+                    if dep[2] != shared:
+                        for key, inner_vid in closures[dep[2]].items():
+                            _merge(frontier, key, inner_vid)
                 else:
                     leaves.append(dep)
             closures[tid] = frontier
@@ -582,13 +586,24 @@ def _trace_records(path) -> Iterator[Tuple[int, dict]]:
 
     Built on :func:`~repro.sim.trace.read_jsonl`, which rejects a missing
     file and any line that is not a JSON object; a record without the
-    ``at``/``seq`` fields every event has is a :class:`TraceError` too.
-    Lines are numbered from 1, counting the non-blank lines a trace writer
-    emits.
+    ``at``/``seq`` fields every event has is a :class:`TraceError` too, and
+    so is a ``seq`` that does not strictly increase: a reordered stream can
+    fold a client's dependency deltas into a cycle the checker would walk
+    forever.  Lines are numbered from 1, counting the non-blank lines a
+    trace writer emits.
     """
+    previous = None
     for line, obj in enumerate(read_jsonl(path), start=1):
         if "at" not in obj or "seq" not in obj:
             raise TraceError(f"{path}:{line}: not a consistency event (no 'at'/'seq' field)")
+        seq = obj["seq"]
+        if type(seq) is not int:
+            raise TraceError(f"{path}:{line}: 'seq' is not an integer: {seq!r}")
+        if previous is not None and seq <= previous:
+            raise TraceError(
+                f"{path}:{line}: events out of order (seq {seq} after {previous})"
+            )
+        previous = seq
         yield line, obj
 
 

@@ -34,8 +34,9 @@ floor — is computed at the **sender**.  A DC's outbound draw order is then a
 function of that DC's own event order alone, which is what lets the sharded
 runner (:mod:`repro.sim.sharded`) split DCs across processes and still
 replay the exact single-kernel trajectory: a shard computes final delivery
-times for cross-shard envelopes locally, buffers them via
-:meth:`Network.enable_shard_routing`, and the receiving shard injects them
+times for cross-shard envelopes locally, buffers them as flat wire tuples
+in one bucket per destination shard (see
+:meth:`Network.enable_shard_routing`), and the receiving shard injects them
 unchanged with :meth:`Network.inject`.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cpu import Cpu
 from .future import Future
@@ -54,14 +55,21 @@ from .trace import GLOBAL_TRACER, Tracer
 
 Address = str
 
+#: One cross-shard delivery as it crosses a window barrier:
+#: ``(deliver_at, src, dst, payload, rpc_id, is_reply, send_time)`` — the
+#: sender's final delivery time followed by :class:`Envelope`'s fields in
+#: order.  Unlike an :class:`Envelope`, whose slots pickle through Python
+#: ``__getstate__``/``__setstate__`` calls, a flat tuple pickles in C.
+Wire = Tuple[float, Address, Address, Any, Optional[int], bool, float]
+
 
 def dc_of_address(address: Address) -> int:
     """DC id encoded in a node address (``server/d2/p0`` -> ``2``).
 
     Every node address in the deployment embeds its DC as the second
-    ``/``-separated component (``d<id>``); the sharded runner uses this to
-    route envelopes whose destination lives in another shard's process and
-    therefore has no registered endpoint here.
+    ``/``-separated component (``d<id>``); under shard routing a send uses
+    this to bucket an envelope whose destination lives in another shard's
+    process and therefore has no registered endpoint here.
     """
     try:
         component = address.split("/", 2)[1]
@@ -137,7 +145,8 @@ class Network:
         "_degraded",
         "_held",
         "_local_dcs",
-        "_outbox",
+        "_shard_of",
+        "_buckets",
         "metrics",
     )
 
@@ -166,8 +175,10 @@ class Network:
         self._tracer = tracer if tracer is not None else GLOBAL_TRACER
         #: When shard routing is on: the DCs simulated by this process.
         self._local_dcs: Optional[frozenset[int]] = None
-        #: Buffered cross-shard deliveries ``(deliver_at, envelope)``.
-        self._outbox: List[Tuple[float, Envelope]] = []
+        #: When shard routing is on: the shard that simulates each DC.
+        self._shard_of: Sequence[int] = ()
+        #: Buffered cross-shard deliveries, one bucket per destination shard.
+        self._buckets: List[List[Wire]] = []
         #: Constant intra-DC one-way delay used by the untraced fast path
         #: (the LAN base latency is the same for every DC).
         self._lan_delay = latency.base_one_way(0, 0)
@@ -222,34 +233,48 @@ class Network:
         """DCs simulated in this process (None unless shard routing is on)."""
         return self._local_dcs
 
-    def enable_shard_routing(self, local_dcs: Iterable[int]) -> None:
+    def enable_shard_routing(self, local_dcs: Iterable[int], shard_of: Sequence[int]) -> None:
         """Restrict this fabric to ``local_dcs``; buffer everything else.
 
-        Sends whose destination DC is not local compute their full delivery
-        time here (jitter, degradation, retransmits, FIFO floor — all
-        sender-side state) but are appended to an outbox instead of being
-        scheduled.  The shard runner drains the outbox at each window
-        barrier and hands every envelope to the destination shard, which
-        schedules it verbatim via :meth:`inject`.
+        ``shard_of[dc]`` is the shard that simulates ``dc``.  Sends whose
+        destination DC is not local compute their full delivery time here
+        (jitter, degradation, retransmits, FIFO floor — all sender-side
+        state) but are appended, as a flat :data:`Wire` tuple, to the
+        destination shard's bucket instead of being scheduled.  The shard
+        runner drains the buckets at each window barrier and the destination
+        shard schedules every entry verbatim via :meth:`inject`.
         """
+        if len(shard_of) != self._latency.n_dcs:
+            raise ValueError(
+                f"shard_of names {len(shard_of)} DC(s); the deployment has "
+                f"{self._latency.n_dcs}"
+            )
         self._local_dcs = frozenset(local_dcs)
+        self._shard_of = tuple(shard_of)
+        self._buckets = [[] for _ in range(max(self._shard_of) + 1)]
 
-    def drain_outbox(self) -> List[Tuple[float, Envelope]]:
-        """Take the buffered cross-shard deliveries accumulated so far."""
-        outbox, self._outbox = self._outbox, []
-        return outbox
+    def drain_buckets(self) -> List[List[Wire]]:
+        """Take the buffered cross-shard deliveries, indexed by destination shard."""
+        buckets = self._buckets
+        self._buckets = [[] for _ in buckets]
+        return buckets
 
-    def inject(self, deliver_at: float, envelope: Envelope) -> None:
+    def inject(self, wire: Wire) -> None:
         """Schedule a delivery computed by the sending shard.
 
         No metrics, tracing, link clock, or delay computation happen here —
         the sender already did all of that; this is purely the receiving
         half of a send that crossed the shard boundary.
         """
-        endpoint = self._endpoints.get(envelope.dst)
+        deliver_at, src, dst, payload, rpc_id, is_reply, send_time = wire
+        endpoint = self._endpoints.get(dst)
         if endpoint is None:
-            raise KeyError(f"unknown address: {envelope.dst}")
-        self._sim.post_at(deliver_at, endpoint.deliver, envelope)
+            raise KeyError(f"unknown address: {dst}")
+        self._sim.post_at(
+            deliver_at,
+            endpoint.deliver,
+            Envelope(src, dst, payload, rpc_id, is_reply, send_time),
+        )
 
     # ------------------------------------------------------------------
     # Sending
@@ -356,7 +381,15 @@ class Network:
             # Cross-shard destination: the delivery time is final (it embeds
             # every sender-side delay component), so the receiving shard can
             # schedule it verbatim after the next barrier exchange.
-            self._outbox.append((deliver_at, envelope))
+            self._buckets[self._shard_of[dst_dc]].append((
+                deliver_at,
+                envelope.src,
+                envelope.dst,
+                envelope.payload,
+                envelope.rpc_id,
+                envelope.is_reply,
+                envelope.send_time,
+            ))
             return
         sim.post_at(deliver_at, endpoint.deliver, envelope)
 

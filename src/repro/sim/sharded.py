@@ -11,6 +11,15 @@ exchange their buffered cross-cut envelopes (already timestamped by the
 sender with the *final* delivery time — jitter, degradation, retransmits
 and FIFO floor included, see :mod:`repro.sim.network`) and resume.
 
+Barrier wire protocol: a shard's network buckets each cross-cut envelope
+by destination shard as a flat :data:`~repro.sim.network.Wire` tuple.  At
+a barrier the worker pickles each bucket once and sends the parent
+``("barrier", index, [bytes per destination shard])``; the parent only
+forwards bytes — shard ``d`` receives ``[blobs[d] for blobs in
+outboxes]``, in source-shard order — and the receiver decodes and merges
+them (:func:`merge_inbox`).  The parent does one ``recv`` and one ``send``
+per worker per barrier, whatever the traffic.
+
 Determinism: per-DC RNG streams, sender-side delay computation, and
 barrier injection ordered by ``(deliver_at, source shard, send order)``
 make each shard's trajectory a function of the configuration alone, and
@@ -28,13 +37,15 @@ nothing to parallelise — ``repro run --shards`` requires ``N <= n_dcs``.
 
 from __future__ import annotations
 
+import pickle
 import traceback
 from multiprocessing.connection import Connection
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig
 from .latency import LatencyModel
-from .network import dc_of_address
+from .network import Wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench.harness import ExperimentResult
@@ -133,13 +144,32 @@ def barrier_schedule(
     return schedule
 
 
+def merge_inbox(blobs: Sequence[bytes]) -> List[Wire]:
+    """Decode one barrier's blobs (in source-shard order) into injection order.
+
+    Each blob is one pickled bucket of :data:`~repro.sim.network.Wire`
+    tuples in its sender's send order, or ``b""`` for an empty bucket.  The
+    result is ordered by ``(deliver_at, source shard, send position)``:
+    concatenating the buckets in source order and sorting stably on
+    ``deliver_at`` alone leaves ties in exactly that order.
+    """
+    entries: List[Wire] = []
+    for blob in blobs:
+        if blob:
+            entries.extend(pickle.loads(blob))
+    entries.sort(key=itemgetter(0))
+    return entries
+
+
 def _shard_worker(conn: Connection, payload: Dict[str, Any]) -> None:
     """Run one DC shard to completion, exchanging envelopes at barriers.
 
     Module-level by the :mod:`repro.workers` contract.  Protocol per
-    barrier: send ``("barrier", index, outbox)``, receive the sorted inbox
-    of cross-shard deliveries, inject, continue.  Terminates with
-    ``("done", measures)`` or ``("error", traceback_text)``.
+    barrier: send ``("barrier", index, blobs)`` with one pickled bucket (or
+    ``b""``) per destination shard, receive the blobs addressed to this
+    shard in source-shard order, inject them in :func:`merge_inbox` order,
+    continue.  Terminates with ``("done", measures)`` or ``("error",
+    traceback_text)``.
     """
     # Imported here (not at module top) to keep the parent-side import of
     # this module free of the bench->sim->bench cycle at class-load time.
@@ -154,13 +184,18 @@ def _shard_worker(conn: Connection, payload: Dict[str, Any]) -> None:
                 protocol=payload["protocol"],
                 oracle=oracle,
                 local_dcs=payload["local_dcs"],
+                shard_of=payload["shard_of"],
             )
             network = cluster.network
 
             def exchange(index: int) -> None:
-                conn.send(("barrier", index, network.drain_outbox()))
-                for deliver_at, envelope in conn.recv():
-                    network.inject(deliver_at, envelope)
+                blobs = [
+                    pickle.dumps(bucket, pickle.HIGHEST_PROTOCOL) if bucket else b""
+                    for bucket in network.drain_buckets()
+                ]
+                conn.send(("barrier", index, blobs))
+                for wire in merge_inbox(conn.recv()):
+                    network.inject(wire)
 
             harness.drive(cluster, stats, payload["schedule"], exchange)
             measures = harness.collect_measures(cluster, stats)
@@ -178,11 +213,19 @@ def _recv(conn: Connection, shard: int) -> Tuple[Any, ...]:
     """One message from a shard worker; EOF and errors become ShardingError."""
     try:
         message = conn.recv()
-    except EOFError as exc:
+    except (EOFError, OSError) as exc:
         raise ShardingError(f"shard {shard} exited without reporting") from exc
     if message[0] == "error":
         raise ShardingError(f"shard {shard} failed:\n{message[1]}")
     return message
+
+
+def _send(conn: Connection, shard: int, message: Any) -> None:
+    """One message to a shard worker; a closed pipe becomes ShardingError."""
+    try:
+        conn.send(message)
+    except (OSError, ValueError) as exc:
+        raise ShardingError(f"shard {shard} exited before receiving its inbox") from exc
 
 
 def run_sharded_experiment(
@@ -232,7 +275,10 @@ def run_sharded_experiment(
     assignment = shard_dcs(config.cluster.n_dcs, shards)
     window = lookahead_window(config.latency_model(), assignment)
     schedule = barrier_schedule(config.warmup, config.warmup + config.duration, window)
-    shard_of = {dc: i for i, dcs in enumerate(assignment) for dc in dcs}
+    shard_of = [0] * config.cluster.n_dcs
+    for index, dcs in enumerate(assignment):
+        for dc in dcs:
+            shard_of[dc] = index
 
     payloads = [
         {
@@ -240,6 +286,7 @@ def run_sharded_experiment(
             "protocol": protocol,
             "shard": index,
             "local_dcs": dcs,
+            "shard_of": shard_of,
             "schedule": schedule,
             "trace_path": f"{trace_path}.shard{index}" if trace_path else None,
             "profile_path": f"{profile_path}.shard{index}" if profile_path else None,
@@ -257,20 +304,21 @@ def run_sharded_experiment(
                         f"shard {shard} desynchronised at barrier {index}: {message[:2]}"
                     )
                 outboxes.append(message[2])
-            inboxes: List[List[Tuple[float, int, int, Any]]] = [[] for _ in workers]
-            for src_shard, outbox in enumerate(outboxes):
-                for position, (deliver_at, envelope) in enumerate(outbox):
-                    dst = shard_of[dc_of_address(envelope.dst)]
-                    inboxes[dst].append((deliver_at, src_shard, position, envelope))
-            for (_, conn), inbox in zip(workers, inboxes):
-                inbox.sort(key=lambda entry: entry[:3])
-                conn.send([(entry[0], entry[3]) for entry in inbox])
+            for shard, (_, conn) in enumerate(workers):
+                _send(conn, shard, [outbox[shard] for outbox in outboxes])
         measures = []
         for shard, (_, conn) in enumerate(workers):
             message = _recv(conn, shard)
             if message[0] != "done":
                 raise ShardingError(f"shard {shard} sent {message[0]!r}, expected done")
             measures.append(message[1])
+    except BaseException:
+        # A forked worker holds inherited copies of the parent's pipe ends,
+        # so closing them does not wake a survivor blocked on its inbox:
+        # stop every worker now instead of waiting out the join timeout.
+        for process, _ in workers:
+            process.terminate()
+        raise
     finally:
         for process, conn in workers:
             conn.close()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -444,6 +445,35 @@ class TestBigRunTier:
         out = capsys.readouterr().out
         assert status == 1
         assert "violations" in out and "0 violations" not in out
+
+    def test_reordered_trace_is_exit_2_quickly(self, capsys, tmp_path):
+        """Two commit lines of one client swapped: exit 2, not a hung checker.
+
+        Folded out of order, the second commit's delta names the first
+        commit's write, so the first commit depends on its own version: a
+        cycle the closure walk never leaves.
+        """
+        lines = [
+            '{"added":[],"at":1.0,"client":"c","ct":100,"seq":0,"t":"commit",'
+            '"tid":[1,1],"written":[["x",100,1,1,0]]}',
+            '{"added":[["x",100,1,1,0]],"at":2.0,"client":"c","ct":200,"seq":1,'
+            '"t":"commit","tid":[2,1],"written":[["y",200,2,1,0]]}',
+            '{"at":3.0,"client":"r","returned":[["y","store",200,2,1,0]],"seq":2,'
+            '"snapshot":300,"t":"read","tid":[3,2]}',
+            '{"at":4.0,"client":"r","returned":[["x","store",100,1,1,0]],"seq":3,'
+            '"snapshot":300,"t":"read","tid":[4,2]}',
+        ]
+        trace, swapped = tmp_path / "trace.jsonl", tmp_path / "swapped.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        swapped.write_text("\n".join([lines[1], lines[0], *lines[2:]]) + "\n")
+        assert cli.main(["check", "--trace-in", str(trace)]) == 0
+        capsys.readouterr()
+        began = time.monotonic()
+        assert cli.main(["check", "--trace-in", str(swapped)]) == 2
+        assert time.monotonic() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "swapped.jsonl:2: events out of order (seq 0 after 1)" in captured.err
 
     @pytest.mark.parametrize(
         "damage, where",

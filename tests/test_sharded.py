@@ -11,10 +11,15 @@ worker-process plumbing, and the CLI surface (`repro run --shards/--profile`,
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import time
 
 import pytest
 
-from repro import cli, small_test_config
+from repro import cli, small_test_config, workers
 from repro.bench.harness import run_experiment, run_recorded
 from repro.consistency.streaming import (
     StreamingChecker,
@@ -23,11 +28,16 @@ from repro.consistency.streaming import (
 )
 from repro.faults import FaultEvent, FaultPlan
 from repro.protocols import protocol_names
+from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel
+from repro.sim.network import Envelope, Network
+from repro.sim.rng import RngRegistry
 from repro.sim.sharded import (
     ShardingError,
+    _shard_worker,
     barrier_schedule,
     lookahead_window,
+    merge_inbox,
     run_sharded_experiment,
     shard_dcs,
 )
@@ -54,6 +64,30 @@ def _sequential(config, protocol, trace_path):
 
 def _square(x):
     return x * x
+
+
+class _DyingPipe:
+    """A worker's end of its pipe that SIGKILLs the worker at one barrier."""
+
+    def __init__(self, conn, kill_before):
+        self._conn = conn
+        self._kill_before = kill_before
+
+    def send(self, message):
+        if message[:2] == ("barrier", self._kill_before):
+            os.kill(os.getpid(), signal.SIGKILL)
+        self._conn.send(message)
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
+
+
+def _dying_worker(conn, payload):
+    """The shard worker, killed before sending barrier ``kill_before``."""
+    _shard_worker(_DyingPipe(conn, payload["kill_before"]), payload)
 
 
 class TestShardAssignment:
@@ -140,11 +174,13 @@ class TestByteIdentity:
             tmp_path / "seq.jsonl"
         ).read_bytes()
 
-    def test_three_shards_identical(self, tmp_path):
+    @pytest.mark.parametrize("protocol", ["paris", "cure"])
+    def test_summary_and_trace_identical_at_three_shards(self, protocol, tmp_path):
+        # One DC per shard: every receiver merges blobs from two sources.
         config = _config()
-        seq = _sequential(config, "paris", tmp_path / "seq.jsonl")
+        seq = _sequential(config, protocol, tmp_path / "seq.jsonl")
         sharded = run_sharded_experiment(
-            config, 3, protocol="paris", trace_path=str(tmp_path / "sh.jsonl")
+            config, 3, protocol=protocol, trace_path=str(tmp_path / "sh.jsonl")
         )
         assert sharded.to_dict() == seq.to_dict()
         assert (tmp_path / "sh.jsonl").read_bytes() == (
@@ -203,6 +239,123 @@ class TestByteIdentity:
         assert (tmp_path / "t.jsonl.shard1").exists()
 
 
+def _wire(deliver_at, tag):
+    return (deliver_at, "client/d0/p0/c0", "server/d1/p0", tag, None, False, 0.0)
+
+
+class TestBarrierWire:
+    """Sender buckets, byte relay, receiver merge: the barrier's wire format."""
+
+    def test_merge_orders_by_time_then_source_then_send_position(self):
+        blobs = [
+            pickle.dumps([_wire(2.0, "s0-a"), _wire(1.0, "s0-b"), _wire(1.0, "s0-c")]),
+            pickle.dumps([_wire(1.0, "s1-a"), _wire(0.5, "s1-b")]),
+        ]
+        order = [wire[3] for wire in merge_inbox(blobs)]
+        assert order == ["s1-b", "s0-b", "s0-c", "s1-a", "s0-a"]
+
+    def test_empty_buckets_are_skipped(self):
+        blob = pickle.dumps([_wire(1.0, "x")])
+        assert merge_inbox([b"", blob, b""]) == merge_inbox([blob])
+        assert merge_inbox([b"", b""]) == []
+
+    def test_cross_shard_send_lands_in_the_destination_bucket(self):
+        sim = Simulator()
+        network = Network(sim, LatencyModel.for_paper_deployment(3), RngRegistry(1))
+        network.enable_shard_routing([0], shard_of=[0, 1, 2])
+        delivered = []
+        network.register("client/d0/p0/c0", 0, delivered.append)
+        envelope = Envelope("client/d0/p0/c0", "server/d2/p1", "payload", 7)
+        network.send(envelope)
+        local, to_one, to_two = network.drain_buckets()
+        assert local == [] and to_one == []
+        (wire,) = to_two
+        assert wire[1:] == ("client/d0/p0/c0", "server/d2/p1", "payload", 7, False, 0.0)
+        assert wire[0] >= network.latency_model.base_one_way(0, 2)
+        assert network.drain_buckets() == [[], [], []]
+
+        # The receiving half rebuilds the same envelope at the same time.
+        receiver = Network(Simulator(), LatencyModel.for_paper_deployment(3), RngRegistry(1))
+        receiver.enable_shard_routing([2], shard_of=[0, 1, 2])
+        arrived = []
+        receiver.register("server/d2/p1", 2, arrived.append)
+        receiver.inject(wire)
+        receiver.sim.run()
+        assert arrived == [envelope]
+        assert receiver.sim.now == wire[0]
+
+    def test_shard_map_must_cover_the_deployment(self):
+        network = Network(Simulator(), LatencyModel.for_paper_deployment(3), RngRegistry(1))
+        with pytest.raises(ValueError, match="shard_of names 2"):
+            network.enable_shard_routing([0], shard_of=[0, 1])
+
+
+class TestWorkerDeath:
+    """A shard worker killed mid-run is a named error within a bounded time."""
+
+    @staticmethod
+    def _assert_named_and_prompt(monkeypatch, spawn, victim):
+        monkeypatch.setattr(workers, "spawn_pipe_workers", spawn)
+        began = time.monotonic()
+        with pytest.raises(ShardingError, match=f"shard {victim} "):
+            run_sharded_experiment(_config(), 2, protocol="paris")
+        assert time.monotonic() - began < 2.0
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_before_its_barrier_send(self, monkeypatch, victim):
+        spawn = workers.spawn_pipe_workers
+
+        def dying_spawn(target, payloads):
+            payloads = [
+                dict(payload, kill_before=2 if payload["shard"] == victim else None)
+                for payload in payloads
+            ]
+            return spawn(_dying_worker, payloads)
+
+        self._assert_named_and_prompt(monkeypatch, dying_spawn, victim)
+
+    @staticmethod
+    def _killing_spawn(victim):
+        """spawn_pipe_workers, killing ``victim`` once its barrier 2 arrives."""
+        spawn = workers.spawn_pipe_workers
+
+        class KillOnArrival:
+            def __init__(self, process, conn):
+                self._process, self._conn = process, conn
+
+            def recv(self):
+                message = self._conn.recv()
+                if message[:2] == ("barrier", 2):
+                    os.kill(self._process.pid, signal.SIGKILL)
+                    self._process.join()
+                return message
+
+            def send(self, message):
+                self._conn.send(message)
+
+            def close(self):
+                self._conn.close()
+
+        def killing_spawn(target, payloads):
+            spawned = spawn(target, payloads)
+            process, conn = spawned[victim]
+            spawned[victim] = (process, KillOnArrival(process, conn))
+            return spawned
+
+        return killing_spawn
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_killed_between_its_barrier_send_and_its_inbox(self, monkeypatch, victim):
+        self._assert_named_and_prompt(monkeypatch, self._killing_spawn(victim), victim)
+
+    def test_cli_run_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(workers, "spawn_pipe_workers", self._killing_spawn(0))
+        assert cli.main(["run", *FAST, "--shards", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "run failed: shard 0 exited before receiving its inbox" in err
+
+
 class TestRejections:
     def test_membership_plan_rejected_up_front(self):
         # DC 2 does not host partition 0 in this deployment, so the plan
@@ -259,6 +412,17 @@ class TestTraceMerge:
         self._write(tmp_path / "a.jsonl", [{"at": 1.0, "seq": 0}])
         (tmp_path / "b.jsonl").write_text('{"at": 1.0, "seq": 0}\n{"at": 2.0, "se')
         with pytest.raises(TraceError, match="b.jsonl"):
+            merge_traces(
+                [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")],
+                str(tmp_path / "out.jsonl"),
+            )
+
+    def test_reordered_shard_file_is_a_named_error(self, tmp_path):
+        self._write(tmp_path / "a.jsonl", [{"at": 1.0, "seq": 0}])
+        (tmp_path / "b.jsonl").write_text(
+            '{"at": 1.0, "seq": 1}\n{"at": 2.0, "seq": 0}\n'
+        )
+        with pytest.raises(TraceError, match="b.jsonl:2: events out of order"):
             merge_traces(
                 [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")],
                 str(tmp_path / "out.jsonl"),
