@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..clocks.hlc import micros_to_timestamp
 from ..sim.trace import TraceError, TraceWriter, read_jsonl
@@ -98,6 +98,16 @@ def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
     current = frontier.get(key)
     if current is None or vid > current:
         frontier[key] = vid
+
+
+def _push(
+    stack: List[VersionId], walking: Set[TransactionId], deps: Iterable[VersionId]
+) -> None:
+    """Push ``deps`` for :meth:`StreamingChecker._closure`, refusing a cycle."""
+    for dep in deps:
+        if dep[2] in walking:
+            raise TraceError(f"dependency cycle through transaction {dep[2]}")
+        stack.append(dep)
 
 
 class _Session:
@@ -387,6 +397,13 @@ class StreamingChecker:
         commits share, so the walk copies it and merges only the ``fresh``
         deps.  Otherwise (base superseded or retired, or the commit of a dep
         arrived only after base's closure was built) it merges them all.
+
+        A transaction that pushes its deps is ``walking`` until its closure
+        is built, and everything above it on the stack is its dependency.  A
+        push that reaches a walking transaction is therefore a dependency
+        cycle, which no run can record (each transaction reads only versions
+        committed before it) but a malformed stream can: it raises
+        :class:`TraceError` instead of walking forever.
         """
         closures = self._closures
         cached = closures.get(vid[2])
@@ -394,6 +411,7 @@ class StreamingChecker:
             return cached
         known = self._deps
         stack = [vid]
+        walking: Set[TransactionId] = set()
         while stack:
             current = stack[-1]
             tid = current[2]
@@ -405,7 +423,8 @@ class StreamingChecker:
             if base in known:
                 inner = closures.get(base[2])
                 if inner is None:
-                    stack.append(base)
+                    walking.add(tid)
+                    _push(stack, walking, (base,))
                     continue
                 inherited = self._leaves.get(base[2], ())
                 if any(dep in known for dep in inherited):
@@ -413,7 +432,8 @@ class StreamingChecker:
             sources = known.get(current, ()) if inner is None else fresh
             missing = [d for d in sources if d in known and d[2] not in closures]
             if missing:
-                stack.extend(missing)
+                walking.add(tid)
+                _push(stack, walking, missing)
                 continue
             frontier: Dict[str, VersionId] = dict(inner or ())
             leaves: List[VersionId] = list(inherited)
@@ -629,7 +649,11 @@ def check_trace(
 ) -> StreamingChecker:
     """Re-check a persisted JSONL trace; returns the finished checker."""
     checker = StreamingChecker(window=window, level=level)
-    checker.run(read_events(path))
+    for event in read_events(path):
+        try:
+            checker.feed(event)
+        except TraceError as exc:
+            raise TraceError(f"{path}: seq {event.seq}: {exc}") from None
     return checker
 
 

@@ -1,11 +1,12 @@
 """Protocol messages of PaRiS (Algorithms 1-4) and its stabilization plane.
 
 All messages are frozen ``__slots__`` dataclasses delivered through the
-simulated FIFO fabric.  Collections are tuples so that a message cannot be
-mutated after it is "serialized" (sent).  Slots matter: the fabric allocates
-one message object per protocol step, so the per-instance ``__dict__`` of a
-slotless dataclass is pure hot-path overhead (``tests/test_messages_slots.py``
-guards the invariant).
+simulated FIFO fabric, and one factory, :func:`message`, builds every one of
+them.  Collections are tuples so that a message cannot be mutated after it
+is "serialized" (sent).  Slots matter: the fabric allocates one message
+object per protocol step, so the per-instance ``__dict__`` of a slotless
+dataclass is pure hot-path overhead (``tests/test_messages_slots.py`` guards
+the invariant).
 
 Construction is **positional** wherever a message is built per protocol step
 (``core/client.py`` and every module of ``protocols/``): binding four keyword
@@ -16,25 +17,52 @@ stays even though each field then goes through ``object.__setattr__``: a
 message may sit in several queues at once (one ``ReplicateMsg`` or
 ``CommitTxMsg`` object is cast to every peer or cohort), so "nobody mutates it
 after the send" has to be a property the runtime enforces, not a convention.
+:func:`message` is the one place that picks the representation: a cheaper
+immutable backing (tuple-backed classes, say) is a change to that factory,
+not to 27 classes.
 
 Every message also reports its **causal-metadata footprint** via
 ``metadata_bytes()``: the wire bytes spent on snapshots, timestamps,
-dependency vectors and shardstamps (8 bytes per timestamp, 16 per
-``(key, ut)`` dependency pair), excluding keys and values.  The network
-fabric sums these into ``NetworkMetrics.metadata_bytes_total`` so the
-design-space study can compare the metadata cost of a scalar UST (PaRiS)
-against per-DC vectors (cure) and explicit dependency lists (cops).
+dependency vectors and shardstamps, excluding keys and values.  Nobody
+writes that method: a field's *type* says what it costs, through the one
+table :data:`WIRE_COST` (8 bytes per timestamp, 16 per ``(key, ut)``
+dependency pair, ...), and :func:`message` compiles each class's sum from
+its annotations.  A field of any other type is payload and costs nothing.
+The network fabric sums these into ``NetworkMetrics.metadata_bytes_total``
+so the design-space study can compare the metadata cost of a scalar UST
+(PaRiS) against per-DC vectors (cure) and explicit dependency lists (cops).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Tuple, Union
 
 from ..storage.version import TransactionId, Version
 
 #: (key, value) pairs of a write set slice.
 WritePairs = Tuple[Tuple[str, Any], ...]
+
+# Metadata field types.  The aliases carry no runtime check; their *names*
+# are what ``WIRE_COST`` reads from each field's (string) annotation.
+#: A scalar timestamp: commit/proposed times, clocks, UST/GST, GC bounds.
+Timestamp = int
+#: A snapshot: ``None``, a scalar, or a per-DC vector.
+Snapshot = Any
+#: A dependency annotation: ``None``, a per-DC vector, or dependency pairs.
+Deps = Any
+#: ``(key, version)`` pairs of a read response; each version ships ut + deps.
+Versions = Tuple[Tuple[str, Version], ...]
+#: Occult's per-partition stable cut; 0 means "not sent".
+Shardstamp = int
+#: A per-DC vector of timestamps.
+Vector = Tuple[int, ...]
+#: The transaction groups of one replication batch.
+Groups = Tuple["ReplicatedTx", ...]
+#: The key of one dependency pair, shipped as its 8-byte hash.
+DepKey = str
+#: A DC id naming a version-vector entry, counted like a timestamp.
+VvEntryId = int
 
 
 def _ts_bytes(value: Any) -> int:
@@ -60,7 +88,7 @@ def _deps_bytes(deps: Any) -> int:
     return 8 * len(deps)
 
 
-def _versions_meta_bytes(versions: Tuple[Tuple[str, Version], ...]) -> int:
+def _versions_meta_bytes(versions: Versions) -> int:
     """Per-version metadata shipped with read responses: ut + deps.
 
     ``sum(8 + _deps_bytes(v.deps))`` as a plain loop: it runs for every read
@@ -74,56 +102,83 @@ def _versions_meta_bytes(versions: Tuple[Tuple[str, Version], ...]) -> int:
     return total
 
 
+#: Wire cost of each metadata field type, keyed by its annotation: a fixed
+#: byte count, or an expression over the field's value (``{}``).
+WIRE_COST: Dict[str, Union[int, str]] = {
+    "Timestamp": 8,
+    "DepKey": 8,
+    "VvEntryId": 8,
+    "Shardstamp": "(8 if {} else 0)",
+    "Snapshot": "_ts_bytes({})",
+    "Deps": "_deps_bytes({})",
+    "Versions": "_versions_meta_bytes({})",
+    "Vector": "8 * len({})",
+    "Groups": "sum(group.metadata_bytes() for group in {})",
+}
+
+
+def message(cls: type) -> type:
+    """Build a message class: a frozen slotted dataclass plus ``metadata_bytes``.
+
+    ``metadata_bytes`` is generated source, the way ``dataclasses`` writes
+    ``__init__``: the fixed costs folded into one constant, plus one term per
+    variable-size field.  Every send calls it, and a generic loop over the
+    fields would cost several times this direct sum.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fixed, terms = 0, []
+    for field in fields(cls):
+        cost = WIRE_COST.get(field.type, 0)
+        if isinstance(cost, int):
+            fixed += cost
+        else:
+            terms.append(cost.format(f"self.{field.name}"))
+    if fixed or not terms:
+        terms.insert(0, str(fixed))
+    body = " + ".join(terms)
+    namespace: Dict[str, Any] = {}
+    exec(f"def metadata_bytes(self):\n    return {body}\n", globals(), namespace)
+    method = namespace["metadata_bytes"]
+    method.__qualname__ = f"{cls.__qualname__}.metadata_bytes"
+    method.__doc__ = f"Causal-metadata wire bytes this message carries: ``{body}``."
+    cls.metadata_bytes = method
+    return cls
+
+
 # ----------------------------------------------------------------------
 # Client <-> coordinator (Algorithm 1 / Algorithm 2)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class StartTxReq:
     """START-TX: carries the client's highest observed stable snapshot."""
 
-    client_snapshot: Any
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.client_snapshot)
+    client_snapshot: Snapshot
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class StartTxResp:
     """Transaction id and the snapshot assigned by the coordinator."""
 
     tid: TransactionId
-    snapshot: Any
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.snapshot)
+    snapshot: Snapshot
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class ReadReq:
     """READ: keys the client could not serve from WS/RS/WC."""
 
     tid: TransactionId
     keys: Tuple[str, ...]
 
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 0
 
-
-@dataclass(frozen=True, slots=True)
+@message
 class ReadResp:
     """Versions returned for a parallel read, keyed by key."""
 
-    versions: Tuple[Tuple[str, Version], ...]
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _versions_meta_bytes(self.versions)
+    versions: Versions
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class CommitReq:
     """COMMIT-TX: the buffered write set plus the client's last commit time.
 
@@ -133,39 +188,27 @@ class CommitReq:
     """
 
     tid: TransactionId
-    highest_write_ts: int
+    highest_write_ts: Timestamp
     writes: WritePairs
-    deps: Any = None
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + _deps_bytes(self.deps)
+    deps: Deps = None
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class CommitResp:
     """The transaction's commit timestamp."""
 
     tid: TransactionId
-    commit_ts: int
+    commit_ts: Timestamp
     #: ``(partition, dc_id)`` pairs naming the cohort that applied each write
     #: slice.  The client derives version provenance (``sr``) from this echo
     #: rather than recomputing the routing itself: under a membership change
     #: the preferred replica can flip between commit send and response, and
-    #: the identities would diverge.
+    #: the identities would diverge.  Routing bookkeeping, not causal
+    #: metadata (the client named every partition in the request): payload.
     cohorts: Tuple[Tuple[int, int], ...] = ()
 
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries.
 
-        The cohort echo is routing bookkeeping, not causal metadata — the
-        client already named every partition in the request — so only the
-        commit timestamp is counted.
-        """
-        return 8
-
-
-@dataclass(frozen=True, slots=True)
+@message
 class FinishTxMsg:
     """One-way notice that a read-only transaction is complete.
 
@@ -177,12 +220,8 @@ class FinishTxMsg:
 
     tid: TransactionId
 
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 0
 
-
-@dataclass(frozen=True, slots=True)
+@message
 class OneShotReadReq:
     """One-round read-only transaction (start + read + finish in one RPC).
 
@@ -191,42 +230,30 @@ class OneShotReadReq:
     client round-trip for START-TX, and no context survives the call.
     """
 
-    client_snapshot: Any
+    client_snapshot: Snapshot
     keys: Tuple[str, ...]
 
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.client_snapshot)
 
-
-@dataclass(frozen=True, slots=True)
+@message
 class OneShotReadResp:
     """Snapshot used and the versions read."""
 
-    snapshot: Any
-    versions: Tuple[Tuple[str, Version], ...]
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.snapshot) + _versions_meta_bytes(self.versions)
+    snapshot: Snapshot
+    versions: Versions
 
 
 # ----------------------------------------------------------------------
 # Coordinator <-> cohort (Algorithm 2 / Algorithm 3)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class ReadSliceReq:
     """Per-partition slice of a parallel read at a given snapshot."""
 
     keys: Tuple[str, ...]
-    snapshot: Any
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.snapshot)
+    snapshot: Snapshot
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class ReadSliceResp:
     """Freshest visible version per requested key.
 
@@ -235,77 +262,56 @@ class ReadSliceResp:
     protocols leave the zero default.
     """
 
-    versions: Tuple[Tuple[str, Version], ...]
-    shardstamp: int = 0
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        extra = 8 if self.shardstamp else 0
-        return extra + _versions_meta_bytes(self.versions)
+    versions: Versions
+    shardstamp: Shardstamp = 0
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class PrepareReq:
     """2PC phase one for one partition's slice of the write set."""
 
     tid: TransactionId
-    snapshot: Any
-    highest_ts: int
+    snapshot: Snapshot
+    highest_ts: Timestamp
     writes: WritePairs
 
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return _ts_bytes(self.snapshot) + 8
 
-
-@dataclass(frozen=True, slots=True)
+@message
 class PrepareResp:
     """The partition's proposed commit timestamp."""
 
     tid: TransactionId
-    proposed_ts: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8
+    proposed_ts: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class CommitTxMsg:
     """2PC phase two: the decided commit timestamp (one-way)."""
 
     tid: TransactionId
-    commit_ts: int
+    commit_ts: Timestamp
     #: Sim time at which the coordinator decided ct (visibility probes).
     decided_at: float
     #: Finalized dependency annotation to install with the versions.
-    deps: Any = None
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + _deps_bytes(self.deps)
+    deps: Deps = None
 
 
 # ----------------------------------------------------------------------
 # Replication between replicas of one partition (Algorithm 4)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class ReplicatedTx:
     """One applied transaction group being shipped to peer replicas."""
 
     tid: TransactionId
-    commit_ts: int
+    commit_ts: Timestamp
     writes: WritePairs
     source_dc: int
     decided_at: float
-    deps: Any = None
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + _deps_bytes(self.deps)
+    deps: Deps = None
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class ReplicateMsg:
     """A batch of transaction groups in increasing commit-ts order.
 
@@ -314,26 +320,18 @@ class ReplicateMsg:
     so the receiver may advance its VV entry to the watermark.
     """
 
-    groups: Tuple[ReplicatedTx, ...]
-    watermark: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + sum(group.metadata_bytes() for group in self.groups)
+    groups: Groups
+    watermark: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class HeartbeatMsg:
     """Idle-period version-clock announcement (Algorithm 4 line 21)."""
 
-    ts: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8
+    ts: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class RetireMsg:
     """A departing replica's final word: drop my version-clock entry.
 
@@ -344,17 +342,13 @@ class RetireMsg:
     that will never advance again — and re-evaluate parked reads.
     """
 
-    dc_id: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8
+    dc_id: VvEntryId
 
 
 # ----------------------------------------------------------------------
 # Explicit dependency checking (``cops`` variant)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class DepCheckReq:
     """Is a version of ``key`` with ``ut >= ut`` installed at the target?
 
@@ -363,30 +357,22 @@ class DepCheckReq:
     once the dependency is satisfied (parking the check until then).
     """
 
-    key: str
-    ut: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 16
+    key: DepKey
+    ut: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class DepCheckResp:
     """The dependency is satisfied at the responding replica."""
 
-    key: str
-    ut: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 16
+    key: DepKey
+    ut: Timestamp
 
 
 # ----------------------------------------------------------------------
 # Stabilization plane (Section IV-B "Stabilization protocol" + GC)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class AggUpMsg:
     """Child -> parent in the intra-DC tree: aggregated minima.
 
@@ -396,40 +382,28 @@ class AggUpMsg:
     """
 
     partition: int
-    stable_min: int
-    oldest_active: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 16
+    stable_min: Timestamp
+    oldest_active: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class DcGstMsg:
     """Root -> remote roots: this DC's GST and oldest active snapshot."""
 
     dc_id: int
-    gst: int
-    oldest_active: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 16
+    gst: Timestamp
+    oldest_active: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class UstBroadcastMsg:
     """Root -> subtree: the new universal stable time and GC bound."""
 
-    ust: int
-    oldest_global: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 16
+    ust: Timestamp
+    oldest_global: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class GstBroadcastMsg:
     """Root -> subtree: the DC-local stable time (``gst_local`` protocol only).
 
@@ -439,43 +413,31 @@ class GstBroadcastMsg:
     pushes its GST down the local tree as it advances.
     """
 
-    gst: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8
+    gst: Timestamp
 
 
 # ----------------------------------------------------------------------
 # Vector stabilization plane (``cure`` variant)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@message
 class AggUpVecMsg:
     """Child -> parent in the intra-DC tree: entrywise-min applied vectors."""
 
     partition: int
-    stable_vec: Tuple[int, ...]
-    oldest_active: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + 8 * len(self.stable_vec)
+    stable_vec: Vector
+    oldest_active: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class DcVecMsg:
     """Root -> remote roots: this DC's aggregated per-source stable vector."""
 
     dc_id: int
-    stable_vec: Tuple[int, ...]
-    oldest_active: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + 8 * len(self.stable_vec)
+    stable_vec: Vector
+    oldest_active: Timestamp
 
 
-@dataclass(frozen=True, slots=True)
+@message
 class UsvBroadcastMsg:
     """Root -> subtree: the new Universal Stable Vector and GC bound.
 
@@ -485,9 +447,5 @@ class UsvBroadcastMsg:
     than the scalar UST (which is the minimum over all entries).
     """
 
-    usv: Tuple[int, ...]
-    oldest_global: int
-
-    def metadata_bytes(self) -> int:
-        """Causal-metadata wire bytes this message carries."""
-        return 8 + 8 * len(self.usv)
+    usv: Vector
+    oldest_global: Timestamp

@@ -189,9 +189,14 @@ class ProtocolServer(Node):
         self._cancel_timers: List[Callable[[], None]] = []
         #: Structured event sink (disabled by default; see repro.sim.trace).
         self.tracer: Tracer = GLOBAL_TRACER
-        #: Payload type -> ``(count, rate)`` of its cost family, or ``None``
-        #: for base cost only; filled per type on first receipt.
-        self._cost_rules: Dict[type, Optional[Tuple[Callable[[Any], int], float]]] = {}
+        #: Payload type -> ``(count, rate)`` of its cost family; a type not
+        #: in the table costs the base alone.
+        service = config.service
+        self._cost_rules: Dict[type, Tuple[Callable[[Any], int], float]] = {
+            message_type: (count, getattr(service, rate))
+            for family, count, rate in _COST_FAMILIES
+            for message_type in family
+        }
 
         # Compose the protocol from its component set, then collect every
         # component's handler table into the flat bound-method dispatch dict.
@@ -285,24 +290,11 @@ class ProtocolServer(Node):
         One dict hit per message: most traffic (heartbeats, gossip) belongs
         to no cost family and is charged the base cost straight away.
         """
-        payload_type = type(payload)
-        try:
-            rule = self._cost_rules[payload_type]
-        except KeyError:
-            rule = self._cost_rules[payload_type] = self._cost_rule(payload_type)
-        base_cost = self.config.service.base_cost
+        rule = self._cost_rules.get(type(payload))
         if rule is None:
-            return base_cost
+            return self.config.service.base_cost
         count, rate = rule
-        return base_cost + count(payload) * rate
-
-    def _cost_rule(
-        self, payload_type: type
-    ) -> Optional[Tuple[Callable[[Any], int], float]]:
-        for family, count, rate in _COST_FAMILIES:
-            if issubclass(payload_type, family):
-                return count, getattr(self.config.service, rate)
-        return None
+        return self.config.service.base_cost + count(payload) * rate
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import contextlib
 import random
+import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consistency import streaming
+from repro.consistency.events import decode_event
 from repro.consistency.streaming import StreamingChecker
 from repro.core.client import ReadResult
+from repro.sim.trace import TraceError
 from repro.storage.version import Version
 from tests.conftest import EventLog, recording_oracle
 
@@ -342,3 +346,39 @@ class TestCommitCostIsLinearInKeys:
             merges += history.observe(own)
         assert history.real.violations == []
         assert merges <= 2 * n_commits * n_keys
+
+
+#: Two commits whose deltas name each other's write, then a read of one.
+#: No run can record it (a commit's deps committed before it); a reordered
+#: or hand-made stream can, and the closure walk must refuse it, not loop.
+CROSS_CYCLE = [
+    {"t": "commit", "seq": 0, "client": "a", "tid": [1, 1], "ct": 100, "at": 1.0,
+     "written": [["x", 100, 1, 1, 0]], "added": [["y", 200, 2, 2, 0]]},
+    {"t": "commit", "seq": 1, "client": "b", "tid": [2, 2], "ct": 200, "at": 2.0,
+     "written": [["y", 200, 2, 2, 0]], "added": [["x", 100, 1, 1, 0]]},
+    {"t": "read", "seq": 2, "client": "r", "tid": [3, 3], "snapshot": 300, "at": 3.0,
+     "returned": [["x", "store", 100, 1, 1, 0]]},
+]
+#: One session whose first commit names its second's write: the second
+#: commit's delta base (the first) is walked, and leads back to the second.
+SESSION_CYCLE = [
+    {"t": "commit", "seq": 0, "client": "a", "tid": [1, 1], "ct": 100, "at": 1.0,
+     "written": [["x", 100, 1, 1, 0]], "added": [["y", 200, 2, 1, 0]]},
+    {"t": "commit", "seq": 1, "client": "a", "tid": [2, 1], "ct": 200, "at": 2.0,
+     "written": [["y", 200, 2, 1, 0]], "added": [["x", 100, 1, 1, 0]]},
+    {"t": "read", "seq": 2, "client": "r", "tid": [3, 3], "snapshot": 300, "at": 3.0,
+     "returned": [["y", "store", 200, 2, 1, 0]]},
+]
+
+
+class TestDependencyCycles:
+    @pytest.mark.parametrize("stream", [CROSS_CYCLE, SESSION_CYCLE], ids=["cross", "session"])
+    def test_feed_raises_quickly(self, stream):
+        checker = StreamingChecker()
+        events = [decode_event(obj) for obj in stream]
+        began = time.monotonic()
+        for event in events[:-1]:
+            checker.feed(event)
+        with pytest.raises(TraceError, match=r"dependency cycle through transaction \("):
+            checker.feed(events[-1])
+        assert time.monotonic() - began < 1.0

@@ -475,6 +475,30 @@ class TestBigRunTier:
         assert captured.out == ""
         assert "swapped.jsonl:2: events out of order (seq 0 after 1)" in captured.err
 
+    def test_cyclic_trace_is_exit_2_quickly(self, capsys, tmp_path):
+        """Two commits naming each other's write: in order, yet a cycle.
+
+        ``seq`` increases, so the reader lets it through; the checker's
+        closure walk must refuse the cycle rather than walk it forever.
+        """
+        lines = [
+            '{"added":[["y",200,2,2,0]],"at":1.0,"client":"a","ct":100,"seq":0,'
+            '"t":"commit","tid":[1,1],"written":[["x",100,1,1,0]]}',
+            '{"added":[["x",100,1,1,0]],"at":2.0,"client":"b","ct":200,"seq":1,'
+            '"t":"commit","tid":[2,2],"written":[["y",200,2,2,0]]}',
+            '{"at":3.0,"client":"r","returned":[["x","store",100,1,1,0]],"seq":2,'
+            '"snapshot":300,"t":"read","tid":[3,3]}',
+        ]
+        cyclic = tmp_path / "cyclic.jsonl"
+        cyclic.write_text("\n".join(lines) + "\n")
+        began = time.monotonic()
+        assert cli.main(["check", "--trace-in", str(cyclic)]) == 2
+        assert time.monotonic() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "cyclic.jsonl: seq 2: dependency cycle through transaction (1, 1)" in captured.err
+
     @pytest.mark.parametrize(
         "damage, where",
         [

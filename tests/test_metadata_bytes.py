@@ -9,15 +9,39 @@ exposure of the total in run summaries.
 
 from __future__ import annotations
 
+import inspect
+
+import pytest
+
 from repro import small_test_config
 from repro.bench.harness import run_experiment
+from repro.core import messages
 from repro.core.messages import (
+    AggUpMsg,
+    AggUpVecMsg,
     CommitReq,
+    CommitResp,
+    CommitTxMsg,
+    DcGstMsg,
+    DcVecMsg,
+    DepCheckReq,
+    DepCheckResp,
+    FinishTxMsg,
+    GstBroadcastMsg,
     HeartbeatMsg,
+    OneShotReadReq,
     OneShotReadResp,
+    PrepareReq,
+    PrepareResp,
     ReadReq,
+    ReadResp,
+    ReadSliceReq,
     ReadSliceResp,
+    ReplicatedTx,
+    ReplicateMsg,
+    RetireMsg,
     StartTxReq,
+    StartTxResp,
     UsvBroadcastMsg,
     UstBroadcastMsg,
 )
@@ -30,6 +54,85 @@ from repro.storage.version import Version
 
 def _version(deps=None) -> Version:
     return Version(key="p0:k000000", value="v", ut=10, tid=(1, 0), sr=0, deps=deps)
+
+
+# Samples for the footprint table.  Snapshots: none, scalar, 3-DC vector.
+S0, S1, S3 = None, 42, (1, 2, 3)
+# Dependency annotations: none, 3-DC vector, two (key, ut) pairs.
+D0, DV, DP = None, (1, 2, 3), (("p0:k000000", 5), ("p1:k000001", 9))
+# Read-response versions: none, one bare, one with pair deps + one with vector deps.
+V0 = ()
+V1 = (("k", _version()),)
+V2 = (("k", _version(deps=((0, 5), (1, 9)))), ("j", _version(deps=(1, 2, 3))))
+TID, KEYS, W = (1, 0), ("a", "b"), (("a", 1), ("b", 2))
+# Replication batches: empty, and two groups (pair deps + no deps).
+G0 = ()
+G2 = (ReplicatedTx(TID, 9, W, 1, 0.5, DP), ReplicatedTx(TID, 10, W, 2, 0.5))
+
+#: Every message class -> ``(positional args, literal metadata bytes)`` rows.
+#: Non-timestamp fields that count (``RetireMsg.dc_id``, ``DepCheck*.key``)
+#: and ids that do not (``DcGstMsg.dc_id``, ``ReplicatedTx.source_dc``,
+#: ``AggUp*.partition``) are pinned here as they are.
+FOOTPRINTS = {
+    StartTxReq: [((S0,), 0), ((S1,), 8), ((S3,), 24)],
+    StartTxResp: [((TID, S0), 0), ((TID, S1), 8), ((TID, S3), 24)],
+    ReadReq: [((TID, KEYS), 0)],
+    ReadResp: [((V0,), 0), ((V1,), 8), ((V2,), 72)],
+    CommitReq: [((TID, 9, W), 8), ((TID, 9, W, DV), 32), ((TID, 9, W, DP), 40)],
+    CommitResp: [((TID, 9), 8), ((TID, 9, ((0, 1), (2, 0))), 8)],
+    FinishTxMsg: [((TID,), 0)],
+    OneShotReadReq: [((S0, KEYS), 0), ((S1, KEYS), 8), ((S3, KEYS), 24)],
+    OneShotReadResp: [
+        ((S0, V0), 0), ((S0, V1), 8), ((S0, V2), 72),
+        ((S1, V0), 8), ((S1, V1), 16), ((S1, V2), 80),
+        ((S3, V0), 24), ((S3, V1), 32), ((S3, V2), 96),
+    ],
+    ReadSliceReq: [((KEYS, S0), 0), ((KEYS, S1), 8), ((KEYS, S3), 24)],
+    ReadSliceResp: [
+        ((V0,), 0), ((V1,), 8), ((V2,), 72),
+        ((V0, 7), 8), ((V1, 7), 16), ((V2, 7), 80),
+    ],
+    PrepareReq: [((TID, S0, 9, W), 8), ((TID, S1, 9, W), 16), ((TID, S3, 9, W), 32)],
+    PrepareResp: [((TID, 9), 8)],
+    CommitTxMsg: [((TID, 9, 0.5), 8), ((TID, 9, 0.5, DV), 32), ((TID, 9, 0.5, DP), 40)],
+    ReplicatedTx: [
+        ((TID, 9, W, 1, 0.5), 8), ((TID, 9, W, 1, 0.5, DV), 32),
+        ((TID, 9, W, 1, 0.5, DP), 40), ((TID, 9, W, 7, 0.5), 8),
+    ],
+    ReplicateMsg: [((G0, 9), 8), ((G2, 9), 56)],
+    HeartbeatMsg: [((9,), 8)],
+    RetireMsg: [((1,), 8)],
+    DepCheckReq: [(("p0:k000000", 5), 16)],
+    DepCheckResp: [(("p0:k000000", 5), 16)],
+    AggUpMsg: [((3, 9, 4), 16)],
+    DcGstMsg: [((1, 9, 4), 16)],
+    UstBroadcastMsg: [((9, 4), 16)],
+    GstBroadcastMsg: [((9,), 8)],
+    AggUpVecMsg: [((3, (), 4), 8), ((3, (1, 2, 3), 4), 32)],
+    DcVecMsg: [((1, (), 4), 8), ((1, (1, 2, 3), 4), 32)],
+    UsvBroadcastMsg: [(((), 4), 8), (((1, 2, 3), 4), 32)],
+}
+
+
+def test_footprint_table_covers_every_message_class():
+    defined = {
+        cls
+        for _, cls in inspect.getmembers(messages, inspect.isclass)
+        if cls.__module__ == messages.__name__
+    }
+    assert set(FOOTPRINTS) == defined
+
+
+@pytest.mark.parametrize(
+    "cls, args, expected",
+    [
+        pytest.param(cls, args, expected, id=f"{cls.__name__}-{row}")
+        for cls, rows in FOOTPRINTS.items()
+        for row, (args, expected) in enumerate(rows)
+    ],
+)
+def test_footprint(cls, args, expected):
+    assert cls(*args).metadata_bytes() == expected
 
 
 class TestMessageFootprints:

@@ -7,8 +7,12 @@ import pytest
 from repro import build_cluster
 from repro.core.messages import (
     CommitTxMsg,
+    HeartbeatMsg,
     PrepareReq,
     ReadSliceReq,
+    ReadSliceResp,
+    ReplicatedTx,
+    ReplicateMsg,
     StartTxReq,
 )
 from tests.conftest import run_for
@@ -263,6 +267,25 @@ class TestServiceCosts:
             )
         )
         assert large > small
+
+    def test_costs_are_base_plus_count_times_rate(self, tiny_cluster):
+        server = tiny_cluster.server(0, 0)
+        service = tiny_cluster.config.service
+        base, read, write = service.base_cost, service.per_key_read, service.per_key_write
+        writes = (("a", 1), ("b", 2), ("c", 3))
+        groups = (
+            ReplicatedTx((1, 1), 5, writes, 1, 0.0),
+            ReplicatedTx((2, 1), 6, writes[:2], 1, 0.0),
+        )
+        cases = [
+            (ReadSliceReq(tuple("abcd"), 0), base + 4 * read),
+            (ReadSliceResp((("a", None), ("b", None))), base + 2 * read),
+            (PrepareReq((1, 1), 0, 0, writes), base + 3 * write),
+            (ReplicateMsg(groups, 6), base + 5 * write),
+            (HeartbeatMsg(6), base),
+        ]
+        for payload, expected in cases:
+            assert server.service_cost(payload) == expected, type(payload).__name__
 
     def test_unknown_message_has_base_cost(self, tiny_cluster):
         server = tiny_cluster.server(0, 0)
