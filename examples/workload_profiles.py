@@ -56,7 +56,7 @@ def main() -> None:
         )
     )
     print("\nThe same names work everywhere: 'repro run --workload NAME',")
-    print('\'repro check --workload NAME\', and a sweep axis "workload": [...].')
+    print('\'repro run --big --workload NAME\', and a sweep axis "workload": [...].')
 
 
 if __name__ == "__main__":

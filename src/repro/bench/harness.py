@@ -463,8 +463,8 @@ def run_recorded(
     """:func:`run_experiment` with its consistency events recorded.
 
     The one entry point that combines :func:`recording`, :func:`profiled`
-    and the sharded runner: ``repro run`` / ``check`` / ``chaos``, the serve
-    tier and ``repro replay`` all come through here, which is what makes a
+    and the sharded runner: ``repro run`` (whose ``--big`` is the CLI's one
+    checked run), the serve tier and ``repro replay`` all come through here, which is what makes a
     replayed trace comparable to the recorded one byte for byte.
 
     With ``shards > 1`` the DCs run on that many worker processes

@@ -4,20 +4,18 @@ Commands
 --------
 ``run``       Run one simulated experiment and print its summary
               (``--faults plan.json`` applies a fault schedule; ``--big``
-              switches to the streaming big-run tier: O(window) windowed
-              consistency checking plus an optional ``--trace-out`` spill;
+              judges the run's consistency events inline with the
+              streaming checker at the level the protocol claims, exit 1
+              on violations, with ``--window`` bounding its memory and
+              ``--trace-out`` spilling the events as a JSONL trace;
               ``--shards N`` partitions the DCs across N worker processes
               with byte-identical results; ``--profile STATS`` dumps a
               cProfile of the hot loop — see docs/scaling.md).
 ``compare``   Run PaRiS and BPR on the same configuration, side by side.
-``check``     Run a workload under the consistency oracle and report
-              violations (exit status 1 if any are found); also accepts
-              ``--faults``.  ``--trace-out`` spills the checked events
-              as a JSONL trace; ``--trace-in`` skips the simulation and
-              re-checks a persisted trace instead; ``--window`` bounds
-              the checker's memory either way.
-``chaos``     Generate (or load) a fault schedule, run a workload under it,
-              and verify consistency survived.
+``check``     Re-check a persisted JSONL trace (``--trace-in``) and report
+              violations (exit status 1 if any are found).
+``chaos``     Generate a seeded random fault plan for a deployment and
+              write it to ``--plan-out``; ``run --big --faults`` applies it.
 ``sweep``     Execute a declarative experiment grid (JSON spec) across worker
               processes; every run lands in the run repository, which is
               also the cache a re-invocation resumes from.
@@ -46,10 +44,11 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 import time
-from typing import Optional, Sequence, TextIO, Tuple
+from typing import Optional, Sequence, TextIO
 
 from .bench import experiments as exp
 from .bench import figures, report, results, sweep
@@ -76,22 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--json", action="store_true", help="emit the result as JSON instead of text"
     )
-    _add_faults_arg(run_cmd)
+    run_cmd.add_argument(
+        "--faults",
+        metavar="PLAN_JSON",
+        help="fault plan (JSON, see docs/faults.md; 'repro chaos' writes "
+        "one) applied during the run",
+    )
     run_cmd.add_argument(
         "--big",
         action="store_true",
-        help="big-run tier: judge the run's consistency events inline with "
-        "a windowed checker (O(window) memory); exits 1 on violations "
+        help="judge the run's consistency events inline with the streaming "
+        "checker, at the level the protocol claims; exits 1 on violations "
         "(docs/scaling.md)",
     )
-    run_cmd.add_argument(
-        "--window",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="visibility window of the streaming checker in simulated "
-        "seconds of commit time (default: 1.0; only with --big)",
-    )
+    _add_window_arg(run_cmd)
     run_cmd.add_argument(
         "--trace-out",
         metavar="TRACE_JSONL",
@@ -137,53 +134,34 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered protocols to compare (default: paris bpr)",
     )
 
-    check_cmd = commands.add_parser("check", help="verify TCC invariants under load")
-    _add_cluster_args(check_cmd)
-    _add_protocol_arg(check_cmd)
-    _add_faults_arg(check_cmd)
+    check_cmd = commands.add_parser(
+        "check", help="re-check a persisted trace for consistency violations"
+    )
     check_cmd.add_argument(
         "--trace-in",
         metavar="TRACE_JSONL",
-        default=None,
-        help="skip the simulation and re-check this persisted trace "
-        "(produced by 'repro run --big --trace-out' or --trace-out here)",
+        required=True,
+        help="the persisted trace to re-check (written by 'repro run --big "
+        "--trace-out')",
     )
-    check_cmd.add_argument(
-        "--trace-out",
-        metavar="TRACE_JSONL",
-        default=None,
-        help="spill the run's consistency events to this JSONL file as "
-        "they are checked",
-    )
-    check_cmd.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="bound the checker's memory to this many simulated seconds of "
-        "commit time, on live runs and --trace-in re-checks alike "
-        "(default: unbounded)",
+    _add_window_arg(check_cmd)
+    _add_protocol_arg(
+        check_cmd, "judge at the consistency level this registered protocol claims"
     )
 
     chaos_cmd = commands.add_parser(
-        "chaos", help="seeded random faults + consistency check"
+        "chaos", help="write a seeded random fault plan for a deployment"
     )
     _add_cluster_args(chaos_cmd)
-    _add_protocol_arg(chaos_cmd)
     chaos_cmd.add_argument(
         "--episodes", type=int, default=6, help="fault episodes to generate"
     )
     chaos_cmd.add_argument(
-        "--plan", metavar="PLAN_JSON", help="apply this plan instead of generating one"
-    )
-    chaos_cmd.add_argument(
-        "--plan-out", metavar="OUT_JSON", help="write the applied plan to this file"
-    )
-    chaos_cmd.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="seed for plan generation (default: --seed)",
+        "--plan-out",
+        metavar="OUT_JSON",
+        required=True,
+        help="write the plan to this file; 'repro run --big --faults OUT_JSON' "
+        "with the same flags applies it (--seed seeds the plan)",
     )
 
     sweep_cmd = commands.add_parser(
@@ -340,13 +318,42 @@ def _protocol_name(name: str) -> str:
     return name
 
 
-def _add_protocol_arg(parser: argparse.ArgumentParser) -> None:
+def _window_seconds(text: str) -> float:
+    """Argparse type for ``--window``: finite, positive simulated seconds."""
+    seconds = float(text)
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0: {text!r}"
+        )
+    return seconds
+
+
+def _window_text(window: Optional[float]) -> str:
+    """How a status line names the checker's window."""
+    return "unbounded" if window is None else f"{window:g}s"
+
+
+def _add_window_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--window",
+        type=_window_seconds,
+        default=None,
+        metavar="SECONDS",
+        help="bound the streaming checker's memory to this many simulated "
+        "seconds of commit time (default: unbounded; with run, only with --big)",
+    )
+
+
+def _add_protocol_arg(
+    parser: argparse.ArgumentParser,
+    help: str = "registered protocol to run (see 'repro protocols')",
+) -> None:
     parser.add_argument(
         "--protocol",
         metavar="NAME",
         type=_protocol_name,
         default=sweep.PARAM_DEFAULTS["protocol"],
-        help="registered protocol to run (see 'repro protocols')",
+        help=help,
     )
 
 
@@ -357,14 +364,6 @@ def _add_repo_arg(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_REPO_DIR,
         help=f"run repository root (default: {DEFAULT_REPO_DIR}/; "
         "layout in docs/serving.md)",
-    )
-
-
-def _add_faults_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--faults",
-        metavar="PLAN_JSON",
-        help="fault plan (JSON, see docs/faults.md) applied during the run",
     )
 
 
@@ -456,9 +455,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: one experiment, text or JSON summary.
 
     With ``--big`` the run records its consistency events through the
-    streaming oracle: a windowed :class:`StreamingChecker` consumes them
-    inline with O(window) memory, and ``--trace-out`` optionally spills
-    them to a JSONL file for later re-checking.  Violations exit 1.
+    streaming oracle: a :class:`StreamingChecker` judges them inline at the
+    level the protocol claims in the registry — full TCC for
+    ``paris``/``bpr``/``gst_local``/``cure``/``occult``, session guarantees
+    for ``eventual`` and ``cops`` (docs/protocol.md) — and violations exit 1.
+    ``--window`` bounds the checker's memory (default: unbounded) and
+    ``--trace-out`` spills the events to a JSONL file for ``repro check
+    --trace-in``; either without ``--big`` exits 2 before anything runs.
 
     With ``--shards N`` the DCs are partitioned across N worker processes
     advancing in conservative latency windows (:mod:`repro.sim.sharded`);
@@ -473,14 +476,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     """
     from .sim.sharded import ShardingError
 
+    if not args.big:
+        for flag, value in (("--window", args.window), ("--trace-out", args.trace_out)):
+            if value is not None:
+                print(f"repro run: error: {flag} needs --big", file=sys.stderr)
+                return 2
     config = config_from_args(args)
     checker: Optional[StreamingChecker] = None
-    trace_path: Optional[str] = None
     if args.big:
         checker = StreamingChecker(
             window=args.window, level=get_protocol(args.protocol).consistency
         )
-        trace_path = args.trace_out or None
+    trace_path = args.trace_out or None
     try:
         if args.shards < 1:
             raise ShardingError(f"--shards must be >= 1: {args.shards}")
@@ -500,7 +507,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(result.to_json() if args.json else format_result(result))
     if checker is not None:
         print(
-            f"streaming check ({args.window:g}s window, level '{checker.level}'): "
+            f"streaming check ({_window_text(args.window)} window, level '{checker.level}'): "
             f"{checker.commits_checked} commits / {checker.reads_checked} reads, "
             f"{checker.versions_retired} versions retired, "
             f"{checker.state_size} in window, {len(checker.violations)} violations",
@@ -523,22 +530,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # persisting (and replaying while debugging it).
         _save_to_repository(args, result, trace_path=trace_path, out=status_out)
     return status
-
-
-def _run_checked(
-    config: SimulationConfig,
-    protocol: str,
-    window: Optional[float] = None,
-    trace_out: Optional[str] = None,
-) -> Tuple[ExperimentResult, StreamingChecker]:
-    """One run judged inline, at the level ``protocol`` claims.
-
-    Every event the oracle records goes straight to the checker and, with
-    ``trace_out``, to a JSONL spill as well.
-    """
-    checker = StreamingChecker(window=window, level=get_protocol(protocol).consistency)
-    result = run_recorded(config, protocol, trace_out=trace_out or None, checker=checker)
-    return result, checker
 
 
 def _report_violations(
@@ -607,72 +598,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """``repro check``: consistency invariants under load; exit 1 on violations.
+    """``repro check``: re-check a persisted trace; exit 1 on violations.
 
-    Each protocol is checked against the consistency level it *claims* in
-    the registry: full TCC for ``paris``/``bpr``/``gst_local``/``cure``/
-    ``occult``, session guarantees for ``eventual`` and ``cops`` (which
-    renounce causal snapshots by design; see docs/protocol.md and
-    docs/design_space.md).
-
-    ``--trace-in TRACE`` skips the simulation entirely and re-checks a
-    persisted JSONL trace; a trace that is missing, truncated or corrupt is
-    one stderr line naming ``file:line`` and exit 2, never a verdict.
-    ``--trace-out TRACE`` spills the events of a live run as they are
-    judged.  ``--window`` bounds the checker's memory either way (default:
-    unbounded).
+    The trace is judged at the consistency level ``--protocol`` claims in
+    the registry, with ``--window`` bounding the checker's memory (default:
+    unbounded).  A trace that is missing, truncated or corrupt is one
+    stderr line naming ``file:line`` and exit 2, never a verdict.  Live
+    checked runs are ``repro run --big``.
     """
     level = get_protocol(args.protocol).consistency
-    if args.trace_in is not None:
-        try:
-            checker = check_trace(args.trace_in, window=args.window, level=level)
-        except TraceError as exc:
-            print(f"repro check: bad trace {exc}", file=sys.stderr)
-            return 2
-        window_text = "unbounded" if args.window is None else f"{args.window:g}s"
-        print(
-            f"re-checked {args.trace_in}: {checker.commits_checked} commits / "
-            f"{checker.reads_checked} reads ({window_text} window, level "
-            f"'{level}'): {len(checker.violations)} violations"
-        )
-        return _report_violations(checker.violations)
-
-    config = config_from_args(args)
-    result, checker = _run_checked(config, args.protocol, args.window, args.trace_out)
+    try:
+        checker = check_trace(args.trace_in, window=args.window, level=level)
+    except TraceError as exc:
+        print(f"repro check: bad trace {exc}", file=sys.stderr)
+        return 2
     print(
-        f"checked {checker.commits_checked} commits / {checker.reads_checked} reads "
-        f"({result.throughput:,.0f} tx/s) at level '{level}': "
-        f"{len(checker.violations)} violations"
+        f"re-checked {args.trace_in}: {checker.commits_checked} commits / "
+        f"{checker.reads_checked} reads ({_window_text(args.window)} window, "
+        f"level '{level}'): {len(checker.violations)} violations"
     )
-    if args.window is not None:
-        print(
-            f"window {args.window:g}s: {checker.versions_retired} versions "
-            f"retired, {checker.state_size} in window"
-        )
-    status = _report_violations(checker.violations)
-    if args.trace_out is not None:
-        trace_events = checker.commits_checked + checker.reads_checked
-        print(f"trace: {trace_events} events -> {args.trace_out}")
-    return status
+    return _report_violations(checker.violations)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos``: run under a (generated) fault plan, then check.
+    """``repro chaos``: write a seeded random fault plan; simulates nothing.
 
-    Like ``repro check``, violations are judged against the protocol's
-    registered consistency level.
+    The plan is drawn by :func:`repro.faults.random_plan` from ``--seed``
+    for the deployment and horizon the cluster flags describe, so ``repro
+    run --big`` with the same flags and ``--faults OUT_JSON`` applies it
+    and judges the run.
     """
     config = config_from_args(args)
-    if args.plan is not None:
-        plan = FaultPlan.load(args.plan)
-    else:
-        plan = random_plan(
-            config.cluster,
-            seed=args.chaos_seed if args.chaos_seed is not None else args.seed,
-            horizon=config.warmup + config.duration,
-            episodes=args.episodes,
-        )
-    config = config.with_(faults=plan)
+    plan = random_plan(
+        config.cluster,
+        seed=args.seed,
+        horizon=config.warmup + config.duration,
+        episodes=args.episodes,
+    )
     print(f"fault plan '{plan.name or 'unnamed'}' ({len(plan)} events):")
     for event in plan:
         target = event.to_dict()
@@ -680,17 +642,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         target.pop("action")
         detail = " ".join(f"{k}={v}" for k, v in target.items())
         print(f"  t={event.at:7.3f}s  {event.action:<9} {detail}")
-    if args.plan_out:
-        plan.dump(args.plan_out)
-        print(f"plan written to {args.plan_out}")
-    result, checker = _run_checked(config, args.protocol)
-    print(
-        f"\n{args.protocol} survived {len(plan)} fault events: "
-        f"{result.throughput:,.0f} tx/s in the window, "
-        f"{checker.commits_checked} commits / {checker.reads_checked} reads checked "
-        f"at level '{checker.level}', {len(checker.violations)} violations"
-    )
-    return _report_violations(checker.violations)
+    plan.dump(args.plan_out)
+    print(f"plan written to {args.plan_out}")
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

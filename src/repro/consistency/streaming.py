@@ -38,14 +38,15 @@ Events are judged in recording (sequence) order, so a read that returns a
 version whose commit is recorded only later is not judged for causal
 snapshots or atomic visibility (its session invariants still are).
 
-``window=None`` (the default, and what ``repro check`` and the tests use)
-keeps every dependency edge, so run size is bounded by RAM.  With a finite
-window (seconds of commit time, the ``--big`` run tier) the checker retires
-dependency and transaction state older than ``watermark - window`` and
-keeps, per key, a *retired tip digest* — the newest retired version's exact
-dependency frontier and transaction siblings — so the classic violation
-shapes (stale reads, causal fractures, lost read-modify-writes) are still
-caught even when the violating version has crossed the retirement boundary.
+``window=None`` (the default, and that of ``repro run --big``, ``repro check
+--trace-in`` and the tests) keeps every dependency edge, so run size is
+bounded by RAM.  With a finite window (seconds of commit time,
+``--window``) the checker retires dependency and transaction state older
+than ``watermark - window`` and keeps, per key, a *retired tip digest* —
+the newest retired version's exact dependency frontier and transaction
+siblings — so the classic violation shapes (stale reads, causal fractures,
+lost read-modify-writes) are still caught even when the violating version
+has crossed the retirement boundary.
 Windowed state is O(versions committed inside the window) plus O(clients x
 keys) of per-client frontiers — independent of run length (docs/scaling.md).
 """

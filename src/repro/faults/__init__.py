@@ -4,7 +4,8 @@
   schema (JSON-serialisable, validated against a deployment);
 * :mod:`repro.faults.engine` — the :class:`FaultInjector` that applies a
   plan through hooks in the network fabric, servers and clocks;
-* :mod:`repro.faults.chaos` — seeded random plan generation (``repro chaos``).
+* :mod:`repro.faults.chaos` — seeded random plan generation (``repro chaos``
+  writes one; ``repro run --big --faults`` runs it under the checker).
 """
 
 from .chaos import random_plan

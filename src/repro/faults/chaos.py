@@ -1,4 +1,7 @@
-"""Seeded random fault schedules ("chaos mode", ``repro chaos``).
+"""Seeded random fault schedules ("chaos mode").
+
+``repro chaos --plan-out PLAN`` writes one; ``repro run --big --faults PLAN``
+with the same cluster flags runs it under the consistency checker.
 
 Generates a :class:`~repro.faults.plan.FaultPlan` of randomised fault
 *episodes* — crash windows, partition windows, link degradations, clock

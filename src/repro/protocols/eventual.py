@@ -11,7 +11,7 @@ opens with.  Running the full TCC checker over it reports causal-snapshot
 violations by the thousand — the suite asserts that, as living proof of
 what the UST buys.
 
-What eventual *does* promise — and what ``repro check`` verifies for it
+What eventual *does* promise — and what ``repro run --big`` verifies for it
 (its registered consistency level is ``"session"``) — are the session
 guarantees: read-your-writes survives because the client keeps its private
 write cache un-pruned (clock snapshots never *cover* a write the way a

@@ -49,7 +49,7 @@ class ProtocolSpec:
     visibility: str = "ust"
     #: Whether read slices can block waiting for installation.
     blocking_reads: bool = False
-    #: The consistency level this protocol claims — what ``repro check``
+    #: The consistency level this protocol claims — what ``repro run --big``
     #: verifies: ``"tcc"`` (causal snapshots, atomic visibility, session
     #: guarantees) or ``"session"`` (read-your-writes + monotonic reads
     #: only; the contract of eventually consistent variants).

@@ -31,12 +31,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["figure", "fig99"])
 
-    @pytest.mark.parametrize("command", ["run", "compare", "check", "chaos"])
+    @pytest.mark.parametrize("command", ["run", "compare", "chaos"])
     def test_flag_defaults_are_the_param_defaults(self, command):
         """One table of run-parameter defaults: the flags take theirs from it."""
         from repro.bench.sweep import DEFAULT_SEED, PARAM_DEFAULTS, resolve_params
 
-        args = cli.build_parser().parse_args([command])
+        required = ["--plan-out", "plan.json"] if command == "chaos" else []
+        args = cli.build_parser().parse_args([command, *required])
         for name in set(PARAM_DEFAULTS) - {"protocol"}:  # compare's is a list
             assert getattr(args, name) == PARAM_DEFAULTS[name], name
         assert args.seed == DEFAULT_SEED
@@ -82,7 +83,7 @@ class TestProfilesCommand:
         assert config.workload.writes_per_tx == 0
 
     def test_check_with_profile_exits_zero(self, capsys):
-        assert cli.main(["check", *FAST, "--workload", "ycsb_f"]) == 0
+        assert cli.main(["run", *FAST, "--big", "--workload", "ycsb_f"]) == 0
         assert "0 violations" in capsys.readouterr().out
 
     def test_unknown_profile_fails_loudly(self):
@@ -117,9 +118,9 @@ class TestProtocolsCommand:
         assert "paris" in err and "gst_local" in err
 
     def test_check_picks_claimed_level(self, capsys):
-        assert cli.main(["check", *FAST, "--protocol", "eventual"]) == 0
+        assert cli.main(["run", *FAST, "--big", "--protocol", "eventual"]) == 0
         out = capsys.readouterr().out
-        assert "at level 'session'" in out
+        assert "level 'session'" in out
         assert "0 violations" in out
 
     def test_compare_accepts_protocol_list(self, capsys):
@@ -159,7 +160,7 @@ class TestCommands:
         assert "PaRiS vs BPR" in out
 
     def test_check_clean_protocol_exits_zero(self, capsys):
-        assert cli.main(["check", *FAST]) == 0
+        assert cli.main(["run", *FAST, "--big"]) == 0
         out = capsys.readouterr().out
         assert "0 violations" in out
 
@@ -358,7 +359,7 @@ class TestRunRepositoryCommands:
 
 
 class TestBigRunTier:
-    """The streaming big-run tier: run --big, check --trace-in/--trace-out."""
+    """The streaming big-run tier: run --big [--trace-out], check --trace-in."""
 
     def test_run_big_streams_and_spills(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -379,9 +380,9 @@ class TestBigRunTier:
         assert "profile:" not in out
 
     def test_check_trace_out_then_trace_in(self, capsys, tmp_path):
-        """Persist via check --trace-out, re-check via check --trace-in."""
+        """Persist via run --big --trace-out, re-check via check --trace-in."""
         trace = tmp_path / "trace.jsonl"
-        assert cli.main(["check", *FAST, "--trace-out", str(trace)]) == 0
+        assert cli.main(["run", *FAST, "--big", "--trace-out", str(trace)]) == 0
         first = capsys.readouterr().out
         assert "0 violations" in first
         assert str(trace) in first
@@ -392,7 +393,7 @@ class TestBigRunTier:
 
     def test_check_trace_in_windowed(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        assert cli.main(["check", *FAST, "--trace-out", str(trace)]) == 0
+        assert cli.main(["run", *FAST, "--big", "--trace-out", str(trace)]) == 0
         capsys.readouterr()
         assert cli.main([
             "check", "--trace-in", str(trace), "--window", "0.2",
@@ -401,41 +402,21 @@ class TestBigRunTier:
         assert "0.2s window" in out
 
     def test_check_live_window_reports_retired_versions(self, capsys):
-        """--window reaches a live run's checker (it used to be ignored)."""
-        assert cli.main(["check", *FAST, "--window", "0.2"]) == 0
+        """--window reaches a live run's checker."""
+        assert cli.main(["run", *FAST, "--big", "--window", "0.2"]) == 0
         out = capsys.readouterr().out
         assert "0 violations" in out
-        match = re.search(r"window 0\.2s: (\d+) versions retired, (\d+) in window", out)
+        match = re.search(r"\(0\.2s window, .* (\d+) versions retired, (\d+) in window", out)
         assert match, out
         assert int(match.group(1)) > 0
-        # Unbounded (the default) says nothing about a window.
-        assert cli.main(["check", *FAST]) == 0
-        assert "window" not in capsys.readouterr().out
-
-    def test_check_and_run_big_spill_identical_traces(self, capsys, tmp_path):
-        """One oracle, one sink: both commands write the same bytes, and a
-        re-check of either file reproduces the live verdict."""
-        from_check, from_run = tmp_path / "check.jsonl", tmp_path / "run.jsonl"
-        assert cli.main(["check", *FAST, "--trace-out", str(from_check)]) == 0
-        live = re.search(
-            r"checked (\d+ commits / \d+ reads) .* at (level 'tcc'): (\d+ violations)",
-            capsys.readouterr().out,
-        )
-        assert live, "live verdict line not found"
-        assert cli.main([
-            "run", *FAST, "--big", "--window", "0.3", "--trace-out", str(from_run),
-        ]) == 0
-        capsys.readouterr()
-        assert from_check.read_bytes() == from_run.read_bytes()
-        for trace in (from_check, from_run):
-            assert cli.main(["check", "--trace-in", str(trace)]) == 0
-            out = capsys.readouterr().out
-            assert all(part in out for part in live.groups()), out
+        # Unbounded is the default, and the status line says so.
+        assert cli.main(["run", *FAST, "--big"]) == 0
+        assert "(unbounded window, " in capsys.readouterr().out
 
     def test_check_trace_in_catches_violations(self, capsys, tmp_path):
         """A session-level protocol's trace re-checked at tcc exits 1."""
         trace = tmp_path / "trace.jsonl"
-        cli.main(["check", *FAST, "--protocol", "eventual",
+        cli.main(["run", *FAST, "--big", "--protocol", "eventual",
                   "--trace-out", str(trace)])
         capsys.readouterr()
         # Re-check the eventual trace as if it claimed full tcc: the
@@ -512,7 +493,7 @@ class TestBigRunTier:
         """Exit 1 means violations; an unreadable trace is one line and exit 2."""
         trace, bad = tmp_path / "trace.jsonl", tmp_path / "bad.jsonl"
         if damage == "truncated":
-            assert cli.main(["check", *FAST, "--trace-out", str(trace)]) == 0
+            assert cli.main(["run", *FAST, "--big", "--trace-out", str(trace)]) == 0
             bad.write_bytes(trace.read_bytes()[:-10])  # the last line, cut short
         elif damage == "not json":
             bad.write_text("hello trace\n")
@@ -524,3 +505,67 @@ class TestBigRunTier:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert where in captured.err
+
+
+class TestOneCommandPerVerb:
+    """run --big checks live runs, check re-checks traces, chaos writes plans."""
+
+    @pytest.mark.parametrize("flag, value", [("--trace-out", None), ("--window", "0.5")])
+    def test_big_only_flags_without_big_exit_2(self, capsys, tmp_path, flag, value):
+        trace = tmp_path / "trace.jsonl"
+        assert cli.main(["run", *FAST, flag, value or str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro run: error: {flag} needs --big\n"
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("window", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_bad_window_is_a_parser_error(self, monkeypatch, capsys, command, window):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a bad --window must stop before any run")
+
+        monkeypatch.setattr(cli, "run_recorded", no_simulation)
+        monkeypatch.setattr(cli, "check_trace", no_simulation)
+        argv = ["run", *FAST, "--big"] if command == "run" else ["check", "--trace-in", "T"]
+        with pytest.raises(SystemExit) as exited:
+            cli.main([*argv, f"--window={window}"])
+        assert exited.value.code == 2
+        assert "argument --window: must be a finite number of seconds > 0" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["--trace-in", "T", "--dcs", "3"], []], ids=["cluster flag", "no trace"]
+    )
+    def test_check_takes_a_trace_only(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["check", *argv])
+        assert exited.value.code == 2
+
+    def test_chaos_writes_the_seeded_plan_and_runs_nothing(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import json
+
+        from repro.faults import random_plan
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("chaos only writes a plan")
+
+        monkeypatch.setattr(cli, "run_recorded", no_simulation)
+        monkeypatch.setattr(cli, "run_experiment", no_simulation)
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["chaos", *FAST, "--seed", "7", "--plan-out", str(plan_path)]) == 0
+        assert f"plan written to {plan_path}" in capsys.readouterr().out
+        config = cli.config_from_args(cli.build_parser().parse_args(["run", *FAST]))
+        expected = random_plan(
+            config.cluster, seed=7, horizon=config.warmup + config.duration, episodes=6
+        )
+        assert json.loads(plan_path.read_text()) == expected.to_dict()
+
+    def test_run_big_applies_a_chaos_plan(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(["chaos", *FAST, "--seed", "7", "--plan-out", str(plan_path)]) == 0
+        assert cli.main(["run", *FAST, "--big", "--seed", "7", "--faults", str(plan_path)]) == 0
+        assert "0 violations" in capsys.readouterr().out

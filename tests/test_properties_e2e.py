@@ -109,7 +109,7 @@ class TestRandomizedParis:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "open question (ROADMAP item 4): a random draw of this suite, made "
+            "open question (ROADMAP item 5): a random draw of this suite, made "
             "before it was derandomised, yields one atomic-visibility violation "
             "under bpr — tx (6, 20) sees tx (5, 6)'s p2:k000001 next to an older "
             "p3:k000003. Either BPR fractures a read here or the checker "

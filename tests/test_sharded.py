@@ -547,7 +547,7 @@ class TestCli:
         )
         assert "merged 2 trace(s)" in capsys.readouterr().out
         assert merged.read_bytes() == trace.read_bytes()
-        assert cli.main(["check", *FAST, "--trace-in", str(merged)]) == 0
+        assert cli.main(["check", "--trace-in", str(merged)]) == 0
 
     def test_trace_merge_truncated_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
