@@ -169,7 +169,7 @@ def _run(params: Dict[str, Any]) -> Run:
 def _completed_by(cluster: Cluster, stats: SessionStats, until: float) -> int:
     """Run to simulated time ``until``; transactions completed so far."""
     cluster.sim.run(until=until)
-    return stats.meter.completed_total
+    return stats.completed_total
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +477,7 @@ def partition_stall(
         blocking_samples = [
             sample
             for server in cluster.all_servers()
-            for sample in server.metrics.blocking.samples
+            for sample in server.metrics.blocking
         ]
         rows.append(
             PartitionStallResult(

@@ -513,22 +513,21 @@ def collect_measures(cluster: Cluster, stats: SessionStats) -> Dict[str, Any]:
     contributions reassemble in one canonical order, counters are plain
     ints, and nothing references live simulation objects.
     """
-    meter = stats.meter
     per_server: Dict[Tuple[int, int], Dict[str, Any]] = {}
     elapsed = cluster.sim.now
     for (dc_id, partition), server in cluster.servers.items():
         per_server[(dc_id, partition)] = {
-            "blocking": list(server.metrics.blocking.samples),
+            "blocking": list(server.metrics.blocking),
             "read_slices": server.metrics.read_slices_served,
-            "visibility": list(server.metrics.visibility.samples),
+            "visibility": list(server.metrics.visibility),
             "utilization": server.cpu.utilization(elapsed),
         }
     return {
         "sessions": len(cluster.drivers),
-        "latency_samples": list(stats.latency.samples),
-        "completed_in_window": meter.completed_in_window,
-        "window_start": meter.window_start,
-        "window_end": meter.window_end,
+        "latency_samples": list(stats.latency),
+        "completed_in_window": stats.completed_in_window,
+        "window_start": stats.window_start,
+        "window_end": stats.window_end,
         "multi_dc_count": stats.multi_dc_count,
         "servers": per_server,
         "now": cluster.sim.now,

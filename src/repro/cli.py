@@ -44,11 +44,12 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import pathlib
 import sys
 import time
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .bench import experiments as exp
 from .bench import figures, report, results, sweep
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cluster_args(chaos_cmd)
     chaos_cmd.add_argument(
-        "--episodes", type=int, default=6, help="fault episodes to generate"
+        "--episodes", type=_positive_int, default=6, help="fault episodes to generate"
     )
     chaos_cmd.add_argument(
         "--plan-out",
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument("spec", help="sweep spec JSON (see docs/experiments.md)")
     sweep_cmd.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes (results are identical at any worker count)",
     )
     sweep_cmd.add_argument(
@@ -318,6 +319,14 @@ def _protocol_name(name: str) -> str:
     return name
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for a count that must be at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1: {text!r}")
+    return value
+
+
 def _window_seconds(text: str) -> float:
     """Argparse type for ``--window``: finite, positive simulated seconds."""
     seconds = float(text)
@@ -414,6 +423,26 @@ def params_from_args(
     return sweep.resolve_params(params)
 
 
+class _FlagError(Exception):
+    """Flag values no deployment or run can be configured from."""
+
+
+@contextlib.contextmanager
+def _configuring() -> Iterator[None]:
+    """Turning flags into a config: a ``ValueError`` here is a bad flag.
+
+    :func:`main` prints a :class:`_FlagError` as one stderr line and exits
+    2, so exit 1 keeps meaning "violations found".  Only this step is
+    wrapped: a ``ValueError`` raised inside a run is a bug and stays a
+    traceback.  ``SweepSpecError`` and ``FaultPlanError`` subclass
+    ``ValueError``.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _FlagError(exc) from None
+
+
 def config_from_args(args: argparse.Namespace) -> SimulationConfig:
     """Translate CLI arguments into a simulation configuration.
 
@@ -481,7 +510,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             if value is not None:
                 print(f"repro run: error: {flag} needs --big", file=sys.stderr)
                 return 2
-    config = config_from_args(args)
+    with _configuring():
+        config = config_from_args(args)
     checker: Optional[StreamingChecker] = None
     if args.big:
         checker = StreamingChecker(
@@ -569,7 +599,8 @@ def _save_to_repository(
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare``: several protocols on one configuration."""
-    config = config_from_args(args)
+    with _configuring():
+        config = config_from_args(args)
     protocols = list(dict.fromkeys(args.protocol))
     results = {p: run_experiment(config, protocol=p) for p in protocols}
     rows = [
@@ -628,7 +659,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     run --big`` with the same flags and ``--faults OUT_JSON`` applies it
     and judges the run.
     """
-    config = config_from_args(args)
+    with _configuring():
+        config = config_from_args(args)
     plan = random_plan(
         config.cluster,
         seed=args.seed,
@@ -900,9 +932,10 @@ def cmd_protocols(args: argparse.Namespace) -> int:
 
 def cmd_topology(args: argparse.Namespace) -> int:
     """``repro topology``: placement and storage footprint of a deployment."""
-    spec = ClusterSpec.from_machines(
-        n_dcs=args.dcs, machines_per_dc=args.machines, replication_factor=args.rf
-    )
+    with _configuring():
+        spec = ClusterSpec.from_machines(
+            n_dcs=args.dcs, machines_per_dc=args.machines, replication_factor=args.rf
+        )
     print(
         f"{spec.n_dcs} DCs, {spec.n_partitions} partitions, RF {spec.replication_factor} "
         f"-> {spec.machines_per_dc:.0f} machines/DC, {spec.total_servers} servers total"
@@ -976,7 +1009,11 @@ def render_help() -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _FlagError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -92,6 +92,10 @@ class ClusterSpec:
         ``N = M * machines_per_dc / R`` must be integral (all the paper's
         configurations are).
         """
+        if replication_factor < 1:
+            raise ValueError(
+                f"replication factor {replication_factor} must be in [1, {n_dcs}]"
+            )
         total_replicas = n_dcs * machines_per_dc
         if total_replicas % replication_factor != 0:
             raise ValueError(

@@ -200,7 +200,6 @@ class TxCoordinator:
         for partition, target_dc in cohorts:
             server.cast(server_address(target_dc, partition), decision)
         self.contexts.pop(tid, None)
-        server.metrics.transactions_committed += 1
         if server.tracer.enabled:
             server.tracer.emit(
                 server.sim.now, "commit", server.address,

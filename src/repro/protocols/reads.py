@@ -111,7 +111,7 @@ class ReadProtocol:
         if rate < 1.0 and self.probe_rng.random() >= rate:
             return
         if commit_ts <= self.visibility_threshold():
-            server.metrics.visibility.record(max(0.0, server.sim.now - decided_at))
+            server.metrics.visibility.append(max(0.0, server.sim.now - decided_at))
             return
         heapq.heappush(self.pending_probes, (commit_ts, decided_at))
 
@@ -124,7 +124,7 @@ class ReadProtocol:
         pending = self.pending_probes
         while pending and pending[0][0] <= threshold:
             _, decided_at = heapq.heappop(pending)
-            self.server.metrics.visibility.record(max(0.0, now - decided_at))
+            self.server.metrics.visibility.append(max(0.0, now - decided_at))
 
     # ------------------------------------------------------------------
     # Snapshot shape hooks (vector-snapshot variants override these)
@@ -220,7 +220,7 @@ class BlockingReadProtocol(ReadProtocol):
         threshold = server.local_stable_time
         while self.parked and self.parked[0][0] <= threshold:
             _, _, msg, reply, arrival = heapq.heappop(self.parked)
-            server.metrics.blocking.record(server.sim.now - arrival)
+            server.metrics.blocking.append(server.sim.now - arrival)
             # Waking costs CPU again, then the read is served normally.
             server.cpu.submit(
                 server.config.service.block_overhead, self.serve_read_slice, msg, reply

@@ -156,7 +156,6 @@ class StabilizationService:
         server = self.server
         if ust > server.ust:
             server.ust = ust
-            server.metrics.ust_advances += 1
             if server.tracer.enabled:
                 server.tracer.emit(server.sim.now, "ust", server.address, ust=ust)
             server.reads.drain_visibility_probes()

@@ -3,7 +3,7 @@
 This package is self-contained and protocol-agnostic: an event kernel with
 generator processes, futures, a WAN latency model of the paper's ten AWS
 regions, FIFO links with fault injection, a per-server CPU queueing model,
-deterministic named RNG streams, and measurement utilities.
+deterministic named RNG streams, and percentile/CDF reductions.
 """
 
 from .cpu import Cpu
@@ -13,16 +13,7 @@ from .latency import REGIONS, LatencyModel, rtt_ms
 from .network import Address, Envelope, Network, NetworkMetrics, Node
 from .rng import RngRegistry
 from .trace import GLOBAL_TRACER, TraceRecord, Tracer
-from .stats import (
-    LatencyRecorder,
-    Summary,
-    ThroughputMeter,
-    cdf_points,
-    format_si,
-    histogram,
-    mean_cdf,
-    percentile,
-)
+from .stats import cdf_points, mean_cdf, percentile
 
 __all__ = [
     "Address",
@@ -35,7 +26,6 @@ __all__ = [
     "Future",
     "FutureAlreadyResolved",
     "LatencyModel",
-    "LatencyRecorder",
     "Network",
     "NetworkMetrics",
     "Node",
@@ -44,13 +34,9 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "Summary",
-    "ThroughputMeter",
     "all_of",
     "cdf_points",
-    "format_si",
     "gather",
-    "histogram",
     "mean_cdf",
     "percentile",
     "rtt_ms",

@@ -1,65 +1,9 @@
-"""Measurement utilities: summaries, percentiles, CDFs, throughput windows."""
+"""Sample reductions for ``summarize_measures``: percentiles and CDFs."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-class Summary:
-    """Streaming count/mean/min/max/variance (Welford) of a metric."""
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Record one observation."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def variance(self) -> float:
-        """Sample variance; zero with fewer than two observations."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        """Sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "Summary") -> None:
-        """Fold another summary into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
+from typing import Iterable, List, Sequence, Tuple
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
@@ -112,87 +56,3 @@ def mean_cdf(per_source_samples: Iterable[Sequence[float]], n_points: int = 100)
         value = sum(curve[i][0] for curve in curves) / len(curves)
         averaged.append((value, fraction))
     return averaged
-
-
-@dataclass(slots=True)
-class LatencyRecorder:
-    """Collects latency samples (seconds) with a streaming summary."""
-
-    samples: List[float] = field(default_factory=list)
-    summary: Summary = field(default_factory=Summary)
-
-    def record(self, value: float) -> None:
-        """Add one latency observation."""
-        self.samples.append(value)
-        self.summary.add(value)
-
-    def percentile(self, fraction: float) -> float:
-        """Percentile over all recorded samples."""
-        return percentile(self.samples, fraction)
-
-    @property
-    def mean(self) -> float:
-        """Mean of recorded samples (0 if empty)."""
-        return self.summary.mean if self.summary.count else 0.0
-
-
-class ThroughputMeter:
-    """Counts completions inside a measurement window of simulated time."""
-
-    __slots__ = ("window_start", "window_end", "completed_in_window", "completed_total")
-
-    def __init__(self) -> None:
-        self.window_start: float | None = None
-        self.window_end: float | None = None
-        self.completed_in_window = 0
-        self.completed_total = 0
-
-    def open_window(self, now: float) -> None:
-        """Start counting at sim time ``now`` (end of warmup)."""
-        self.window_start = now
-
-    def close_window(self, now: float) -> None:
-        """Stop counting at sim time ``now``."""
-        self.window_end = now
-
-    def record_completion(self, now: float) -> None:
-        """Record one completed transaction at sim time ``now``."""
-        self.completed_total += 1
-        if self.window_start is None or now < self.window_start:
-            return
-        if self.window_end is not None and now > self.window_end:
-            return
-        self.completed_in_window += 1
-
-    def throughput(self) -> float:
-        """Completions per second inside the window."""
-        if self.window_start is None or self.window_end is None:
-            return 0.0
-        elapsed = self.window_end - self.window_start
-        if elapsed <= 0:
-            return 0.0
-        return self.completed_in_window / elapsed
-
-
-def format_si(value: float) -> str:
-    """Human-friendly magnitude formatting (e.g. 12300 -> '12.3K')."""
-    for threshold, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "K")):
-        if abs(value) >= threshold:
-            return f"{value / threshold:.2f}{suffix}"
-    return f"{value:.2f}"
-
-
-def histogram(samples: Sequence[float], n_bins: int = 20) -> Dict[float, int]:
-    """Fixed-width histogram mapping bin lower edge -> count."""
-    if not samples:
-        return {}
-    low, high = min(samples), max(samples)
-    if high == low:
-        return {low: len(samples)}
-    width = (high - low) / n_bins
-    bins: Dict[float, int] = {}
-    for sample in samples:
-        index = min(int((sample - low) / width), n_bins - 1)
-        edge = low + index * width
-        bins[edge] = bins.get(edge, 0) + 1
-    return dict(sorted(bins.items()))

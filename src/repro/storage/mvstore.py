@@ -113,8 +113,6 @@ class MultiVersionStore:
 
     def __init__(self) -> None:
         self._chains: Dict[str, _Chain] = {}
-        self.writes_applied = 0
-        self.versions_collected = 0
 
     # ------------------------------------------------------------------
     # Writes
@@ -140,11 +138,9 @@ class MultiVersionStore:
         """
         version = Version(key, value, ut, tid, sr, deps)
         if dedup:
-            if self._chain(key).insert_if_absent(version):
-                self.writes_applied += 1
+            self._chain(key).insert_if_absent(version)
         else:
             self._chain(key).insert(version)
-            self.writes_applied += 1
         return version
 
     def ingest(self, key: str, version: Version) -> bool:
@@ -156,10 +152,7 @@ class MultiVersionStore:
         applied (rejoin after a leave, or replication racing the snapshot).
         Returns True if the version was new.
         """
-        inserted = self._chain(key).insert_if_absent(version)
-        if inserted:
-            self.writes_applied += 1
-        return inserted
+        return self._chain(key).insert_if_absent(version)
 
     def preload(self, key: str, value: Any) -> Version:
         """Install the timestamp-zero base version of ``key``."""
@@ -210,9 +203,7 @@ class MultiVersionStore:
     # ------------------------------------------------------------------
     def collect(self, oldest_snapshot: int) -> int:
         """Garbage-collect all chains against ``oldest_snapshot``."""
-        removed = sum(chain.collect(oldest_snapshot) for chain in self._chains.values())
-        self.versions_collected += removed
-        return removed
+        return sum(chain.collect(oldest_snapshot) for chain in self._chains.values())
 
     @property
     def key_count(self) -> int:

@@ -17,36 +17,49 @@ are pure functions of simulated time, so pacing never perturbs determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from ..core.client import PaRiSClient
-from ..sim.stats import LatencyRecorder, ThroughputMeter
 from .generator import TransactionSpec, WorkloadGenerator
 from .profiles import ArrivalSchedule
 
 
 @dataclass
 class SessionStats:
-    """Shared metrics sink for all sessions of one experiment."""
+    """Raw samples and counts shared by all sessions of one experiment.
 
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-    meter: ThroughputMeter = field(default_factory=ThroughputMeter)
-    read_only_count: int = 0
-    update_count: int = 0
+    One window definition decides everything measured: a completion counts
+    toward ``completed_in_window``, and its latency and multi-DC flag are
+    sampled, exactly when :meth:`record_completion` runs between
+    :meth:`open_window` and :meth:`close_window`.  ``completed_total``
+    counts every completion.  :func:`repro.bench.harness.summarize_measures`
+    alone reduces these to numbers.
+    """
+
+    latency: List[float] = field(default_factory=list)
     multi_dc_count: int = 0
+    completed_in_window: int = 0
+    completed_total: int = 0
+    window_start: Optional[float] = None
+    window_end: Optional[float] = None
 
     def open_window(self, now: float) -> None:
         """Begin the measurement window (end of warmup)."""
-        self.meter.open_window(now)
+        self.window_start = now
 
     def close_window(self, now: float) -> None:
         """End the measurement window."""
-        self.meter.close_window(now)
+        self.window_end = now
 
-    @property
-    def in_window(self) -> bool:
-        """Whether the measurement window is currently open."""
-        return self.meter.window_start is not None and self.meter.window_end is None
+    def record_completion(self, latency: float, multi_dc: bool) -> None:
+        """Count one completed transaction; sample it if the window is open."""
+        self.completed_total += 1
+        if self.window_start is None or self.window_end is not None:
+            return
+        self.completed_in_window += 1
+        self.latency.append(latency)
+        if multi_dc:
+            self.multi_dc_count += 1
 
 
 class SessionDriver:
@@ -106,20 +119,10 @@ class SessionDriver:
             if spec.writes:
                 self.client.write(spec.writes)
                 yield self.client.commit()
-                in_window = self.stats.in_window
-                if in_window:
-                    self.stats.update_count += 1
             else:
                 self.client.finish()
-                in_window = self.stats.in_window
-                if in_window:
-                    self.stats.read_only_count += 1
             self.transactions_run += 1
-            self.stats.meter.record_completion(sim.now)
-            if in_window:
-                self.stats.latency.record(sim.now - started_at)
-                if not spec.is_local:
-                    self.stats.multi_dc_count += 1
+            self.stats.record_completion(sim.now - started_at, not spec.is_local)
 
 
 def run_transaction(client: PaRiSClient, spec: TransactionSpec):

@@ -80,7 +80,7 @@ class TestBlockingReads:
         samples = [
             sample
             for server in tiny_bpr_cluster.all_servers()
-            for sample in server.metrics.blocking.samples
+            for sample in server.metrics.blocking
         ]
         assert samples, "the read should have parked"
         lag = max(samples)

@@ -507,6 +507,73 @@ class TestBigRunTier:
         assert where in captured.err
 
 
+class TestBadFlagsExit2:
+    """A flag no run can be configured from is one stderr line and exit 2.
+
+    Exit 1 is reserved for "violations found" under ``run --big``.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--big", "--dcs", "0"], "need at least one DC"),
+            (["run", "--big", "--locality", "1.5"], "locality must be in [0, 1]"),
+            (["run", "--big", "--dcs", "3", "--machines", "3", "--rf", "2"], "not divisible"),
+            (["run", "--big", "--duration", "0"], "duration > 0"),
+            (["run", "--big", "--threads", "0"], "threads_per_client must be >= 1"),
+            (["run", "--big", "--workload", "nosuch"], "unknown workload profile 'nosuch'"),
+            (["run", "--big", "--preset", "nosuch"], "unknown topology preset 'nosuch'"),
+            (["run", "--big", "--faults", "/nonexistent.json"], "cannot read fault plan"),
+            (["run", "--big", "--rf", "0"], "replication factor 0 must be in [1, 3]"),
+            (["compare", "--dcs", "0"], "need at least one DC"),
+            (["chaos", "--dcs", "0"], "need at least one DC"),
+            (["topology", "--rf", "0"], "replication factor 0 must be in [1, 5]"),
+        ],
+    )
+    def test_bad_run_parameter(self, monkeypatch, capsys, tmp_path, argv, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a bad flag must stop before any run")
+
+        monkeypatch.setattr(cli, "run_recorded", no_simulation)
+        monkeypatch.setattr(cli, "run_experiment", no_simulation)
+        plan = tmp_path / "plan.json"
+        if argv[0] == "chaos":
+            argv = [*argv, "--plan-out", str(plan)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert message in captured.err
+        assert not plan.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "SPEC", "--workers", "0"], "--workers"),
+            (["chaos", "--episodes", "-1"], "--episodes"),
+        ],
+    )
+    def test_non_positive_count_is_a_parser_error(self, capsys, tmp_path, argv, flag):
+        plan = tmp_path / "plan.json"
+        with pytest.raises(SystemExit) as exited:
+            cli.main([*argv, "--plan-out", str(plan)] if argv[0] == "chaos" else argv)
+        assert exited.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro {argv[0]}: error: argument {flag}: must be an integer >= 1: {argv[-1]!r}"
+        ]
+        assert not plan.exists()
+
+    def test_a_value_error_inside_a_run_stays_a_traceback(self, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise ValueError("a bug inside the simulation")
+
+        monkeypatch.setattr(cli, "run_recorded", broken_run)
+        with pytest.raises(ValueError, match="a bug inside the simulation"):
+            cli.main(["run", *FAST])
+
+
 class TestOneCommandPerVerb:
     """run --big checks live runs, check re-checks traces, chaos writes plans."""
 

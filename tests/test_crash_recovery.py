@@ -117,7 +117,7 @@ class TestRecovery:
         run_for(cluster, 0.6)
         cluster.recover_server(2, 1)
         run_for(cluster, 1.0)
-        assert stats.meter.completed_total > 20
+        assert stats.completed_total > 20
         violations = oracle.checker.violations
         assert violations == [], "\n".join(str(v) for v in violations[:5])
 

@@ -187,7 +187,7 @@ class TestLinkActions:
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         cluster.sim.run(until=2.0)
-        assert stats.meter.completed_total > 50
+        assert stats.completed_total > 50
         assert oracle.checker.violations == []
 
 
@@ -219,7 +219,7 @@ class TestSkewAction:
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         cluster.sim.run(until=2.0)
-        assert stats.meter.completed_total > 50
+        assert stats.completed_total > 50
         assert oracle.checker.violations == []
 
 

@@ -144,7 +144,7 @@ class TestDeterminism:
             driver.start()
         with tracer.capture("commit", "ust", "apply", "block"):
             cluster.sim.run(until=2.5)
-        assert stats.meter.completed_total > 0
+        assert stats.completed_total > 0
         return tracer.records
 
     @pytest.mark.parametrize("protocol", ["paris", "bpr"])

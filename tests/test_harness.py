@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import build_cluster, run_experiment, small_test_config
-from repro.bench.harness import deploy_sessions
+from repro.bench.harness import deploy_sessions, summarize_measures
 from repro.workload.runner import SessionStats
 
 
@@ -71,7 +71,40 @@ class TestDeploySessions:
             driver.start()
         cluster.sim.run(until=1.0)
         assert all(driver.transactions_run > 0 for driver in drivers)
-        assert stats.meter.completed_total > 0
+        assert stats.completed_total > 0
+
+
+def _window_measures(window_start, window_end, completed_in_window):
+    """A measures dict with no samples: only the window and its count."""
+    return {
+        "sessions": 1,
+        "latency_samples": [],
+        "completed_in_window": completed_in_window,
+        "window_start": window_start,
+        "window_end": window_end,
+        "multi_dc_count": 0,
+        "servers": {},
+        "now": 3.0,
+        "min_ust": 0,
+        "messages_total": 0,
+        "messages_inter_dc": 0,
+        "metadata_bytes_total": 0,
+        "read_retries_total": 0,
+    }
+
+
+class TestSummarizeThroughput:
+    """Throughput is ``completed_in_window / window``, computed in one place."""
+
+    def test_completions_per_window_second(self, tiny_config):
+        result = summarize_measures(tiny_config, "paris", _window_measures(1.0, 3.0, 2))
+        assert result.throughput == pytest.approx(1.0)
+        assert result.transactions_measured == 2
+
+    @pytest.mark.parametrize("start, end", [(None, None), (1.0, None), (None, 3.0)])
+    def test_no_window_means_zero(self, tiny_config, start, end):
+        result = summarize_measures(tiny_config, "paris", _window_measures(start, end, 2))
+        assert result.throughput == 0.0
 
 
 class TestRunExperiment:

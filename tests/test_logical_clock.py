@@ -88,7 +88,7 @@ class TestLogicalClockMode:
         for driver in deploy_sessions(cluster, stats):
             driver.start()
         run_for(cluster, 1.5)
-        assert stats.meter.completed_total > 10
+        assert stats.completed_total > 10
         assert oracle.checker.violations == []
 
     def test_idle_version_clocks_freeze(self, logical_config):

@@ -26,32 +26,28 @@ class TestSessionDriver:
         driver.start()
         run_for(tiny_cluster, 1.0)
         assert driver.transactions_run > 5
-        assert stats.meter.completed_total == driver.transactions_run
+        assert stats.completed_total == driver.transactions_run
 
     def test_window_gating(self, tiny_cluster):
         stats = SessionStats()
         driver = make_driver(tiny_cluster, stats)
         driver.start()
         run_for(tiny_cluster, 0.5)
-        assert stats.latency.summary.count == 0  # window not open yet
+        assert stats.latency == []  # window not open yet
+        assert stats.completed_in_window == 0
         stats.open_window(tiny_cluster.sim.now)
         run_for(tiny_cluster, 0.5)
         stats.close_window(tiny_cluster.sim.now)
-        in_window = stats.latency.summary.count
+        in_window = len(stats.latency)
         assert in_window > 0
         run_for(tiny_cluster, 0.5)
-        assert stats.latency.summary.count == in_window  # closed: no more samples
+        assert len(stats.latency) == in_window  # closed: no more samples
+        assert stats.completed_in_window == in_window
 
-    def test_mix_counters(self, tiny_cluster):
-        stats = SessionStats()
-        driver = make_driver(tiny_cluster, stats)
-        driver.start()
-        stats.open_window(tiny_cluster.sim.now)
-        run_for(tiny_cluster, 1.0)
-        stats.close_window(tiny_cluster.sim.now)
-        # Default test workload writes in every transaction.
-        assert stats.update_count > 0
-        assert stats.read_only_count == 0
+    def test_default_workload_writes_in_every_transaction(self, tiny_cluster):
+        generator = make_driver(tiny_cluster, SessionStats()).generator
+        specs = [generator.next_transaction() for _ in range(200)]
+        assert all(spec.writes for spec in specs)
 
     def test_multiple_drivers_share_stats(self, tiny_cluster):
         stats = SessionStats()
@@ -62,11 +58,29 @@ class TestSessionDriver:
             driver.start()
         stats.open_window(tiny_cluster.sim.now)
         run_for(tiny_cluster, 0.5)
-        stats.close_window(tiny_cluster.sim.now)
-        assert stats.meter.completed_in_window == sum(
-            1 for _ in range(0)
-        ) + stats.meter.completed_in_window  # tautology guard
-        assert stats.meter.completed_total == sum(d.transactions_run for d in drivers)
+        stats.close_window(tiny_cluster.sim.now)  # sessions keep running
+        run_for(tiny_cluster, 0.5)
+        assert 0 < stats.completed_in_window < stats.completed_total
+        assert stats.completed_in_window == len(stats.latency)
+        assert stats.multi_dc_count <= stats.completed_in_window
+        assert stats.completed_total == sum(d.transactions_run for d in drivers)
+
+
+class TestSessionStatsWindow:
+    """One window test decides what counts and what is sampled."""
+
+    def test_counts_only_inside_window(self):
+        stats = SessionStats()
+        stats.record_completion(0.1, multi_dc=True)  # before the window
+        stats.open_window(1.0)
+        stats.record_completion(0.2, multi_dc=True)
+        stats.record_completion(0.3, multi_dc=False)
+        stats.close_window(3.0)
+        stats.record_completion(0.4, multi_dc=True)  # after the window
+        assert stats.completed_in_window == 2
+        assert stats.completed_total == 4
+        assert stats.latency == [0.2, 0.3]
+        assert stats.multi_dc_count == 1
 
 
 class TestRunTransaction:

@@ -83,6 +83,15 @@ class TestValidation:
         # Nothing was queued for the invalid request.
         assert service.handle("GET", "/jobs")[1]["jobs"] == []
 
+    @pytest.mark.parametrize("bad", [{"rf": 0}, {"dcs": 0}])
+    def test_launch_with_unbuildable_deployment_400(self, service, bad):
+        status, payload = service.handle(
+            "POST", "/runs", body={"params": {**FAST_PARAMS, **bad}}
+        )
+        assert status == 400
+        assert "error" in payload
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
     def test_launch_with_unknown_protocol_400(self, service):
         status, payload = service.handle(
             "POST", "/runs", body={"params": {**FAST_PARAMS, "protocol": "nope"}}

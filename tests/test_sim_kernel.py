@@ -532,7 +532,7 @@ def test_the_run_spine_is_written_once():
     window_edges = {
         (relative, function)
         for relative, tree in trees.items()
-        if relative not in ("workload/runner.py", "sim/stats.py")
+        if relative != "workload/runner.py"
         for function in _enclosing_functions(tree, {"open_window", "close_window"})
     }
     assert window_edges == {("bench/harness.py", "drive")}

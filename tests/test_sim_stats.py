@@ -1,80 +1,16 @@
-"""Unit + property tests for measurement utilities."""
+"""Unit + property tests for the percentile and CDF reductions."""
 
 from __future__ import annotations
-
-import statistics
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import (
-    LatencyRecorder,
-    Summary,
-    ThroughputMeter,
-    cdf_points,
-    format_si,
-    histogram,
-    mean_cdf,
-    percentile,
-)
+from repro.sim.stats import cdf_points, mean_cdf, percentile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
-
-
-class TestSummary:
-    def test_empty(self):
-        summary = Summary()
-        assert summary.count == 0
-        assert summary.variance == 0.0
-
-    def test_mean_min_max(self):
-        summary = Summary()
-        for v in (3.0, 1.0, 2.0):
-            summary.add(v)
-        assert summary.mean == pytest.approx(2.0)
-        assert summary.min == 1.0
-        assert summary.max == 3.0
-
-    @given(st.lists(finite_floats, min_size=2, max_size=100))
-    def test_matches_statistics_module(self, values):
-        summary = Summary()
-        for v in values:
-            summary.add(v)
-        assert summary.mean == pytest.approx(statistics.fmean(values), rel=1e-9, abs=1e-6)
-        assert summary.variance == pytest.approx(
-            statistics.variance(values), rel=1e-6, abs=1e-6
-        )
-
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_merge_equals_combined(self, left, right):
-        a, b, combined = Summary(), Summary(), Summary()
-        for v in left:
-            a.add(v)
-            combined.add(v)
-        for v in right:
-            b.add(v)
-            combined.add(v)
-        a.merge(b)
-        assert a.count == combined.count
-        assert a.mean == pytest.approx(combined.mean, rel=1e-9, abs=1e-6)
-        assert a.variance == pytest.approx(combined.variance, rel=1e-6, abs=1e-6)
-        assert a.min == combined.min
-        assert a.max == combined.max
-
-    def test_merge_with_empty(self):
-        a, b = Summary(), Summary()
-        a.add(1.0)
-        a.merge(b)
-        assert a.count == 1
-        b.merge(a)
-        assert b.count == 1
-        assert b.mean == 1.0
 
 
 class TestPercentile:
@@ -135,54 +71,3 @@ class TestCdf:
 
     def test_mean_cdf_all_empty(self):
         assert mean_cdf([[], []]) == []
-
-
-class TestThroughputMeter:
-    def test_counts_only_inside_window(self):
-        meter = ThroughputMeter()
-        meter.record_completion(0.5)  # before window
-        meter.open_window(1.0)
-        meter.record_completion(1.5)
-        meter.record_completion(2.0)
-        meter.close_window(3.0)
-        meter.record_completion(3.5)  # after window
-        assert meter.completed_in_window == 2
-        assert meter.completed_total == 4
-        assert meter.throughput() == pytest.approx(1.0)
-
-    def test_no_window_means_zero(self):
-        meter = ThroughputMeter()
-        meter.record_completion(1.0)
-        assert meter.throughput() == 0.0
-
-
-class TestLatencyRecorder:
-    def test_record_and_percentile(self):
-        recorder = LatencyRecorder()
-        for v in (1.0, 2.0, 3.0):
-            recorder.record(v)
-        assert recorder.mean == pytest.approx(2.0)
-        assert recorder.percentile(0.5) == 2.0
-        assert recorder.summary.count == 3
-
-    def test_empty_mean_is_zero(self):
-        assert LatencyRecorder().mean == 0.0
-
-
-class TestFormatting:
-    def test_format_si(self):
-        assert format_si(999.0) == "999.00"
-        assert format_si(12_300.0) == "12.30K"
-        assert format_si(4_200_000.0) == "4.20M"
-        assert format_si(9e9) == "9.00G"
-
-    def test_histogram_counts_everything(self):
-        samples = [0.1 * i for i in range(100)]
-        bins = histogram(samples, n_bins=10)
-        assert sum(bins.values()) == 100
-
-    def test_histogram_single_value(self):
-        assert histogram([2.0, 2.0]) == {2.0: 2}
-
-    def test_histogram_empty(self):
-        assert histogram([]) == {}

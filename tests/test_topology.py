@@ -50,6 +50,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClusterSpec.from_machines(3, 1, 2)
 
+    @pytest.mark.parametrize("rf", [0, -1])
+    def test_from_machines_rejects_rf_below_one(self, rf):
+        with pytest.raises(ValueError, match=rf"replication factor {rf} must be in \[1, 3\]"):
+            ClusterSpec.from_machines(3, 2, rf)
+
     def test_partition_range_checked(self):
         spec = ClusterSpec(3, 6, 2)
         with pytest.raises(ValueError):
