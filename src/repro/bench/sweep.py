@@ -103,6 +103,19 @@ PARAM_DEFAULTS: Dict[str, Any] = {
 #: The seed of a run that names none (``repro run``, ``POST /runs``).
 DEFAULT_SEED = 1
 
+_INT, _REAL, _STR, _NONE = (int,), (int, float), (str,), (type(None),)
+
+#: The JSON type each run parameter's value must have, and how to say so.
+#: ``faults`` is checked by :func:`resolve_fault_plan`.  ``bool`` is an
+#: ``int`` to Python but never a number here.
+PARAM_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    **dict.fromkeys(("dcs", "machines", "rf", "threads", "keys", "seed"), (_INT, "an integer")),
+    "partitions_per_tx": (_INT + _NONE, "an integer or null"),
+    **dict.fromkeys(("locality", "warmup", "duration", "visibility_sample_rate"), (_REAL, "a number")),
+    **dict.fromkeys(("protocol", "mix"), (_STR, "a string")),
+    **dict.fromkeys(("workload", "preset"), (_STR + _NONE, "a string or null")),
+}
+
 #: Parameters a spec may set in ``base``.
 BASE_PARAMS = frozenset(PARAM_DEFAULTS)
 
@@ -158,7 +171,8 @@ def resolve_params(
     """Fully resolve flat run parameters: defaults filled, policies applied.
 
     This is the canonical form the content-addressing scheme hashes
-    (:func:`run_key`): unknown names are rejected, unset parameters take
+    (:func:`run_key`): unknown names and mistyped values
+    (:data:`PARAM_TYPES`) are rejected, unset parameters take
     :data:`PARAM_DEFAULTS`, and the ``partitions_per_tx=None`` placeholder
     resolves to the CLI's ``min(4, machines)`` policy.  Both the sweep
     expansion and the run repository (:mod:`repro.serve.repository`) resolve
@@ -172,6 +186,11 @@ def resolve_params(
         raise SweepSpecError("run parameters must include 'seed'")
     merged = dict(PARAM_DEFAULTS)
     merged.update(params)
+    for name, value in merged.items():
+        if name in PARAM_TYPES:
+            types, expected = PARAM_TYPES[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise SweepSpecError(f"run parameter {name!r} must be {expected}: {value!r}")
     if merged["partitions_per_tx"] is None:
         merged["partitions_per_tx"] = min(4, merged["machines"])
     return merged

@@ -690,8 +690,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """
     from .serve.repository import RunRepository
 
-    spec = sweep.SweepSpec.load(args.spec)
-    runs = sweep.expand(spec)
+    with _configuring():
+        spec = sweep.SweepSpec.load(args.spec)
+        runs = sweep.expand(spec)
     print(
         f"sweep '{spec.name}': {len(runs)} runs over "
         + " x ".join(sweep.iter_axes_summary(spec))

@@ -19,7 +19,7 @@ message may sit in several queues at once (one ``ReplicateMsg`` or
 after the send" has to be a property the runtime enforces, not a convention.
 :func:`message` is the one place that picks the representation: a cheaper
 immutable backing (tuple-backed classes, say) is a change to that factory,
-not to 27 classes.
+not to 24 classes.
 
 Every message also reports its **causal-metadata footprint** via
 ``metadata_bytes()``: the wire bytes spent on snapshots, timestamps,
@@ -55,8 +55,6 @@ Deps = Any
 Versions = Tuple[Tuple[str, Version], ...]
 #: Occult's per-partition stable cut; 0 means "not sent".
 Shardstamp = int
-#: A per-DC vector of timestamps.
-Vector = Tuple[int, ...]
 #: The transaction groups of one replication batch.
 Groups = Tuple["ReplicatedTx", ...]
 #: The key of one dependency pair, shipped as its 8-byte hash.
@@ -112,7 +110,6 @@ WIRE_COST: Dict[str, Union[int, str]] = {
     "Snapshot": "_ts_bytes({})",
     "Deps": "_deps_bytes({})",
     "Versions": "_versions_meta_bytes({})",
-    "Vector": "8 * len({})",
     "Groups": "sum(group.metadata_bytes() for group in {})",
 }
 
@@ -372,6 +369,10 @@ class DepCheckResp:
 # ----------------------------------------------------------------------
 # Stabilization plane (Section IV-B "Stabilization protocol" + GC)
 # ----------------------------------------------------------------------
+#
+# The stable value these three carry is a ``Snapshot``: PaRiS's scalar
+# min(VV)/GST/UST, or cure's per-DC vector (the Universal Stable Vector,
+# whose every entry is at least the scalar UST).  One tree carries either.
 @message
 class AggUpMsg:
     """Child -> parent in the intra-DC tree: aggregated minima.
@@ -382,7 +383,7 @@ class AggUpMsg:
     """
 
     partition: int
-    stable_min: Timestamp
+    stable_min: Snapshot
     oldest_active: Timestamp
 
 
@@ -391,7 +392,7 @@ class DcGstMsg:
     """Root -> remote roots: this DC's GST and oldest active snapshot."""
 
     dc_id: int
-    gst: Timestamp
+    gst: Snapshot
     oldest_active: Timestamp
 
 
@@ -399,7 +400,7 @@ class DcGstMsg:
 class UstBroadcastMsg:
     """Root -> subtree: the new universal stable time and GC bound."""
 
-    ust: Timestamp
+    ust: Snapshot
     oldest_global: Timestamp
 
 
@@ -414,38 +415,3 @@ class GstBroadcastMsg:
     """
 
     gst: Timestamp
-
-
-# ----------------------------------------------------------------------
-# Vector stabilization plane (``cure`` variant)
-# ----------------------------------------------------------------------
-@message
-class AggUpVecMsg:
-    """Child -> parent in the intra-DC tree: entrywise-min applied vectors."""
-
-    partition: int
-    stable_vec: Vector
-    oldest_active: Timestamp
-
-
-@message
-class DcVecMsg:
-    """Root -> remote roots: this DC's aggregated per-source stable vector."""
-
-    dc_id: int
-    stable_vec: Vector
-    oldest_active: Timestamp
-
-
-@message
-class UsvBroadcastMsg:
-    """Root -> subtree: the new Universal Stable Vector and GC bound.
-
-    The cure variant's replacement for :class:`UstBroadcastMsg`: entry ``d``
-    bounds the commit timestamps from source DC ``d`` that every replica in
-    the system has applied, so a vector snapshot can be entrywise fresher
-    than the scalar UST (which is the minimum over all entries).
-    """
-
-    usv: Vector
-    oldest_global: Timestamp

@@ -26,26 +26,16 @@ predicate, preserving atomic visibility.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 from ..core.client import PaRiSClient, ReadResult, TransactionStateError
-from ..core.messages import (
-    AggUpVecMsg,
-    DcVecMsg,
-    OneShotReadReq,
-    ReadSliceReq,
-    ReadSliceResp,
-    UsvBroadcastMsg,
-)
+from ..core.messages import OneShotReadReq, ReadSliceReq, ReadSliceResp
 from ..sim.future import Future
 from ..storage.version import Version
 from .engine import ComponentSet, ProtocolServer
 from .reads import ReadProtocol
 from .registry import ProtocolSpec, register
 from .stabilization import StabilizationService
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    pass
 
 #: Sentinel for "this server stores no versions from that source DC", so the
 #: entry never constrains the entrywise-min aggregation.  Versions of a
@@ -55,7 +45,7 @@ _NO_CONSTRAINT = 1 << 62
 
 
 class CureStabilization(StabilizationService):
-    """Vector stabilization: aggregate per-source applied watermarks."""
+    """Vector stabilization: the UST tree carrying per-source applied watermarks."""
 
     __slots__ = ("stable_vec",)
 
@@ -63,24 +53,17 @@ class CureStabilization(StabilizationService):
         super().__init__(server)
         #: The Universal Stable Vector known to this server (entrywise
         #: monotone; ``server.ust`` mirrors ``min(stable_vec)``).
-        self.stable_vec: Tuple[int, ...] = (0,) * server.spec.n_dcs
+        self.stable_vec: Tuple[int, ...] = self.floor_value()
 
-    def dispatch(self) -> Dict[type, Callable]:
-        """Extend the scalar tree's table with the vector aggregation messages."""
-        table = super().dispatch()
-        table.update(
-            {
-                AggUpVecMsg: self.handle_agg_up_vec,
-                DcVecMsg: self.handle_dc_vec,
-                UsvBroadcastMsg: self.handle_usv_broadcast,
-            }
-        )
-        return table
+    def meet(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Entrywise minimum of two per-DC vectors."""
+        return tuple(map(min, a, b))
 
-    # ------------------------------------------------------------------
-    # Per-server applied vector
-    # ------------------------------------------------------------------
-    def applied_vector(self) -> Tuple[int, ...]:
+    def join(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Entrywise maximum of two per-DC vectors."""
+        return tuple(map(max, a, b))
+
+    def local_value(self) -> Tuple[int, ...]:
         """Applied watermark per source DC (no-constraint where vacuous)."""
         server = self.server
         vec = [_NO_CONSTRAINT] * server.spec.n_dcs
@@ -88,84 +71,15 @@ class CureStabilization(StabilizationService):
             vec[dc] = watermark
         return tuple(vec)
 
-    # ------------------------------------------------------------------
-    # Delta_G: aggregate vectors up the tree, roots gossip across DCs
-    # ------------------------------------------------------------------
-    def tick(self) -> None:
-        """Report this subtree's entrywise minima (root: gossip to DCs)."""
-        server = self.server
-        vec, oldest = self.aggregate_subtree_vec()
-        if self.parent_addr is not None:
-            server.cast(
-                self.parent_addr,
-                AggUpVecMsg(server.partition, vec, oldest),
-            )
-            return
-        self.dc_reports[server.dc_id] = (vec, oldest)
-        message = DcVecMsg(server.dc_id, vec, oldest)
-        for root in self.remote_root_addrs:
-            server.cast(root, message)
+    def floor_value(self) -> Tuple[int, ...]:
+        """The zero vector: the safe floor of an unreported subtree."""
+        return (0,) * self.server.spec.n_dcs
 
-    def aggregate_subtree_vec(self) -> Tuple[Tuple[int, ...], int]:
-        """Entrywise min(applied vector) and oldest-active over the subtree."""
-        server = self.server
-        vec = list(self.applied_vector())
-        oldest = server.coordinator.oldest_active_snapshot()
-        for child in self.child_partitions:
-            report = self.child_reports.get(child)
-            if report is None:
-                # Unreported child: speak for the subtree with the safe
-                # floor (same conservative rule as the scalar plane).
-                return (0,) * server.spec.n_dcs, 0
-            vec = [min(a, b) for a, b in zip(vec, report.stable_vec)]
-            oldest = min(oldest, report.oldest_active)
-        return tuple(vec), oldest
+    def broadcast_value(self) -> Tuple[int, ...]:
+        """The USV is what goes down the tree."""
+        return self.stable_vec
 
-    def handle_agg_up_vec(self, src: str, msg: AggUpVecMsg, reply: Callable) -> None:
-        """Stabilization tree: cache a child subtree's vector report."""
-        self.child_reports[msg.partition] = msg
-
-    def handle_dc_vec(self, src: str, msg: DcVecMsg, reply: Callable) -> None:
-        """Root gossip: record another DC's vector (entrywise monotone).
-
-        Like the scalar plane, gossip from retired DCs is dropped so the
-        USV stops waiting on reporters that will never speak again.
-        """
-        if not self.server.membership.is_active_dc(msg.dc_id):
-            return
-        previous = self.dc_reports.get(msg.dc_id)
-        vec = msg.stable_vec
-        if previous is not None:
-            vec = tuple(max(a, b) for a, b in zip(previous[0], vec))
-        self.dc_reports[msg.dc_id] = (vec, msg.oldest_active)
-
-    # ------------------------------------------------------------------
-    # Delta_U (roots only): compute and broadcast the USV
-    # ------------------------------------------------------------------
-    def ust_tick(self) -> None:
-        """Compute the USV from every DC's report and push it down the tree."""
-        server = self.server
-        if len(self.dc_reports) < server.membership.n_active_dcs:
-            return
-        columns = zip(*(vec for vec, _ in self.dc_reports.values()))
-        usv = tuple(min(column) for column in columns)
-        oldest = min(oldest for _, oldest in self.dc_reports.values())
-        self.adopt_usv(usv, oldest)
-        self.broadcast_usv()
-
-    def broadcast_usv(self) -> None:
-        """Push the current USV and GC bound to the subtree children."""
-        server = self.server
-        message = UsvBroadcastMsg(self.stable_vec, server.oldest_global)
-        for child in self.child_addrs:
-            server.cast(child, message)
-
-    def handle_usv_broadcast(self, src: str, msg: UsvBroadcastMsg, reply: Callable) -> None:
-        """Adopt the root's USV and pass it down the tree."""
-        self.adopt_usv(msg.usv, msg.oldest_global)
-        self.broadcast_usv()
-
-    def adopt_usv(self, usv: Tuple[int, ...], oldest_global=None) -> None:
+    def adopt(self, usv: Tuple[int, ...], oldest_global=None) -> None:
         """Entrywise-monotone adoption; keeps ``server.ust = min(vector)``.
 
         Routing the scalar minimum through :meth:`adopt_ust` preserves the
@@ -173,10 +87,8 @@ class CureStabilization(StabilizationService):
         prepare, the ``ust`` trace records and visibility-probe drains all
         keep working unmodified.
         """
-        merged = tuple(max(a, b) for a, b in zip(self.stable_vec, usv))
-        if merged != self.stable_vec:
-            self.stable_vec = merged
-        self.adopt_ust(min(merged), oldest_global)
+        self.stable_vec = self.join(self.stable_vec, usv)
+        self.adopt_ust(min(self.stable_vec), oldest_global)
 
 
 class CureReadProtocol(ReadProtocol):
@@ -191,13 +103,13 @@ class CureReadProtocol(ReadProtocol):
         """Adopt the client's vector floor, assign the local stable vector."""
         stabilization = self.server.stabilization
         if isinstance(client_snapshot, tuple):
-            stabilization.adopt_usv(client_snapshot)
+            stabilization.adopt(client_snapshot)
         return stabilization.stable_vec
 
     def observe_snapshot(self, snapshot) -> None:
         """Adopt a fresher vector carried by an inbound request."""
         if isinstance(snapshot, tuple):
-            self.server.stabilization.adopt_usv(snapshot)
+            self.server.stabilization.adopt(snapshot)
 
     def fallback_snapshot(self) -> Tuple[int, ...]:
         """Serve one-shot reads at the server's current stable vector."""

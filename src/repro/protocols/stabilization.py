@@ -8,11 +8,20 @@ roots gossip per-DC results to one another and every ``Delta_U`` compute the
 UST — the minimum over every DC — broadcasting it back down the tree.  The
 UST and GC bound live on the server (shared protocol state); this component
 owns the tree wiring and the aggregation/gossip state.
+
+The tree is the same for every protocol; only the *stable value* it carries
+differs.  PaRiS's is the scalar ``min(VV)``; cure's is a per-DC vector whose
+meet is the entrywise minimum.  A variant with another stable value
+overrides the value hooks — :meth:`~StabilizationService.local_value`,
+:meth:`~StabilizationService.floor_value`, ``meet``/``join``,
+:meth:`~StabilizationService.broadcast_value` and
+:meth:`~StabilizationService.adopt` — never the tree itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+import functools
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.topology import server_address
 from ..core.messages import AggUpMsg, DcGstMsg, UstBroadcastMsg
@@ -40,8 +49,8 @@ class StabilizationService:
     def __init__(self, server: "ProtocolServer") -> None:
         self.server = server
         self.child_reports: Dict[int, AggUpMsg] = {}
-        #: Latest GST/oldest pair per DC (root only; own entry included).
-        self.dc_reports: Dict[int, Tuple[int, int]] = {}
+        #: Latest stable-value/oldest pair per DC (root only; own entry included).
+        self.dc_reports: Dict[int, Tuple[Any, int]] = {}
         self._ust_cancel: Optional[Callable[[], None]] = None
         self._wire()
 
@@ -78,26 +87,45 @@ class StabilizationService:
         }
 
     # ------------------------------------------------------------------
+    # The stable value: scalar min(VV) here, overridden by vector variants
+    # ------------------------------------------------------------------
+    #: Greatest lower bound of two stable values (subtree and DC aggregation).
+    meet = min
+    #: Least upper bound of two reports of one DC (gossip is monotone).
+    join = max
+
+    def local_value(self) -> Any:
+        """This replica's own stable value: the minimum of its VV."""
+        return min(self.server.vv.values())
+
+    def floor_value(self) -> Any:
+        """The safe value an unreported subtree speaks for."""
+        return 0
+
+    def broadcast_value(self) -> Any:
+        """The stable value pushed down the tree: the UST."""
+        return self.server.ust
+
+    # ------------------------------------------------------------------
     # The Delta_G tick: aggregate up the tree (roots gossip across DCs)
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """Report this subtree's minima to the parent (root: gossip DCs)."""
         server = self.server
-        stable_min, oldest = self.aggregate_subtree()
+        stable, oldest = self.aggregate_subtree()
         if self.parent_addr is not None:
-            server.cast(self.parent_addr, AggUpMsg(server.partition, stable_min, oldest))
+            server.cast(self.parent_addr, AggUpMsg(server.partition, stable, oldest))
             return
         # Root: record our DC and gossip to remote roots.
-        self.dc_reports[server.dc_id] = (stable_min, oldest)
-        message = DcGstMsg(server.dc_id, stable_min, oldest)
+        self.dc_reports[server.dc_id] = (stable, oldest)
+        message = DcGstMsg(server.dc_id, stable, oldest)
         for root in self.remote_root_addrs:
             server.cast(root, message)
 
-    def aggregate_subtree(self) -> Tuple[int, int]:
-        """min(VV) and oldest-active over this node's subtree."""
-        server = self.server
-        stable_min = min(server.vv.values())
-        oldest = server.coordinator.oldest_active_snapshot()
+    def aggregate_subtree(self) -> Tuple[Any, int]:
+        """Stable value and oldest-active over this node's subtree."""
+        stable = self.local_value()
+        oldest = self.server.coordinator.oldest_active_snapshot()
         for child in self.child_partitions:
             report = self.child_reports.get(child)
             if report is None:
@@ -105,17 +133,17 @@ class StabilizationService:
                 # speak for the subtree with the safe floor rather than
                 # overshooting it (crash recovery drops child reports; an
                 # overshoot here could advance the UST past installed state).
-                return 0, 0
-            stable_min = min(stable_min, report.stable_min)
+                return self.floor_value(), 0
+            stable = self.meet(stable, report.stable_min)
             oldest = min(oldest, report.oldest_active)
-        return stable_min, oldest
+        return stable, oldest
 
     def handle_agg_up(self, src: str, msg: AggUpMsg, reply: Callable) -> None:
         """Stabilization tree: cache a child subtree's report."""
         self.child_reports[msg.partition] = msg
 
     def handle_dc_gst(self, src: str, msg: DcGstMsg, reply: Callable) -> None:
-        """Root gossip: record another DC's GST / oldest-active pair.
+        """Root gossip: record another DC's stable value / oldest-active pair.
 
         Gossip from a DC the membership has retired is dropped: re-adding
         its entry would gate the UST on a DC that will never report again.
@@ -123,7 +151,7 @@ class StabilizationService:
         if not self.server.membership.is_active_dc(msg.dc_id):
             return
         previous = self.dc_reports.get(msg.dc_id)
-        gst = msg.gst if previous is None else max(previous[0], msg.gst)
+        gst = msg.gst if previous is None else self.join(previous[0], msg.gst)
         self.dc_reports[msg.dc_id] = (gst, msg.oldest_active)
 
     # ------------------------------------------------------------------
@@ -134,22 +162,26 @@ class StabilizationService:
         server = self.server
         if len(self.dc_reports) < server.membership.n_active_dcs:
             return  # not all active DCs have reported yet; UST stays at its floor
-        ust = min(gst for gst, _ in self.dc_reports.values())
+        ust = functools.reduce(self.meet, [stable for stable, _ in self.dc_reports.values()])
         oldest = min(oldest for _, oldest in self.dc_reports.values())
-        self.adopt_ust(ust, oldest)
+        self.adopt(ust, oldest)
         self.broadcast_ust()
 
     def broadcast_ust(self) -> None:
-        """Push the current UST and GC bound to the subtree children."""
+        """Push the current stable value and GC bound to the subtree children."""
         server = self.server
-        message = UstBroadcastMsg(server.ust, server.oldest_global)
+        message = UstBroadcastMsg(self.broadcast_value(), server.oldest_global)
         for child in self.child_addrs:
             server.cast(child, message)
 
     def handle_ust_broadcast(self, src: str, msg: UstBroadcastMsg, reply: Callable) -> None:
-        """Adopt the root's UST and pass it down the tree."""
-        self.adopt_ust(msg.ust, msg.oldest_global)
+        """Adopt the root's stable value and pass it down the tree."""
+        self.adopt(msg.ust, msg.oldest_global)
         self.broadcast_ust()
+
+    def adopt(self, stable: Any, oldest_global: Optional[int] = None) -> None:
+        """Adopt a learned stable value (the scalar plane's is the UST)."""
+        self.adopt_ust(stable, oldest_global)
 
     def adopt_ust(self, ust: int, oldest_global: Optional[int] = None) -> None:
         """Monotonically advance the UST (and the GC bound, if carried)."""
@@ -203,7 +235,7 @@ class StabilizationService:
 
         The tree and gossip targets are re-derived from the membership;
         child subtree reports are dropped so this node speaks for its new
-        subtree with the safe ``(0, 0)`` floor until fresh reports arrive
+        subtree with the safe floor until fresh reports arrive
         (stale reports from the old wiring could *overshoot* the new
         subtree's state — a stall is safe, an overshoot is not).  DC-level
         gossip entries are *kept* for DCs still active: they are frozen

@@ -36,6 +36,7 @@ from ..bench.sweep import (
     SweepSpecError,
     config_from_params,
     execute_sweep,
+    expand,
     resolve_params,
 )
 from ..config import ServeConfig
@@ -247,7 +248,7 @@ class ServeService:
             if name in query:
                 filters[name] = _parse_number(name, query[name])
         if "limit" in query:
-            filters["limit"] = int(_parse_number("limit", query["limit"]))
+            filters["limit"] = _parse_number("limit", query["limit"], int)
         unknown = set(query) - {
             "protocol", "workload", "preset", "source", "since", "until", "limit",
         }
@@ -268,7 +269,9 @@ class ServeService:
         params = body.get("params")
         if not isinstance(params, Mapping):
             raise _BadRequest("body must carry 'params': a run-parameter mapping")
-        want_trace = bool(body.get("trace", False))
+        want_trace = body.get("trace", False)
+        if not isinstance(want_trace, bool):
+            raise _BadRequest(f"'trace' must be a JSON boolean: {want_trace!r}")
         unknown = set(body) - {"params", "trace"}
         if unknown:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
@@ -317,11 +320,12 @@ class ServeService:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
         try:
             spec = SweepSpec.from_dict(spec_data)
+            expand(spec)  # every cell's parameters resolve before queuing
         except SweepSpecError as exc:
             raise _BadRequest(str(exc)) from exc
-        workers = int(body.get("workers", 1))
-        if workers < 1:
-            raise _BadRequest(f"workers must be >= 1: {workers}")
+        workers = body.get("workers", 1)
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+            raise _BadRequest(f"'workers' must be a JSON integer >= 1: {workers!r}")
         # The pool bound is the machine's oversubscription guard; a sweep
         # asking for more process-parallelism than that is clamped to it.
         workers = min(workers, self.config.workers)
@@ -386,12 +390,17 @@ def _require_body(body: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
     return body
 
 
-def _parse_number(name: str, raw: str) -> float:
-    """Parse one numeric query parameter, 400 on garbage."""
+def _parse_number(name: str, raw: str, kind: type = float) -> Any:
+    """Parse one numeric query parameter as ``kind``, 400 on garbage.
+
+    ``int`` parses only integer literals: ``nan``, ``inf`` and ``2.5`` are
+    refused, never truncated.
+    """
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise _BadRequest(f"query parameter {name!r} must be numeric: {raw!r}") from exc
+        what = "an integer" if kind is int else "numeric"
+        raise _BadRequest(f"query parameter {name!r} must be {what}: {raw!r}") from exc
 
 
 def _method_not_allowed(method: str, path: str) -> Response:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import time
 
@@ -298,13 +299,28 @@ class TestSweepCommand:
         assert "1 cached, 1 executed" in out
         assert RunRepository(repo).get(cell.key) == saved  # source "cli" kept
 
-    def test_bad_spec_raises_clean_error(self, tmp_path):
-        from repro.bench.sweep import SweepSpecError
-
+    def test_bad_spec_raises_clean_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"name": "x", "axes": {"volume": [11]}}')
-        with pytest.raises(SweepSpecError, match="unknown axis"):
-            cli.main(["sweep", str(bad)])
+        assert cli.main(["sweep", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep: error: unknown axis")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "base, axes",
+        [({"dcs": "3"}, {"locality": [0.5]}), ({}, {"threads": [1, "x"]})],
+    )
+    def test_mistyped_spec_param_is_one_line_and_exit_2(self, tmp_path, capsys, base, axes):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x", "base": base, "axes": axes}))
+        assert cli.main(["sweep", str(bad), "--repo", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro sweep: error: run parameter ")
+        assert "must be an integer" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
 
 
 class TestRunRepositoryCommands:

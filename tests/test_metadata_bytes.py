@@ -18,12 +18,10 @@ from repro.bench.harness import run_experiment
 from repro.core import messages
 from repro.core.messages import (
     AggUpMsg,
-    AggUpVecMsg,
     CommitReq,
     CommitResp,
     CommitTxMsg,
     DcGstMsg,
-    DcVecMsg,
     DepCheckReq,
     DepCheckResp,
     FinishTxMsg,
@@ -42,7 +40,6 @@ from repro.core.messages import (
     RetireMsg,
     StartTxReq,
     StartTxResp,
-    UsvBroadcastMsg,
     UstBroadcastMsg,
 )
 from repro.sim.kernel import Simulator
@@ -72,7 +69,7 @@ G2 = (ReplicatedTx(TID, 9, W, 1, 0.5, DP), ReplicatedTx(TID, 10, W, 2, 0.5))
 #: Every message class -> ``(positional args, literal metadata bytes)`` rows.
 #: Non-timestamp fields that count (``RetireMsg.dc_id``, ``DepCheck*.key``)
 #: and ids that do not (``DcGstMsg.dc_id``, ``ReplicatedTx.source_dc``,
-#: ``AggUp*.partition``) are pinned here as they are.
+#: ``AggUpMsg.partition``) are pinned here as they are.
 FOOTPRINTS = {
     StartTxReq: [((S0,), 0), ((S1,), 8), ((S3,), 24)],
     StartTxResp: [((TID, S0), 0), ((TID, S1), 8), ((TID, S3), 24)],
@@ -104,13 +101,11 @@ FOOTPRINTS = {
     RetireMsg: [((1,), 8)],
     DepCheckReq: [(("p0:k000000", 5), 16)],
     DepCheckResp: [(("p0:k000000", 5), 16)],
-    AggUpMsg: [((3, 9, 4), 16)],
-    DcGstMsg: [((1, 9, 4), 16)],
-    UstBroadcastMsg: [((9, 4), 16)],
+    # The stabilization plane carries a scalar (paris) or a per-DC vector (cure).
+    AggUpMsg: [((3, 9, 4), 16), ((3, (), 4), 8), ((3, (1, 2, 3), 4), 32)],
+    DcGstMsg: [((1, 9, 4), 16), ((1, (), 4), 8), ((1, (1, 2, 3), 4), 32)],
+    UstBroadcastMsg: [((9, 4), 16), (((), 4), 8), (((1, 2, 3), 4), 32)],
     GstBroadcastMsg: [((9,), 8)],
-    AggUpVecMsg: [((3, (), 4), 8), ((3, (1, 2, 3), 4), 32)],
-    DcVecMsg: [((1, (), 4), 8), ((1, (1, 2, 3), 4), 32)],
-    UsvBroadcastMsg: [(((), 4), 8), (((1, 2, 3), 4), 32)],
 }
 
 
@@ -177,7 +172,7 @@ class TestMessageFootprints:
 
     def test_vector_broadcast_dominates_scalar_broadcast(self):
         scalar = UstBroadcastMsg(ust=5, oldest_global=1).metadata_bytes()
-        vector = UsvBroadcastMsg(usv=(5, 6, 7), oldest_global=1).metadata_bytes()
+        vector = UstBroadcastMsg(ust=(5, 6, 7), oldest_global=1).metadata_bytes()
         assert scalar == 16
         assert vector == 8 + 8 * 3
         assert vector > scalar

@@ -107,6 +107,59 @@ class TestValidation:
     def test_non_numeric_since_400(self, service):
         assert service.handle("GET", "/runs", query={"since": "soon"})[0] == 400
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"dcs": "3"}, {"dcs": None}, {"threads": "x"}, {"locality": "a"},
+         {"duration": "1"}, {"seed": "7"}, {"dcs": True}],
+    )
+    def test_launch_with_mistyped_param_400(self, service, bad):
+        """A value of the wrong JSON type is refused, never coerced or raised."""
+        [(name, _)] = bad.items()
+        status, payload = service.handle(
+            "POST", "/runs", body={"params": {**FAST_PARAMS, **bad}}
+        )
+        assert status == 400
+        assert f"run parameter {name!r} must be" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
+    @pytest.mark.parametrize("trace", ["no", 1, None])
+    def test_non_boolean_trace_400(self, service, trace):
+        status, payload = service.handle(
+            "POST", "/runs", body={"params": FAST_PARAMS, "trace": trace}
+        )
+        assert status == 400
+        assert "'trace' must be a JSON boolean" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "2.5", "many"])
+    def test_non_integer_limit_400(self, service, limit):
+        status, payload = service.handle("GET", "/runs", query={"limit": limit})
+        assert status == 400
+        assert "'limit' must be an integer" in payload["error"]
+
+    def test_integer_limit_truncates_the_listing(self, service):
+        for seed in (1, 2, 3):
+            service.repository.save_run({**FAST_PARAMS, "seed": seed}, {"throughput": 1.0})
+        status, payload = service.handle("GET", "/runs", query={"limit": "2"})
+        assert status == 200
+        assert payload["total"] == 2
+
+    @pytest.mark.parametrize("workers", ["abc", None, 2.5, True, 0])
+    def test_bad_sweep_workers_400(self, service, workers):
+        status, payload = service.handle(
+            "POST", "/sweeps", body={"spec": TestSweepEndpoint.SPEC, "workers": workers}
+        )
+        assert status == 400
+        assert "'workers' must be a JSON integer >= 1" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
+    def test_sweep_with_mistyped_param_400_before_queuing(self, service):
+        spec = {**TestSweepEndpoint.SPEC, "base": {"dcs": "3"}}
+        status, payload = service.handle("POST", "/sweeps", body={"spec": spec})
+        assert status == 400
+        assert "run parameter 'dcs' must be an integer" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
     def test_replay_of_unknown_run_404_at_submission(self, service):
         status, payload = service.handle("POST", "/runs/0123456789abcdef/replay")
         assert status == 404
@@ -333,7 +386,7 @@ class TestOverRealSockets:
 class TestWsgiAppDirect:
     """The WSGI adapter itself, without sockets."""
 
-    def call(self, service, method, path, body=None):
+    def call(self, service, method, path, body=None, query=""):
         captured = {}
 
         def start_response(status, headers):
@@ -346,7 +399,7 @@ class TestWsgiAppDirect:
         environ = {
             "REQUEST_METHOD": method,
             "PATH_INFO": path,
-            "QUERY_STRING": "",
+            "QUERY_STRING": query,
             "CONTENT_LENGTH": str(len(raw)),
             "wsgi.input": io.BytesIO(raw),
         }
@@ -357,6 +410,12 @@ class TestWsgiAppDirect:
         app_status, payload = self.call(service, "GET", "/health")
         assert app_status == 200
         assert payload["status"] == "ok"
+
+    @pytest.mark.parametrize("query", ["limit=nan", "limit=inf"])
+    def test_non_integer_limit_400_through_the_app(self, service, query):
+        status, payload = self.call(service, "GET", "/runs", query=query)
+        assert status == 400
+        assert "'limit' must be an integer" in payload["error"]
 
     def test_garbage_body_400(self, service):
         import io

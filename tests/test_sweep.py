@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -253,6 +254,41 @@ class TestConfigFromParams:
     def test_rejects_unknown_params(self):
         with pytest.raises(SweepSpecError, match="unknown run parameter"):
             config_from_params(dict(BASE, seed=1, flux=9))
+
+    @pytest.mark.parametrize(
+        "name, value, expected",
+        [
+            ("dcs", "3", "an integer"),
+            ("dcs", None, "an integer"),
+            ("dcs", True, "an integer"),
+            ("threads", "x", "an integer"),
+            ("seed", "7", "an integer"),
+            ("seed", 7.0, "an integer"),
+            ("partitions_per_tx", "2", "an integer or null"),
+            ("locality", "a", "a number"),
+            ("duration", "1", "a number"),
+            ("warmup", False, "a number"),
+            ("protocol", 3, "a string"),
+            ("mix", None, "a string"),
+            ("workload", 1, "a string or null"),
+        ],
+    )
+    def test_rejects_mistyped_values(self, name, value, expected):
+        """One resolution point checks every value's type; nothing is coerced."""
+        message = f"run parameter {name!r} must be {expected}: {value!r}"
+        with pytest.raises(SweepSpecError, match=re.escape(message)):
+            sweep.resolve_params({**BASE, "seed": 1, name: value})
+
+    def test_accepts_ints_as_numbers_and_nulls_where_allowed(self):
+        params = dict(BASE, seed=1, locality=1, partitions_per_tx=None, workload=None)
+        resolved = sweep.resolve_params(params)
+        assert resolved["locality"] == 1
+        assert resolved["partitions_per_tx"] == 2
+
+    def test_mistyped_axis_value_fails_expansion(self):
+        spec = make_spec(axes={"rf": [2, "3"]}, repeats=1)
+        with pytest.raises(SweepSpecError, match="run parameter 'rf' must be an integer"):
+            expand(spec)
 
     def test_rejects_unknown_protocol(self):
         with pytest.raises(SweepSpecError, match="unknown protocol"):

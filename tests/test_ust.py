@@ -74,6 +74,33 @@ class TestSafety:
             run_for(cluster, 0.05)
             assert max_ust(cluster) <= global_min_installed(cluster)
 
+    def test_usv_safe_under_load(self, tiny_config):
+        """Cure's vector plane under load: every server's UST is the minimum
+        of its USV, the USV only grows, and no entry ``d`` ever exceeds what
+        a replica has applied from DC ``d``."""
+        from repro.bench.harness import deploy_sessions
+        from repro.workload.runner import SessionStats
+
+        cluster = build_cluster(tiny_config, protocol="cure")
+        for driver in deploy_sessions(cluster, SessionStats()):
+            driver.start()
+        servers = cluster.all_servers()
+        last = {server.address: server.stabilization.stable_vec for server in servers}
+        for _ in range(40):
+            run_for(cluster, 0.05)
+            applied = {}
+            for replica in servers:
+                for dc, watermark in replica.vv.items():
+                    applied[dc] = min(watermark, applied.get(dc, watermark))
+            for server in servers:
+                usv = server.stabilization.stable_vec
+                assert server.ust == min(usv)
+                assert all(old <= new for old, new in zip(last[server.address], usv))
+                last[server.address] = usv
+                assert all(usv[dc] <= watermark for dc, watermark in applied.items())
+            assert max_ust(cluster) <= global_min_installed(cluster)
+        assert all(server.ust > 0 for server in servers)
+
     def test_ust_monotonic_per_server(self, tiny_config):
         cluster = build_cluster(tiny_config, protocol="paris")
         last = {address: 0 for address in (s.address for s in cluster.all_servers())}
