@@ -15,7 +15,7 @@ and ``repro figure`` / ``benchmarks/run_all.py`` (EXPERIMENTS.md) loop over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..config import ReconfigConfig, SimulationConfig
@@ -23,11 +23,10 @@ from ..consistency.streaming import StreamingChecker
 from ..core.client import PaRiSClient
 from ..faults.plan import FaultEvent, FaultPlan
 from ..protocols import get_protocol, register, unregister
-from ..workload.runner import SessionStats
 from .harness import (
-    Cluster,
     ExperimentResult,
     build_cluster,
+    drive,
     recording,
     run_experiment,
     run_recorded,
@@ -166,39 +165,40 @@ def _run(params: Dict[str, Any]) -> Run:
     return Run(params, run_experiment(*config_from_params(params)))
 
 
-def _completed_by(cluster: Cluster, stats: SessionStats, until: float) -> int:
-    """Run to simulated time ``until``; transactions completed so far."""
-    cluster.sim.run(until=until)
-    return stats.completed_total
+def _climb(scale: BenchScale, ladder: Sequence[int], **params: Any) -> Iterator[Run]:
+    """Run ``params`` at each thread count of ``ladder`` in turn.
+
+    The climb stops after the first CPU-saturated rung: further rungs only
+    add queueing latency.  It is lazy, so a caller that stops early runs no
+    further rung.
+    """
+    for threads in ladder:
+        run = _run(scale_params(scale, threads=threads, **params))
+        yield run
+        if run.result.mean_cpu_utilization >= 0.97:
+            return
+
+
+def _drain_horizon(scale: BenchScale) -> float:
+    """When a fault episode stops: long enough after the run for backlogs to drain."""
+    return scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
 
 
 # ----------------------------------------------------------------------
 # Figure 1: throughput vs latency, PaRiS vs BPR
 # ----------------------------------------------------------------------
-def figure_1(
-    mix: str = "95:5",
-    scale: BenchScale = DEFAULT_SCALE,
-    thread_ladder: Optional[Sequence[int]] = None,
-    protocols: Sequence[str] = ("paris", "bpr"),
-) -> List[Run]:
+def figure_1(mix: str = "95:5", scale: BenchScale = DEFAULT_SCALE) -> List[Run]:
     """Throughput vs average latency curves (Figures 1a / 1b)."""
-    ladder = tuple(thread_ladder) if thread_ladder is not None else scale.thread_ladder
-    points: List[Run] = []
-    for protocol in protocols:
-        # "BPR needs a higher number of concurrent client threads to fully
-        # utilize the processing power left idle by blocked reads" (Section
-        # V-B): extend its ladder so its curve, like the paper's, reaches
-        # saturation rather than stopping latency-bound.
-        protocol_ladder = ladder
-        if protocol == "bpr":
-            top = ladder[-1]
-            protocol_ladder = ladder + (top * 2, top * 4)
-        for threads in protocol_ladder:
-            point = _run(scale_params(scale, mix=mix, threads=threads, protocol=protocol))
-            points.append(point)
-            if point.result.mean_cpu_utilization >= 0.97:
-                break  # saturated: further rungs only add queueing latency
-    return points
+    ladder = scale.thread_ladder
+    # "BPR needs a higher number of concurrent client threads to fully
+    # utilize the processing power left idle by blocked reads" (Section
+    # V-B): extend its ladder so its curve, like the paper's, reaches
+    # saturation rather than stopping latency-bound.
+    bpr_ladder = ladder + (ladder[-1] * 2, ladder[-1] * 4)
+    return [
+        *_climb(scale, ladder, mix=mix, protocol="paris"),
+        *_climb(scale, bpr_ladder, mix=mix, protocol="bpr"),
+    ]
 
 
 def peak_throughput(points: List[Run], protocol: str) -> Run:
@@ -262,21 +262,18 @@ def saturated_run(
     :func:`scale_params`) is loaded with as many closed-loop threads as it
     takes to saturate it, and the saturated run is returned (its
     ``params["threads"]`` is the thread count at peak).  The ladder doubles
-    per rung and stops early once an extra rung gains less than 5 %.
+    per rung and stops early once an extra rung gains less than 5 % or the
+    CPUs saturate.
     """
     if thread_ladder is None:
         top = scale.saturating_threads
         thread_ladder = tuple(top * (2 ** i) for i in range(5))
     best: Optional[Run] = None
-    for threads in thread_ladder:
-        run = _run(scale_params(scale, threads=threads, **params))
+    for run in _climb(scale, thread_ladder, **params):
         if best is not None and run.result.throughput < best.result.throughput * 1.05:
-            if run.result.throughput > best.result.throughput:
-                best = run
+            best = max(best, run, key=lambda r: r.result.throughput)
             break
         best = run
-        if run.result.mean_cpu_utilization >= 0.97:
-            break  # CPU-bound: more threads cannot raise throughput
     if best is None:
         raise ValueError("empty thread ladder")
     return best
@@ -415,12 +412,7 @@ def partition_stall_plan(n_dcs: int, start: float, end: float) -> FaultPlan:
     )
 
 
-def partition_stall(
-    scale: BenchScale = DEFAULT_SCALE,
-    protocols: Sequence[str] = ("paris", "bpr"),
-    plan: Optional[FaultPlan] = None,
-    seed: int = 42,
-) -> List[PartitionStallResult]:
+def partition_stall(scale: BenchScale = DEFAULT_SCALE) -> List[PartitionStallResult]:
     """The paper's availability claim (Section III-C), measured.
 
     One DC is partitioned away mid-run.  PaRiS keeps serving reads from the
@@ -431,49 +423,32 @@ def partition_stall(
     WAN round trips, it is about what each protocol's reads wait for.
 
     Consistency is checked under the fault for every protocol; the returned
-    rows carry the violation counts (expected: zero everywhere).
+    rows carry the violation counts (expected: zero everywhere).  The
+    partition window is the run's measurement window, so "during" is what
+    :func:`~repro.bench.harness.drive` counts in it.
     """
-    window_start = scale.warmup + 0.25 * scale.duration
-    window_end = scale.warmup + 0.75 * scale.duration
-    drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
-    if plan is None:
-        plan = partition_stall_plan(scale.n_dcs, window_start, window_end)
-    else:
-        heals = [event.at for event in plan.events if event.action == "heal"]
-        partitions = [event.at for event in plan.events if event.action == "partition"]
-        if partitions:
-            window_start = min(partitions)
-        if heals:
-            window_end = max(heals)
-        drain_until = max(drain_until, window_end + 1.0)
+    start = scale.warmup + 0.25 * scale.duration
+    end = scale.warmup + 0.75 * scale.duration
+    plan = partition_stall_plan(scale.n_dcs, start, end)
     # One closed-loop thread per client: the scenario is qualitative
     # (availability, not saturation), and the inline checker is fed every
     # event of the history, so more load would lengthen the checked run
     # without sharpening the contrast.
     rows: List[PartitionStallResult] = []
-    for protocol in protocols:
+    for protocol in ("paris", "bpr"):
         checker = StreamingChecker()
         config, _ = scale_config(
-            scale,
-            locality=1.0,
-            partitions_per_tx=None,
-            seed=seed,
-            faults=plan,
-            protocol=protocol,
+            scale, locality=1.0, partitions_per_tx=None, faults=plan, protocol=protocol
         )
         with recording(checker=checker) as oracle:
             cluster, stats = start_cluster(config, protocol, oracle=oracle)
-            committed_before = _completed_by(cluster, stats, window_start)
-            committed_during = _completed_by(cluster, stats, window_end) - committed_before
+            drive(cluster, stats, [(start, "open"), (end, "close")])
             parked_at_heal = sum(
                 getattr(server, "parked_reads", 0) for server in cluster.all_servers()
             )
             staleness_at_heal = cluster.ust_staleness()
-            committed_after = (
-                _completed_by(cluster, stats, drain_until)
-                - committed_before
-                - committed_during
-            )
+            completed_at_heal = stats.completed_total
+            cluster.sim.run(until=_drain_horizon(scale))
         blocking_samples = [
             sample
             for server in cluster.all_servers()
@@ -482,10 +457,10 @@ def partition_stall(
         rows.append(
             PartitionStallResult(
                 protocol=protocol,
-                plan_name=plan.name or "partition-stall",
-                committed_before=committed_before,
-                committed_during=committed_during,
-                committed_after=committed_after,
+                plan_name=plan.name,
+                committed_before=completed_at_heal - stats.completed_in_window,
+                committed_during=stats.completed_in_window,
+                committed_after=stats.completed_total - completed_at_heal,
                 parked_at_heal=parked_at_heal,
                 blocked_slices=len(blocking_samples),
                 blocking_max=max(blocking_samples) if blocking_samples else 0.0,
@@ -572,11 +547,7 @@ def reconfig_soak_plan(spec: ClusterSpec, start: float, end: float) -> FaultPlan
     return FaultPlan(events=tuple(events), name="reconfig-soak")
 
 
-def reconfig_soak(
-    scale: BenchScale = DEFAULT_SCALE,
-    protocols: Sequence[str] = ("paris", "bpr"),
-    seed: int = 42,
-) -> List[ReconfigSoakResult]:
+def reconfig_soak(scale: BenchScale = DEFAULT_SCALE) -> List[ReconfigSoakResult]:
     """Membership churn layered over the ``hotspot_shift`` workload.
 
     The elastic-reconfiguration stress scenario: while the hot key set
@@ -588,40 +559,34 @@ def reconfig_soak(
     The drain delay is shortened relative to the scale's duration so every
     drain window closes inside the run; like ``partition_stall`` the load is
     one closed-loop thread per client to keep the checked history small.
+    The churn window is the run's measurement window.
     """
-    churn_start = scale.warmup + 0.05 * scale.duration
-    churn_end = scale.warmup + 0.95 * scale.duration
-    drain_until = scale.warmup + scale.duration + max(1.0, 0.5 * scale.duration)
-    plan = reconfig_soak_plan(scale_config(scale)[0].cluster, churn_start, churn_end)
+    start = scale.warmup + 0.05 * scale.duration
+    end = scale.warmup + 0.95 * scale.duration
+    plan = reconfig_soak_plan(scale_config(scale)[0].cluster, start, end)
     joins = sum(1 for e in plan if e.action in ("add_replica", "add_dc"))
     leaves = sum(1 for e in plan if e.action in ("remove_replica", "remove_dc"))
     rows: List[ReconfigSoakResult] = []
-    for protocol in protocols:
+    for protocol in ("paris", "bpr"):
         checker = StreamingChecker(level=get_protocol(protocol).consistency)
         config, _ = scale_config(
-            scale,
-            workload="hotspot_shift",
-            partitions_per_tx=None,
-            seed=seed,
-            faults=plan,
-            protocol=protocol,
+            scale, workload="hotspot_shift", partitions_per_tx=None, faults=plan, protocol=protocol
         )
         config = config.with_(
             reconfig=ReconfigConfig(drain_delay=min(0.25, 0.1 * scale.duration))
         )
         with recording(checker=checker) as oracle:
             cluster, stats = start_cluster(config, protocol, oracle=oracle)
-            committed_before = _completed_by(cluster, stats, churn_start)
-            committed_during = _completed_by(cluster, stats, churn_end) - committed_before
-            committed_total = _completed_by(cluster, stats, drain_until)
+            drive(cluster, stats, [(start, "open"), (end, "close")])
+            cluster.sim.run(until=_drain_horizon(scale))
         rows.append(
             ReconfigSoakResult(
                 protocol=protocol,
-                plan_name=plan.name or "reconfig-soak",
+                plan_name=plan.name,
                 joins=joins,
                 leaves=leaves,
-                committed_total=committed_total,
-                committed_during_churn=committed_during,
+                committed_total=stats.completed_total,
+                committed_during_churn=stats.completed_in_window,
                 final_epoch=cluster.membership.epoch,
                 violations=len(checker.violations),
             )
@@ -675,6 +640,27 @@ def capacity_comparison(scale: BenchScale = DEFAULT_SCALE) -> List[CapacityRow]:
 # ----------------------------------------------------------------------
 # Ablations (ours; design choices docs/architecture.md calls out)
 # ----------------------------------------------------------------------
+def _ablation(
+    scale: BenchScale,
+    name: str,
+    values: Sequence[Any],
+    override: Callable[[SimulationConfig, Any], SimulationConfig],
+) -> List[Run]:
+    """One run per value of ``name``, which ``override`` sets on the config.
+
+    The run-parameter namespace cannot express ``name``, so each row's
+    parameters record it next to the ones the run was configured from.
+    """
+    params = scale_params(
+        scale, threads=max(1, scale.saturating_threads // 8), visibility_sample_rate=0.25
+    )
+    config, protocol = config_from_params(params)
+    return [
+        Run({**params, name: value}, run_experiment(override(config, value), protocol=protocol))
+        for value in values
+    ]
+
+
 def ablation_stabilization(
     scale: BenchScale = DEFAULT_SCALE,
     intervals: Sequence[float] = (0.001, 0.005, 0.020, 0.050),
@@ -684,24 +670,14 @@ def ablation_stabilization(
     The paper runs its stabilization every 5 ms; this sweep quantifies the
     freshness/overhead trade-off of that choice.
     """
-    rows = []
-    for interval in intervals:
-        params = scale_params(
-            scale, threads=max(1, scale.saturating_threads // 8), visibility_sample_rate=0.25
-        )
-        config, protocol = config_from_params(params)
-        config = config.with_(
-            protocol=replace(
-                config.protocol, gst_interval=interval, ust_interval=interval
-            )
-        )
-        rows.append(
-            Run(
-                {**params, "stabilization_interval": interval},
-                run_experiment(config, protocol=protocol),
-            )
-        )
-    return rows
+    return _ablation(
+        scale,
+        "stabilization_interval",
+        intervals,
+        lambda config, interval: config.with_(
+            protocol=replace(config.protocol, gst_interval=interval, ust_interval=interval)
+        ),
+    )
 
 
 @dataclass
@@ -715,10 +691,7 @@ class PropagationRow:
     messages_per_commit: float
 
 
-def propagation_cost(
-    scale: BenchScale = DEFAULT_SCALE,
-    replication_factors: Optional[Sequence[int]] = None,
-) -> List[PropagationRow]:
+def propagation_cost(scale: BenchScale = DEFAULT_SCALE) -> List[PropagationRow]:
     """Section I: "updates performed in one DC are propagated to fewer
     replicas" under partial replication.
 
@@ -726,11 +699,10 @@ def propagation_cost(
     replication, RF = M) and counts inter-DC replication traffic.  Each
     update crosses the WAN to RF-1 peer replicas, so the per-commit cost
     grows linearly with RF — the propagation saving partial replication buys.
+    Traffic and commits are counted over the measurement window.
     """
-    if replication_factors is None:
-        replication_factors = sorted({scale.replication_factor, scale.n_dcs})
     rows = []
-    for rf in replication_factors:
+    for rf in sorted({scale.replication_factor, scale.n_dcs}):
         # Machines grow with RF so the *partition count* stays fixed and the
         # workload identical; only the replicas per partition change.
         config, protocol = scale_config(
@@ -741,10 +713,10 @@ def propagation_cost(
             partitions_per_tx=None,
         )
         cluster, stats = start_cluster(config, protocol)
-        commits_before = _completed_by(cluster, stats, config.warmup)
+        drive(cluster, stats, [(config.warmup, "open")])
         inter_dc_before = _inter_dc_replication(cluster)
-        end = config.warmup + config.duration
-        commits = _completed_by(cluster, stats, end) - commits_before
+        drive(cluster, stats, [(config.warmup + config.duration, "close")])
+        commits = stats.completed_in_window
         messages = _inter_dc_replication(cluster) - inter_dc_before
         rows.append(
             PropagationRow(
@@ -767,26 +739,19 @@ def _inter_dc_replication(cluster) -> int:
     return cluster.network.metrics.by_type.get("ReplicateMsg", 0)
 
 
-def ablation_clocks(
-    scale: BenchScale = DEFAULT_SCALE, modes: Sequence[str] = ("hlc", "logical")
-) -> List[Run]:
+def ablation_clocks(scale: BenchScale = DEFAULT_SCALE) -> List[Run]:
     """HLC vs pure logical clocks (Section III-B's freshness argument).
 
     Logical clocks advance only on events, so quiet partitions hold the UST
     back and updates take far longer to become visible.  HLCs advance with
     wall-clock time and keep the stable snapshot fresh.
     """
-    rows = []
-    for mode in modes:
-        params = scale_params(
-            scale, threads=max(1, scale.saturating_threads // 8), visibility_sample_rate=0.25
-        )
-        config, protocol = config_from_params(params)
-        config = config.with_(clocks=replace(config.clocks, mode=mode))
-        rows.append(
-            Run({**params, "clock_mode": mode}, run_experiment(config, protocol=protocol))
-        )
-    return rows
+    return _ablation(
+        scale,
+        "clock_mode",
+        ("hlc", "logical"),
+        lambda config, mode: config.with_(clocks=replace(config.clocks, mode=mode)),
+    )
 
 
 @dataclass

@@ -20,7 +20,7 @@ Commands
               processes; every run lands in the run repository, which is
               also the cache a re-invocation resumes from.
 ``runs``      Query the run repository: persisted runs by protocol,
-              workload, preset, source, or time range (docs/serving.md).
+              workload, preset or source (docs/serving.md).
 ``replay``    Re-execute a persisted run from its stored config/seed and
               assert digest equality against the stored summary (and trace,
               when one was stored); exits non-zero on divergence.
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default: 8008; 0 picks a free port)",
     )
     serve_cmd.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_positive_int, default=2,
         help="max concurrently executing jobs (default: 2); extra "
         "submissions queue FIFO so clients can't oversubscribe the machine",
     )
@@ -823,14 +823,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve.app import serve_forever
     from .serve.service import ServeService
 
-    service = ServeService(
-        ServeConfig(
-            results_dir=args.repo,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
+    with _configuring():
+        config = ServeConfig(
+            results_dir=args.repo, host=args.host, port=args.port, workers=args.workers
         )
-    )
+    service = ServeService(config)
     serve_forever(service, quiet=args.quiet)
     return 0
 

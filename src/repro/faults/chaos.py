@@ -100,7 +100,7 @@ def random_plan(
         begin = rng.uniform(first, last)
         end = rng.uniform(begin, last)
         if kind == "crash":
-            target = _crashable_server(spec, rng, used_servers)
+            target = _spared_server(spec, rng, used_servers)
             if target is None:
                 continue  # every further crash would lose a partition
             dc, partition = target
@@ -153,7 +153,7 @@ def random_plan(
             )
         elif kind == "leave" and membership_ok:
             # Retire an existing replica, rejoin it before the horizon.
-            target = _leavable_server(spec, rng, used_servers)
+            target = _spared_server(spec, rng, used_servers)
             if target is None:
                 continue
             dc, partition = target
@@ -188,46 +188,21 @@ def random_plan(
     return FaultPlan(events=tuple(events), name=f"chaos-seed{seed}")
 
 
-def _crashable_server(
+def _spared_server(
     spec: ClusterSpec, rng: random.Random, used: Set[Tuple[int, int]]
 ) -> Optional[Tuple[int, int]]:
-    """A random (dc, partition) whose crash leaves every partition served."""
-    candidates = []
-    for dc in range(spec.n_dcs):
-        for partition in spec.dc_partitions(dc):
-            if (dc, partition) in used:
-                continue
-            peers_up = [
-                peer
-                for peer in spec.replica_dcs(partition)
-                if peer != dc and (peer, partition) not in used
-            ]
-            if peers_up:
-                candidates.append((dc, partition))
-    if not candidates:
-        return None
-    return rng.choice(candidates)
+    """A random untargeted (dc, partition) with a peer replica no episode touches.
 
-
-def _leavable_server(
-    spec: ClusterSpec, rng: random.Random, used: Set[Tuple[int, int]]
-) -> Optional[Tuple[int, int]]:
-    """A random member replica whose departure leaves untouched peers.
-
-    Peers that crash elsewhere in the plan are not counted on: the leaver's
-    data must stay served by a replica no other episode disturbs.
+    Crashing or retiring it leaves its partition served by that peer: peers
+    that another episode crashes or retires are not counted on.
     """
     candidates = []
     for dc in range(spec.n_dcs):
         for partition in spec.dc_partitions(dc):
-            if (dc, partition) in used:
-                continue
-            peers_clean = [
-                peer
+            if (dc, partition) not in used and any(
+                peer != dc and (peer, partition) not in used
                 for peer in spec.replica_dcs(partition)
-                if peer != dc and (peer, partition) not in used
-            ]
-            if peers_clean:
+            ):
                 candidates.append((dc, partition))
     if not candidates:
         return None

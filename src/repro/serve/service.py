@@ -21,6 +21,7 @@ so results survive the process and are replayable forever after
 from __future__ import annotations
 
 import itertools
+import math
 import pathlib
 import tempfile
 import threading
@@ -394,13 +395,17 @@ def _parse_number(name: str, raw: str, kind: type = float) -> Any:
     """Parse one numeric query parameter as ``kind``, 400 on garbage.
 
     ``int`` parses only integer literals: ``nan``, ``inf`` and ``2.5`` are
-    refused, never truncated.
+    refused, never truncated.  A ``float`` must be finite: every comparison
+    with ``nan`` is false, so it would silently filter out every run.
     """
+    what = "an integer" if kind is int else "a finite number"
     try:
-        return kind(raw)
-    except ValueError as exc:
-        what = "an integer" if kind is int else "numeric"
-        raise _BadRequest(f"query parameter {name!r} must be {what}: {raw!r}") from exc
+        value = kind(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise _BadRequest(f"query parameter {name!r} must be {what}: {raw!r}")
+    return value
 
 
 def _method_not_allowed(method: str, path: str) -> Response:

@@ -544,6 +544,7 @@ class TestBadFlagsExit2:
             (["compare", "--dcs", "0"], "need at least one DC"),
             (["chaos", "--dcs", "0"], "need at least one DC"),
             (["topology", "--rf", "0"], "replication factor 0 must be in [1, 5]"),
+            (["serve", "--port", "70000"], "port must be in [0, 65535]: 70000"),
         ],
     )
     def test_bad_run_parameter(self, monkeypatch, capsys, tmp_path, argv, message):
@@ -568,6 +569,7 @@ class TestBadFlagsExit2:
         [
             (["sweep", "SPEC", "--workers", "0"], "--workers"),
             (["chaos", "--episodes", "-1"], "--episodes"),
+            (["serve", "--workers", "0"], "--workers"),
         ],
     )
     def test_non_positive_count_is_a_parser_error(self, capsys, tmp_path, argv, flag):

@@ -76,6 +76,24 @@ class TestPartitionStall:
         for row in stall_rows.values():
             assert row.violations == 0
 
+    def test_phase_counts_are_pinned(self, stall_rows):
+        """The episode is deterministic: a completion that moves across a
+        window edge (heal, partition or drain horizon) changes these."""
+        counts = {
+            protocol: (
+                row.committed_before,
+                row.committed_during,
+                row.committed_after,
+                row.parked_at_heal,
+                row.blocked_slices,
+            )
+            for protocol, row in stall_rows.items()
+        }
+        assert counts == {
+            "paris": (2226, 1646, 3836, 0, 0),
+            "bpr": (74, 6, 127, 8, 418),
+        }
+
     def test_report_renders(self, stall_rows):
         text = FIGURES["partition"].render(list(stall_rows.values()))
         assert "paris" in text and "bpr" in text and "violations" in text

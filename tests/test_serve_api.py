@@ -107,6 +107,21 @@ class TestValidation:
     def test_non_numeric_since_400(self, service):
         assert service.handle("GET", "/runs", query={"since": "soon"})[0] == 400
 
+    @pytest.mark.parametrize("field", ["since", "until"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_time_bound_400(self, service, field, value):
+        """``nan`` compares false with every time, so it would list nothing."""
+        service.repository.save_run(FAST_PARAMS, {"throughput": 1.0})
+        status, payload = service.handle("GET", "/runs", query={field: value})
+        assert status == 400
+        assert f"{field!r} must be a finite number" in payload["error"]
+
+    def test_finite_since_still_filters(self, service):
+        service.repository.save_run(FAST_PARAMS, {"throughput": 1.0})
+        assert service.handle("GET", "/runs", query={"since": "0"})[1]["total"] == 1
+        later = str(time.time() + 3600)
+        assert service.handle("GET", "/runs", query={"since": later})[1]["total"] == 0
+
     @pytest.mark.parametrize(
         "bad",
         [{"dcs": "3"}, {"dcs": None}, {"threads": "x"}, {"locality": "a"},
