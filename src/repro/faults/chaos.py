@@ -23,7 +23,7 @@ single seed, shaped so that:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..cluster.topology import ClusterSpec
 from .plan import FaultEvent, FaultPlan
@@ -52,27 +52,24 @@ def random_plan(
     seed: int,
     horizon: float,
     episodes: int = 6,
-    start: Optional[float] = None,
-    kinds: Sequence[Tuple[str, float]] = EPISODE_KINDS,
 ) -> FaultPlan:
     """A seeded random plan of ``episodes`` fault episodes within ``horizon``.
 
-    Episodes begin no earlier than ``start`` (default: 15 % of the horizon,
-    leaving the stabilization plane time to converge) and every window closes
-    by 85 % of the horizon.  Draws landing on an exhausted target are redrawn,
-    so the requested count is met unless the deployment runs out of fresh
-    targets (e.g. every DC pair already has a partition window); the search
-    is bounded, deterministic in ``seed``, and may then fall short.
+    Episodes, drawn from :data:`EPISODE_KINDS`, begin no earlier than 15 % of
+    the horizon (leaving the stabilization plane time to converge) and every
+    window closes by 85 % of the horizon.  Draws landing on an exhausted
+    target are redrawn, so the requested count is met unless the deployment
+    runs out of fresh targets (e.g. every DC pair already has a partition
+    window); the search is bounded, deterministic in ``seed``, and may then
+    fall short.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive: {horizon}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1: {episodes}")
     rng = random.Random(seed)
-    first = start if start is not None else 0.15 * horizon
+    first = 0.15 * horizon
     last = 0.85 * horizon
-    if not 0 <= first < last:
-        raise ValueError(f"no room for episodes in [{first}, {last}]")
 
     events: List[FaultEvent] = []
     # One episode per target, so windows of one target never overlap (an
@@ -89,8 +86,8 @@ def random_plan(
     used_servers: Set[Tuple[int, int]] = set()
     partitioned: Set[Tuple[int, int]] = set()
     degraded: Set[Tuple[int, int]] = set()
-    population = [kind for kind, _ in kinds]
-    weights = [weight for _, weight in kinds]
+    population = [kind for kind, _ in EPISODE_KINDS]
+    weights = [weight for _, weight in EPISODE_KINDS]
     made = 0
     attempts_left = episodes * 20
     membership_ok = last - first > MEMBERSHIP_MARGIN

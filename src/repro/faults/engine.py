@@ -12,9 +12,11 @@ corresponding hook fires:
   / ``.restore_link()`` (extra latency, retransmission-causing loss);
 * ``skew`` → :meth:`repro.clocks.physical.PhysicalClock.nudge` (step a
   server's clock offset);
-* ``add_replica`` / ``remove_replica`` / ``add_dc`` / ``remove_dc`` →
-  :class:`repro.faults.reconfig.ReconfigManager` (membership change with
-  deterministic data migration and stabilization-tree rebuild).
+* ``add_replica`` / ``remove_replica`` / ``add_dc`` / ``remove_dc`` (the
+  ``membership`` scope of :data:`~repro.faults.plan.ACTIONS`) → the
+  :class:`repro.faults.reconfig.ReconfigManager` method of the same name
+  (membership change with deterministic data migration and
+  stabilization-tree rebuild).
 
 Determinism: events are installed in plan order before (or during) the run,
 so the kernel's sequence-number tie-break fires same-time events in plan
@@ -22,7 +24,7 @@ order, ahead of protocol messages scheduled later for the same instant.
 
 Sharded runs (:mod:`repro.sim.sharded`) install the *full* plan in every
 shard — validation and link-level actions must see the whole deployment —
-but server-scoped actions (``crash`` / ``recover`` / ``skew``) only touch
+but ``server``-scoped actions (``crash`` / ``recover`` / ``skew``) only touch
 the shard that owns the target DC; the others skip them at apply time.
 Link actions (partition/heal/degrade/restore) apply symmetrically in every
 shard because held and degraded traffic lives at the *sender*.  Membership
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from .plan import _SERVER_ACTIONS, FaultEvent, FaultPlan
+from .plan import ACTIONS, FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..bench.harness import Cluster
@@ -88,15 +90,14 @@ class FaultInjector:
 
     def apply(self, event: FaultEvent) -> None:
         """Apply one event right now (also usable imperatively from tests)."""
+        scope = ACTIONS[event.action].scope
         local_dcs = self._cluster.local_dcs
-        if (
-            local_dcs is not None
-            and event.action in _SERVER_ACTIONS
-            and event.dc not in local_dcs
-        ):
+        if scope == "server" and local_dcs is not None and event.dc not in local_dcs:
             return  # server-scoped action owned by another shard
-        handler = getattr(self, f"_apply_{event.action}")
-        handler(event)
+        if scope == "membership":
+            getattr(self.reconfig, event.action)(event)
+        else:
+            getattr(self, f"_apply_{event.action}")(event)
         self.log.append((self._cluster.sim.now, event))
         tracer = self._cluster.network.tracer
         if tracer.enabled:
@@ -108,7 +109,7 @@ class FaultInjector:
             tracer.emit(self._cluster.sim.now, "fault", "injector", **details)
 
     # ------------------------------------------------------------------
-    # Action hooks
+    # Server and link action hooks (membership actions go to ``reconfig``)
     # ------------------------------------------------------------------
     def _apply_crash(self, event: FaultEvent) -> None:
         self._cluster.server(event.dc, event.partition).crash()
@@ -124,10 +125,7 @@ class FaultInjector:
             network.isolate_dc(event.dc)
 
     def _apply_heal(self, event: FaultEvent) -> None:
-        if event.dcs is not None:
-            self._cluster.network.heal(*event.dcs)
-        else:
-            self._cluster.network.heal()
+        self._cluster.network.heal(*(event.dcs or ()))
 
     def _apply_degrade(self, event: FaultEvent) -> None:
         self._cluster.network.degrade_link(
@@ -135,22 +133,7 @@ class FaultInjector:
         )
 
     def _apply_restore(self, event: FaultEvent) -> None:
-        if event.dcs is not None:
-            self._cluster.network.restore_link(*event.dcs)
-        else:
-            self._cluster.network.restore_link()
+        self._cluster.network.restore_link(*(event.dcs or ()))
 
     def _apply_skew(self, event: FaultEvent) -> None:
         self._cluster.server(event.dc, event.partition).clock.nudge(event.offset)
-
-    def _apply_add_replica(self, event: FaultEvent) -> None:
-        self.reconfig.add_replica(event)
-
-    def _apply_remove_replica(self, event: FaultEvent) -> None:
-        self.reconfig.remove_replica(event)
-
-    def _apply_add_dc(self, event: FaultEvent) -> None:
-        self.reconfig.add_dc(event)
-
-    def _apply_remove_dc(self, event: FaultEvent) -> None:
-        self.reconfig.remove_dc(event)

@@ -6,29 +6,10 @@ plain data — they can be written by hand, loaded from JSON (``repro run
 --faults plan.json``), or generated from a seed (:mod:`repro.faults.chaos`) —
 and are applied by :class:`repro.faults.engine.FaultInjector`.
 
-The supported actions (see docs/faults.md for the JSON schema):
-
-=========== ===================== =======================================
-action       target fields         effect
-=========== ===================== =======================================
-crash        dc, partition         fail-stop one partition replica
-recover      dc, partition         restart a crashed replica
-partition    dcs *or* dc           sever one DC pair (or isolate one DC)
-heal         dcs *or* nothing      reconnect one pair (or everything)
-degrade      dcs [+extra_latency,  add latency and/or retransmission-
-             loss]                 causing loss to one inter-DC link
-restore      dcs *or* nothing      undo ``degrade`` for one link (or all)
-skew         dc, partition,        step one server's physical clock by
-             offset                ``offset`` seconds
-add_replica  dc, partition         join a new replica of ``partition`` at
-                                   ``dc`` (snapshot migration + catch-up)
-remove_replica dc, partition       gracefully retire one replica (drain,
-                                   final flush, clock retirement)
-add_dc       dc                    re-activate a removed DC and rejoin its
-                                   spec placement, partition by partition
-remove_dc    dc                    retire every replica a DC hosts, then
-                                   deactivate the DC
-=========== ===================== =======================================
+Every action is declared once, in :data:`ACTIONS`: its scope and the fields
+an event of it may set.  docs/faults.md describes each one and the JSON
+schema.  Field types are enforced (ids are integers, times and effects are
+finite numbers), because plans arrive from files and HTTP bodies.
 
 Determinism: a plan carries no randomness of its own.  Fault times are
 absolute simulated seconds, events must be listed in non-decreasing ``at``
@@ -41,89 +22,66 @@ one trajectory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Dict, Iterator, NamedTuple, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..cluster.topology import ClusterSpec
-
-#: Actions a :class:`FaultEvent` may carry.
-ACTIONS = (
-    "crash",
-    "recover",
-    "partition",
-    "heal",
-    "degrade",
-    "restore",
-    "skew",
-    "add_replica",
-    "remove_replica",
-    "add_dc",
-    "remove_dc",
-)
-
-#: Actions that target one server replica via ``dc`` + ``partition``.
-_SERVER_ACTIONS = ("crash", "recover", "skew")
-
-#: Membership actions that target one replica via ``dc`` + ``partition``.
-_MEMBER_ACTIONS = ("add_replica", "remove_replica")
-
-#: Membership actions that target a whole DC via ``dc``.
-_DC_ACTIONS = ("add_dc", "remove_dc")
-
-#: Actions that target an inter-DC link via ``dcs``.
-_LINK_ACTIONS = ("partition", "heal", "degrade", "restore")
 
 
 class FaultPlanError(ValueError):
     """Raised for malformed fault events or plans."""
 
 
-_ALL_TARGET_FIELDS = frozenset({"dc", "partition", "dcs", "extra_latency", "loss", "offset"})
+class Action(NamedTuple):
+    """What one fault action acts on, and which fields its events set."""
 
-#: Default value of each target/effect field (``!= default`` means "set").
-_FIELD_DEFAULTS: Dict[str, Any] = {
-    "dc": None,
-    "partition": None,
-    "dcs": None,
-    "extra_latency": 0.0,
-    "loss": 0.0,
-    "offset": 0.0,
+    #: ``"server"``: one replica, applied only by the shard that hosts it;
+    #: ``"link"``: inter-DC links, applied in every shard (held and degraded
+    #: traffic lives at the sender); ``"membership"``: run by
+    #: :class:`~repro.faults.reconfig.ReconfigManager`.
+    scope: str
+    #: The accepted target forms, each the space-separated fields an event
+    #: sets ("" targets nothing).
+    forms: Tuple[str, ...]
+    #: Effect fields an event may set on top of its target form.
+    effects: str = ""
+
+    def hint(self) -> str:
+        """The fields this action takes, as error messages name them."""
+        forms = " or ".join(
+            " and ".join(f"'{name}'" for name in form.split()) or "nothing"
+            for form in self.forms
+        )
+        effects = " and/or ".join(f"'{name}'" for name in self.effects.split())
+        return f"{forms} with {effects}" if effects else forms
+
+
+#: Every action a :class:`FaultEvent` may carry, declared once.
+ACTIONS: Dict[str, Action] = {
+    "crash": Action("server", ("dc partition",)),
+    "recover": Action("server", ("dc partition",)),
+    "partition": Action("link", ("dcs", "dc")),  # sever a pair, or isolate a DC
+    "heal": Action("link", ("dcs", "")),  # one pair, or everything
+    "degrade": Action("link", ("dcs",), "extra_latency loss"),
+    "restore": Action("link", ("dcs", "")),
+    "skew": Action("server", ("dc partition",), "offset"),
+    "add_replica": Action("membership", ("dc partition",)),
+    "remove_replica": Action("membership", ("dc partition",)),
+    "add_dc": Action("membership", ("dc",)),
+    "remove_dc": Action("membership", ("dc",)),
 }
 
-#: Per action, the target/effect fields it consumes (everything else must
-#: stay at its default or the event is rejected as a likely authoring error).
-_RELEVANT_FIELDS: Dict[str, frozenset] = {
-    "crash": frozenset({"dc", "partition"}),
-    "recover": frozenset({"dc", "partition"}),
-    "partition": frozenset({"dc", "dcs"}),
-    "heal": frozenset({"dcs"}),
-    "restore": frozenset({"dcs"}),
-    "degrade": frozenset({"dcs", "extra_latency", "loss"}),
-    "skew": frozenset({"dc", "partition", "offset"}),
-    "add_replica": frozenset({"dc", "partition"}),
-    "remove_replica": frozenset({"dc", "partition"}),
-    "add_dc": frozenset({"dc"}),
-    "remove_dc": frozenset({"dc"}),
-}
 
-_IRRELEVANT_FIELDS: Dict[str, frozenset] = {
-    action: _ALL_TARGET_FIELDS - relevant for action, relevant in _RELEVANT_FIELDS.items()
-}
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` is an ``int`` to Python, never an id here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-_FIELD_HINTS: Dict[str, str] = {
-    "crash": "'dc' + 'partition'",
-    "recover": "'dc' + 'partition'",
-    "partition": "'dcs' (a pair) or 'dc' (isolate)",
-    "heal": "'dcs' or nothing",
-    "restore": "'dcs' or nothing",
-    "degrade": "'dcs' with 'extra_latency' and/or 'loss'",
-    "skew": "'dc' + 'partition' + 'offset'",
-    "add_replica": "'dc' + 'partition'",
-    "remove_replica": "'dc' + 'partition'",
-    "add_dc": "'dc'",
-    "remove_dc": "'dc'",
-}
+
+def _is_finite(value: Any) -> bool:
+    """A JSON number that is neither NaN nor infinite."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -148,64 +106,53 @@ class FaultEvent:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
-            raise FaultPlanError(f"unknown action {self.action!r}; choose from {ACTIONS}")
+        if not isinstance(self.action, str) or self.action not in ACTIONS:
+            raise FaultPlanError(f"unknown action {self.action!r}; choose from {tuple(ACTIONS)}")
+        for name in ("at", "extra_latency", "loss", "offset"):
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise FaultPlanError(f"'{name}' must be a finite number: {value!r}")
+        for name in ("dc", "partition"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise FaultPlanError(f"'{name}' must be an integer: {value!r}")
         if self.at < 0:
             raise FaultPlanError(f"fault time must be non-negative: {self.at}")
         if self.dcs is not None:
+            if not isinstance(self.dcs, (list, tuple)) or not all(map(_is_int, self.dcs)):
+                raise FaultPlanError(f"'dcs' must be a pair of integer DC ids: {self.dcs!r}")
             object.__setattr__(self, "dcs", tuple(self.dcs))
             if len(self.dcs) != 2 or self.dcs[0] == self.dcs[1]:
                 raise FaultPlanError(f"dcs must name two distinct DCs: {self.dcs}")
-        if self.action in _SERVER_ACTIONS or self.action in _MEMBER_ACTIONS:
-            if self.dc is None or self.partition is None:
-                raise FaultPlanError(f"{self.action!r} needs both 'dc' and 'partition'")
-        elif self.action in _DC_ACTIONS:
-            if self.dc is None:
-                raise FaultPlanError(f"{self.action!r} needs 'dc'")
-        elif self.action == "partition":
-            if (self.dc is None) == (self.dcs is None):
-                raise FaultPlanError("'partition' needs either 'dcs' (a pair) or 'dc' (isolate)")
-        elif self.action in ("heal", "restore"):
-            if self.dc is not None:
-                raise FaultPlanError(f"{self.action!r} takes 'dcs' or nothing, not 'dc'")
-        elif self.action == "degrade":
-            if self.dcs is None:
-                raise FaultPlanError("'degrade' needs 'dcs'")
-            if self.extra_latency <= 0.0 and self.loss <= 0.0:
-                raise FaultPlanError("'degrade' needs extra_latency > 0 and/or loss > 0")
+        # Reject fields the action does not use: a "lossy partition" or a
+        # crash with "dcs" would otherwise parse and then silently mean
+        # something different from what the plan author wrote.
+        action = ACTIONS[self.action]
+        # Target and effect fields are the ones after 'at' and 'action'.
+        given = {f.name for f in fields(self)[2:] if getattr(self, f.name) != f.default}
+        forms = [set(form.split()) for form in action.forms]
+        effects = set(action.effects.split())
+        unused = sorted(given - effects.union(*forms))
+        if unused:
+            raise FaultPlanError(
+                f"{self.action!r} does not use field(s) {unused}; it takes {action.hint()}"
+            )
+        if not any(form <= given <= form | effects for form in forms):
+            raise FaultPlanError(f"{self.action!r} needs {action.hint()}")
+        if self.action == "degrade" and self.extra_latency <= 0.0 and self.loss <= 0.0:
+            raise FaultPlanError("'degrade' needs extra_latency > 0 and/or loss > 0")
         if self.extra_latency < 0:
             raise FaultPlanError(f"extra_latency must be non-negative: {self.extra_latency}")
         if not 0.0 <= self.loss < 1.0:
             raise FaultPlanError(f"loss must be in [0, 1): {self.loss}")
-        # Reject fields the action does not use: a "lossy partition" or a
-        # crash with "dcs" would otherwise parse and then silently mean
-        # something different from what the plan author wrote.
-        irrelevant = [
-            name
-            for name in _IRRELEVANT_FIELDS[self.action]
-            if getattr(self, name) != _FIELD_DEFAULTS[name]
-        ]
-        if irrelevant:
-            raise FaultPlanError(
-                f"{self.action!r} does not use field(s) {irrelevant}; "
-                f"it takes {_FIELD_HINTS[self.action]}"
-            )
 
     def to_dict(self) -> Dict[str, Any]:
         """A minimal JSON-ready mapping (default-valued fields omitted)."""
         data: Dict[str, Any] = {"at": self.at, "action": self.action}
-        if self.dc is not None:
-            data["dc"] = self.dc
-        if self.partition is not None:
-            data["partition"] = self.partition
-        if self.dcs is not None:
-            data["dcs"] = list(self.dcs)
-        if self.extra_latency:
-            data["extra_latency"] = self.extra_latency
-        if self.loss:
-            data["loss"] = self.loss
-        if self.offset:
-            data["offset"] = self.offset
+        for f in fields(self)[2:]:
+            value = getattr(self, f.name)
+            if value != f.default:
+                data[f.name] = list(value) if f.name == "dcs" else value
         return data
 
     @classmethod
@@ -213,17 +160,13 @@ class FaultEvent:
         """Parse one event mapping, rejecting unknown keys."""
         if not isinstance(data, dict):
             raise FaultPlanError(f"fault event must be a mapping, got {type(data).__name__}")
-        known = {"at", "action", "dc", "partition", "dcs", "extra_latency", "loss", "offset"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise FaultPlanError(f"unknown fault event keys: {sorted(unknown)}")
         missing = {"at", "action"} - set(data)
         if missing:
             raise FaultPlanError(f"fault event is missing keys: {sorted(missing)}")
-        kwargs = dict(data)
-        if kwargs.get("dcs") is not None:
-            kwargs["dcs"] = tuple(kwargs["dcs"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -234,6 +177,8 @@ class FaultPlan:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise FaultPlanError(f"plan 'name' must be a string: {self.name!r}")
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         # Reject out-of-order schedules instead of silently re-sorting:
@@ -247,12 +192,17 @@ class FaultPlan:
                     f"({prev.action!r} at t={prev.at}); list events in "
                     f"non-decreasing 'at' order (equal times keep plan order)"
                 )
-        self._check_pairing()
+        for _ in self._walk():
+            pass
 
-    def _check_pairing(self) -> None:
-        """Reject schedules that crash a server twice or recover a live one."""
-        down: set = set()
+    def _walk(self) -> Iterator[Tuple[FaultEvent, Set[Tuple[int, int]]]]:
+        """Each event with the servers crashed when it fires.
+
+        Rejects schedules that crash a server twice or recover a live one.
+        """
+        down: Set[Tuple[int, int]] = set()
         for event in self.events:
+            yield event, down
             target = (event.dc, event.partition)
             if event.action == "crash":
                 if target in down:
@@ -290,79 +240,51 @@ class FaultPlan:
         from ..cluster.membership import Membership, MembershipError
 
         membership = Membership(spec)
-        down: set = set()
-        for event in self.events:
+        for event, down in self._walk():
             where = f"event at t={event.at} ({event.action!r})"
-            for dc in self._target_dcs(event):
-                if not 0 <= dc < spec.n_dcs:
+            dc, partition = event.dc, event.partition
+            for target_dc in (dc, *(event.dcs or ())):
+                if target_dc is not None and not 0 <= target_dc < spec.n_dcs:
                     raise FaultPlanError(
-                        f"{where}: DC {dc} out of range (deployment has "
+                        f"{where}: DC {target_dc} out of range (deployment has "
                         f"{spec.n_dcs} DCs)"
                     )
-            target = (event.dc, event.partition)
-            if event.action in _SERVER_ACTIONS:
-                hosted = membership.dc_partitions(event.dc)
-                if event.partition not in hosted:
-                    raise FaultPlanError(
-                        f"{where}: DC {event.dc} hosts no replica of partition "
-                        f"{event.partition} at that time (hosted: {hosted})"
-                    )
-                if event.action == "crash":
-                    down.add(target)
-                elif event.action == "recover":
-                    down.discard(target)
-            elif event.action == "remove_replica":
-                if target in down:
-                    raise FaultPlanError(
-                        f"{where}: replica {target} is crashed at that time and "
-                        f"cannot drain; 'recover' it before retiring it"
-                    )
-                self._apply_membership(membership, event, where)
-            elif event.action == "add_replica":
-                self._apply_membership(membership, event, where)
-            elif event.action == "remove_dc":
-                crashed = [p for p in membership.dc_partitions(event.dc) if (event.dc, p) in down]
+            scope = ACTIONS[event.action].scope
+            if scope == "server" and partition not in membership.dc_partitions(dc):
+                raise FaultPlanError(
+                    f"{where}: DC {dc} hosts no replica of partition "
+                    f"{partition} at that time (hosted: {membership.dc_partitions(dc)})"
+                )
+            if scope != "membership":
+                continue
+            if event.action == "remove_replica" and (dc, partition) in down:
+                raise FaultPlanError(
+                    f"{where}: replica {(dc, partition)} is crashed at that time and "
+                    f"cannot drain; 'recover' it before retiring it"
+                )
+            if event.action == "remove_dc":
+                crashed = [p for p in membership.dc_partitions(dc) if (dc, p) in down]
                 if crashed:
                     raise FaultPlanError(
-                        f"{where}: DC {event.dc} has crashed replicas of partitions "
+                        f"{where}: DC {dc} has crashed replicas of partitions "
                         f"{crashed} that cannot drain; 'recover' them before "
                         f"removing the DC"
                     )
-                self._apply_membership(membership, event, where)
-            elif event.action == "add_dc":
-                self._apply_membership(membership, event, where)
-
-    @staticmethod
-    def _apply_membership(
-        membership: "Membership", event: FaultEvent, where: str
-    ) -> None:
-        """Advance the simulated membership by one event (errors annotated)."""
-        from ..cluster.membership import MembershipError
-
-        try:
-            if event.action == "add_replica":
-                membership.add_replica(event.dc, event.partition)
-            elif event.action == "remove_replica":
-                membership.remove_replica(event.dc, event.partition)
-            elif event.action == "add_dc":
-                membership.activate_dc(event.dc)
-                for partition in membership.spec.dc_partitions(event.dc):
-                    membership.add_replica(event.dc, partition)
-            elif event.action == "remove_dc":
-                for partition in membership.dc_partitions(event.dc):
-                    membership.remove_replica(event.dc, partition)
-                membership.deactivate_dc(event.dc)
-        except MembershipError as exc:
-            raise FaultPlanError(f"{where}: {exc}") from exc
-
-    @staticmethod
-    def _target_dcs(event: FaultEvent) -> List[int]:
-        targets: List[int] = []
-        if event.dc is not None:
-            targets.append(event.dc)
-        if event.dcs is not None:
-            targets.extend(event.dcs)
-        return targets
+            try:
+                if event.action == "add_replica":
+                    membership.add_replica(dc, partition)
+                elif event.action == "remove_replica":
+                    membership.remove_replica(dc, partition)
+                elif event.action == "add_dc":
+                    membership.activate_dc(dc)
+                    for hosted in spec.dc_partitions(dc):
+                        membership.add_replica(dc, hosted)
+                else:
+                    for hosted in membership.dc_partitions(dc):
+                        membership.remove_replica(dc, hosted)
+                    membership.deactivate_dc(dc)
+            except MembershipError as exc:
+                raise FaultPlanError(f"{where}: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Serialisation

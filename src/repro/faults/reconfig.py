@@ -70,7 +70,7 @@ class ReconfigManager:
         self._retired: set = set()
 
     # ------------------------------------------------------------------
-    # Event entry points (called by the FaultInjector hooks)
+    # Event entry points (FaultInjector.apply calls them by action name)
     # ------------------------------------------------------------------
     def add_replica(self, event: FaultEvent) -> None:
         """Join one replica: membership, migration, clocks, tree rebuild."""

@@ -44,7 +44,7 @@ import json
 import pathlib
 import sys
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import SimulationConfig, small_test_config
 from ..consistency.events import CommitEvent, TraceEvent
@@ -253,6 +253,27 @@ def spine_counts(name: str) -> Dict[str, Any]:
     }
 
 
+def _compare(
+    path: pathlib.Path,
+    fresh: Dict[str, Any],
+    update: bool,
+    line: Callable[[str, Any], str],
+) -> int:
+    """Print ``line`` and ok/DIFFERS per fresh entry; exit 1 on a difference.
+
+    With ``update`` the fresh entries are written into ``path`` instead.
+    """
+    committed = load_goldens(path)
+    for key, entry in fresh.items():
+        print(f"{line(key, entry)}  {'ok' if committed.get(key) == entry else 'DIFFERS'}")
+    if not update:
+        return int(any(committed.get(key) != entry for key, entry in fresh.items()))
+    committed.update(fresh)
+    path.write_text(json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.protocols.golden``: print or refresh the digests."""
     import argparse
@@ -278,40 +299,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.counts:
-        committed = load_goldens(COUNTS_PATH)
         fresh = {name: spine_counts(name) for name in args.names or spine_count_names()}
-        for name, entry in fresh.items():
-            print(
+        return _compare(
+            COUNTS_PATH,
+            fresh,
+            args.update,
+            lambda name, entry: (
                 f"{name:<14} {entry.get('events', '-'):>8} events "
                 f"{entry['messages']:>7} messages {entry.get('cpu_jobs', '-'):>7} cpu jobs  "
-                f"{entry['digest'][:12]}  {'ok' if committed.get(name) == entry else 'DIFFERS'}"
-            )
-        if not args.update:
-            return int(any(committed.get(name) != entry for name, entry in fresh.items()))
-        committed.update(fresh)
-        COUNTS_PATH.write_text(
-            json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+                f"{entry['digest'][:12]}"
+            ),
         )
-        print(f"wrote {COUNTS_PATH}")
-        return 0
     if args.verdicts:
-        committed = load_goldens(VERDICTS_PATH)
-        fresh = checker_verdicts(args.names)
-        for key, entry in fresh.items():
-            print(
+        return _compare(
+            VERDICTS_PATH,
+            checker_verdicts(args.names),
+            args.update,
+            lambda key, entry: (
                 f"{key:<24} {entry['commits']:>4} commits {entry['reads']:>5} reads  "
                 f"{entry['level']}: {entry['claimed']['violations']:>3}  "
-                f"tcc: {entry['tcc']['violations']:>3}  "
-                f"{'ok' if committed.get(key) == entry else 'DIFFERS'}"
-            )
-        if not args.update:
-            return int(any(committed.get(key) != entry for key, entry in fresh.items()))
-        committed.update(fresh)
-        VERDICTS_PATH.write_text(
-            json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+                f"tcc: {entry['tcc']['violations']:>3}"
+            ),
         )
-        print(f"wrote {VERDICTS_PATH}")
-        return 0
     names = args.names or list(protocol_names())
     if args.update:
         digests = update_goldens(names)

@@ -28,11 +28,13 @@ the merged run *byte-identical* to the single-kernel run — same
 trace bytes after ``repro trace merge`` (pinned per protocol by
 ``tests/test_sharded.py``).
 
-What cannot shard: membership fault actions (``add_replica`` /
-``remove_replica`` / ``add_dc`` / ``remove_dc``) rewire live servers
-across the DC cut through direct object access, so plans containing them
-are rejected up front.  Single-DC deployments have no cross-shard cut and
-nothing to parallelise — ``repro run --shards`` requires ``N <= n_dcs``.
+What cannot shard: membership fault actions (the ``membership`` scope of
+:data:`~repro.faults.plan.ACTIONS`) read and write other DCs' servers in
+process at the instant of the event, which falls inside a window rather
+than at a barrier, so plans containing them are rejected up front
+(docs/scaling.md says why).  Single-DC deployments have no cross-shard
+cut and nothing to parallelise — ``repro run --shards`` requires
+``N <= n_dcs``.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def run_sharded_experiment(
     """
     from ..bench.harness import merge_measures, summarize_measures
     from ..consistency.streaming import merge_traces
-    from ..faults.plan import _DC_ACTIONS, _MEMBER_ACTIONS
+    from ..faults.plan import ACTIONS
     from ..protocols import get_protocol
     from ..workers import spawn_pipe_workers
 
@@ -264,13 +266,14 @@ def run_sharded_experiment(
             {
                 event.action
                 for event in config.faults.events
-                if event.action in _MEMBER_ACTIONS or event.action in _DC_ACTIONS
+                if ACTIONS[event.action].scope == "membership"
             }
         )
         if unshardable:
             raise ShardingError(
                 f"fault plan contains membership actions {unshardable}, which "
-                f"rewire servers across the shard cut; run without --shards"
+                f"read other shards' stores at the event's instant (docs/scaling.md, "
+                f"'Why membership plans do not shard'); run without --shards"
             )
     assignment = shard_dcs(config.cluster.n_dcs, shards)
     window = lookahead_window(config.latency_model(), assignment)

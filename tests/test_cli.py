@@ -323,6 +323,23 @@ class TestSweepCommand:
         assert not (tmp_path / "r").exists()
 
 
+class TestFaultPlanFlag:
+    @pytest.mark.parametrize(
+        "event",
+        [{"at": "0.5", "action": "heal"}, {"at": float("nan"), "action": "heal"},
+         {"at": 0.5, "action": "partition", "dc": True}],
+    )
+    def test_mistyped_plan_is_one_line_and_exit_2(self, tmp_path, capsys, event):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"events": [event]}))
+        assert cli.main(["run", *FAST, "--faults", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro run: error: ")
+        assert "must be" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestRunRepositoryCommands:
     """run --save, runs, and sweeps as repository producers, CLI-level."""
 

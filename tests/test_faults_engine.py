@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro import build_cluster, small_test_config
-from repro.faults import FaultEvent, FaultInjectionError, FaultInjector, FaultPlan, random_plan
+from repro.faults import ACTIONS, FaultEvent, FaultInjectionError, FaultInjector, FaultPlan, random_plan
+from repro.faults.reconfig import ReconfigManager
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import RETRANSMIT_TIMEOUT, Envelope, Network
@@ -27,6 +30,23 @@ def faulted_config():
         )
 
     return build
+
+
+DOCS_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs"
+
+
+def test_every_action_has_a_handler_and_a_doc_section():
+    """Each ``ACTIONS`` key is applied by a handler and documented under a ``###``."""
+    headings = [
+        line for line in (DOCS_DIR / "faults.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith("### ")
+    ]
+    for name, action in ACTIONS.items():
+        if action.scope == "membership":
+            assert callable(getattr(ReconfigManager, name, None)), name
+        else:
+            assert callable(getattr(FaultInjector, f"_apply_{name}", None)), name
+        assert any(f"`{name}`" in heading for heading in headings), name
 
 
 class TestInstallation:

@@ -319,3 +319,47 @@ class TestCommittedPlans:
         assert actions.count("add_replica") >= 1
         assert actions.count("remove_replica") >= 1
         assert plan.name == "reconfig-membership"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFieldTypes:
+    """Plans arrive from files and HTTP bodies: a mistyped field is a
+    FaultPlanError (exit 2, or a 400), never a TypeError or a coerced value."""
+
+    @pytest.mark.parametrize(
+        "event, field",
+        [
+            ({"at": "0.5", "action": "heal"}, "'at'"),
+            ({"at": NAN, "action": "heal"}, "'at'"),
+            ({"at": INF, "action": "heal"}, "'at'"),
+            ({"at": True, "action": "heal"}, "'at'"),
+            ({"at": 1.0, "action": "partition", "dc": True}, "'dc'"),
+            ({"at": 1.0, "action": "partition", "dc": 1.0}, "'dc'"),
+            ({"at": 1.0, "action": "crash", "dc": 0, "partition": "1"}, "'partition'"),
+            ({"at": 1.0, "action": "partition", "dcs": 5}, "'dcs'"),
+            ({"at": 1.0, "action": "partition", "dcs": [0, True]}, "'dcs'"),
+            ({"at": 1.0, "action": "partition", "dcs": "01"}, "'dcs'"),
+            ({"at": 1.0, "action": "skew", "dc": 0, "partition": 0, "offset": NAN}, "'offset'"),
+            ({"at": 1.0, "action": "degrade", "dcs": [0, 1], "extra_latency": INF}, "'extra_latency'"),
+            ({"at": 1.0, "action": "degrade", "dcs": [0, 1], "extra_latency": NAN}, "'extra_latency'"),
+            ({"at": 1.0, "action": "degrade", "dcs": [0, 1], "loss": "0.1"}, "'loss'"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, event, field):
+        with pytest.raises(FaultPlanError, match=field):
+            FaultEvent.from_dict(event)
+
+    def test_nan_time_rejected_in_a_plan_document(self):
+        # json.loads accepts NaN; a NaN time would break the kernel's heap order.
+        with pytest.raises(FaultPlanError, match="finite"):
+            FaultPlan.from_json('{"events": [{"at": NaN, "action": "heal"}]}')
+
+    def test_plan_name_must_be_a_string(self):
+        with pytest.raises(FaultPlanError, match="'name'"):
+            FaultPlan.from_dict({"name": 3, "events": []})
+
+    def test_unhashable_action_is_an_unknown_action(self):
+        with pytest.raises(FaultPlanError, match="unknown action"):
+            FaultEvent.from_dict({"at": 1.0, "action": ["heal"]})

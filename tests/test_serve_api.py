@@ -137,6 +137,20 @@ class TestValidation:
         assert f"run parameter {name!r} must be" in payload["error"]
         assert service.handle("GET", "/jobs")[1]["jobs"] == []
 
+    @pytest.mark.parametrize(
+        "event",
+        [{"at": "0.5", "action": "heal"}, {"at": float("nan"), "action": "heal"},
+         {"at": 0.5, "action": "partition", "dcs": 5}],
+    )
+    def test_launch_with_mistyped_inline_faults_400(self, service, event):
+        """A mistyped inline fault plan is refused before queuing, never a 500."""
+        status, payload = service.handle(
+            "POST", "/runs", body={"params": {**FAST_PARAMS, "faults": {"events": [event]}}}
+        )
+        assert status == 400
+        assert "must be" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
     @pytest.mark.parametrize("trace", ["no", 1, None])
     def test_non_boolean_trace_400(self, service, trace):
         status, payload = service.handle(
@@ -431,6 +445,12 @@ class TestWsgiAppDirect:
         status, payload = self.call(service, "GET", "/runs", query=query)
         assert status == 400
         assert "'limit' must be an integer" in payload["error"]
+
+    def test_mistyped_inline_faults_400_through_the_app(self, service):
+        body = {"params": {"faults": {"events": [{"at": "0.5", "action": "heal"}]}}}
+        status, payload = self.call(service, "POST", "/runs", body=body)
+        assert status == 400
+        assert "'at' must be a finite number" in payload["error"]
 
     def test_garbage_body_400(self, service):
         import io
