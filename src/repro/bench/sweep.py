@@ -489,7 +489,12 @@ def run_key(params: Mapping[str, Any]) -> str:
 
 
 def expand(spec: SweepSpec) -> List[RunSpec]:
-    """Expand a spec into its full, deterministically ordered run list."""
+    """Expand a spec into its full, deterministically ordered run list.
+
+    Every cell is configured once here, so a spec with a cell no run can be
+    built from (``duration`` of ``Infinity``, say) is a ``ValueError``
+    before anything executes.
+    """
     axis_names = list(spec.axes)
     combos: List[Dict[str, Any]] = [{}]
     for name in axis_names:
@@ -508,6 +513,7 @@ def expand(spec: SweepSpec) -> List[RunSpec]:
         for seed in seeds:
             resolved = dict(params)
             resolved["seed"] = seed
+            config_from_params(resolved)  # a cell that cannot configure refuses the spec
             runs.append(
                 RunSpec(
                     params=resolved,

@@ -18,6 +18,7 @@ docs/architecture.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -279,8 +280,9 @@ class SimulationConfig:
     protocol_name: str = "paris"
 
     def __post_init__(self) -> None:
-        if self.warmup < 0 or self.duration <= 0:
-            raise ValueError("warmup must be >= 0 and duration > 0")
+        # Chained comparisons so that NaN, which compares false, is refused too.
+        if not (0 <= self.warmup < math.inf and 0 < self.duration < math.inf):
+            raise ValueError("warmup and duration must be finite, with warmup >= 0 and duration > 0")
         if not 0.0 <= self.visibility_sample_rate <= 1.0:
             raise ValueError("visibility_sample_rate must be in [0, 1]")
         # Late import of the package (not just the registry module) so the

@@ -37,9 +37,9 @@ A version id is ``[key, ut, tid_seq, tid_uid, sr]`` and decodes to the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..record import record
 from ..storage.version import PRELOAD_TID, TransactionId, Version
 
 #: A version identity: (key, ut, tid, sr) — hashable, and two ids of one key
@@ -57,7 +57,7 @@ def is_preload(version: Version) -> bool:
     return version.tid == PRELOAD_TID
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReadEvent:
     """One transactional read phase, decoded from (or bound for) a trace."""
 
@@ -71,7 +71,7 @@ class ReadEvent:
     at: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CommitEvent:
     """One committed update transaction, with its session's dependency delta."""
 

@@ -16,12 +16,12 @@ gives read-your-writes and repeatable reads (Section IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.membership import Membership
 from ..cluster.topology import ClusterSpec, client_address, server_address
 from ..config import SimulationConfig
+from ..record import record
 from ..sim.future import Future
 from ..sim.network import Network, Node
 from ..storage.version import TransactionId, Version
@@ -43,7 +43,7 @@ class TransactionStateError(RuntimeError):
     """Raised when the client API is used outside the start/commit protocol."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReadResult:
     """One key's outcome of a transactional read.
 
@@ -61,7 +61,7 @@ class ReadResult:
     version: Optional[Version]
 
 
-@dataclass(frozen=True)
+@record
 class TransactionHandle:
     """Identifier and snapshot of the running transaction."""
 

@@ -1,25 +1,27 @@
 """Protocol messages of PaRiS (Algorithms 1-4) and its stabilization plane.
 
-All messages are frozen ``__slots__`` dataclasses delivered through the
-simulated FIFO fabric, and one factory, :func:`message`, builds every one of
-them.  Collections are tuples so that a message cannot be mutated after it
-is "serialized" (sent).  Slots matter: the fabric allocates one message
-object per protocol step, so the per-instance ``__dict__`` of a slotless
-dataclass is pure hot-path overhead (``tests/test_messages_slots.py`` guards
-the invariant).
+All messages are sealed records (:func:`repro.record.record`: immutable
+``__slots__`` dataclasses) delivered through the simulated FIFO fabric, and
+one factory, :func:`message`, builds every one of them.  Collections are
+tuples so that a message cannot be mutated after it is "serialized" (sent).
+Slots matter: the fabric allocates one message object per protocol step, so
+the per-instance ``__dict__`` of a slotless dataclass is pure hot-path
+overhead (``tests/test_messages_slots.py`` guards the invariant).
 
 Construction is **positional** wherever a message is built per protocol step
 (``core/client.py`` and every module of ``protocols/``): binding four keyword
-arguments costs about as much again as the ``__init__`` they reach, and a
+arguments costs about as much again as the construction they reach, and a
 transaction builds a dozen messages.  Field order is therefore part of each
-class's interface — append new fields, with defaults, at the end.  ``frozen``
-stays even though each field then goes through ``object.__setattr__``: a
-message may sit in several queues at once (one ``ReplicateMsg`` or
-``CommitTxMsg`` object is cast to every peer or cohort), so "nobody mutates it
-after the send" has to be a property the runtime enforces, not a convention.
-:func:`message` is the one place that picks the representation: a cheaper
-immutable backing (tuple-backed classes, say) is a change to that factory,
-not to 24 classes.
+class's interface — append new fields, with defaults, at the end.
+Immutability is enforced, not assumed: a message may sit in several queues at
+once (one ``ReplicateMsg`` or ``CommitTxMsg`` object is cast to every peer or
+cohort), so assigning or deleting a field raises ``FrozenInstanceError``.
+Enforcing it costs no ``object.__setattr__`` per field, unlike
+``dataclass(frozen=True)``: a record fills its slots on an open instance and
+seals it by switching its class (a ``Version`` builds in ~330 ns,
+against ~1,000 frozen and ~210 for a plain slotted class, on CPython 3.11 on a
+Xeon).  :func:`record` is the one place that picks the representation, for
+messages, ``Version`` and ``ReadResult`` alike.
 
 Every message also reports its **causal-metadata footprint** via
 ``metadata_bytes()``: the wire bytes spent on snapshots, timestamps,
@@ -35,9 +37,10 @@ so the design-space study can compare the metadata cost of a scalar UST
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any, Dict, Tuple, Union
 
+from ..record import record
 from ..storage.version import TransactionId, Version
 
 #: (key, value) pairs of a write set slice.
@@ -115,14 +118,14 @@ WIRE_COST: Dict[str, Union[int, str]] = {
 
 
 def message(cls: type) -> type:
-    """Build a message class: a frozen slotted dataclass plus ``metadata_bytes``.
+    """Build a message class: a sealed :func:`record` plus ``metadata_bytes``.
 
     ``metadata_bytes`` is generated source, the way ``dataclasses`` writes
     ``__init__``: the fixed costs folded into one constant, plus one term per
     variable-size field.  Every send calls it, and a generic loop over the
     fields would cost several times this direct sum.
     """
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = record(cls)
     fixed, terms = 0, []
     for field in fields(cls):
         cost = WIRE_COST.get(field.type, 0)

@@ -321,8 +321,8 @@ class ServeService:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
         try:
             spec = SweepSpec.from_dict(spec_data)
-            expand(spec)  # every cell's parameters resolve before queuing
-        except SweepSpecError as exc:
+            expand(spec)  # every cell's parameters configure before queuing
+        except (SweepSpecError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
         workers = body.get("workers", 1)
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:

@@ -11,15 +11,16 @@ transaction id and source data center id, in this order").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple
+
+from ..record import record
 
 #: A transaction id: (sequence number, coordinator uid).  Tuples compare
 #: lexicographically, giving the deterministic tie-break the paper requires.
 TransactionId = Tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Version:
     """One immutable version of a key."""
 

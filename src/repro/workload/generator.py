@@ -24,11 +24,11 @@ suite in ``tests/test_workload.py`` asserts both emit identical key streams.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..config import WorkloadConfig
+from ..record import record
 from .profiles import WorkloadProfile, get_profile
 from .zipfian import (
     LatestBiasedGenerator,
@@ -60,7 +60,7 @@ def key_name(partition: int, rank: int) -> str:
         return name
 
 
-@dataclass(frozen=True)
+@record
 class TransactionSpec:
     """One generated transaction: what to read, what to write."""
 

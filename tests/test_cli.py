@@ -322,6 +322,33 @@ class TestSweepCommand:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "base, axes",
+        [({"duration": float("inf")}, {"locality": [0.5]}), ({}, {"warmup": [0.5, float("nan")]})],
+    )
+    def test_non_finite_run_length_refuses_the_spec(self, tmp_path, capsys, base, axes):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x", "base": base, "axes": axes}))
+        assert cli.main(["sweep", str(bad), "--repo", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro sweep: error: warmup and duration must be finite")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
+
+
+class TestRunLengthFlags:
+    @pytest.mark.parametrize(
+        "argv", [["--duration", "inf"], ["--duration", "nan"], ["--warmup", "inf"], ["--warmup", "nan"]]
+    )
+    def test_non_finite_run_length_is_one_line_and_exit_2(self, capsys, argv):
+        """A NaN warmup would measure nothing and exit 0; inf would never end."""
+        assert cli.main(["run", *FAST, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro run: error: warmup and duration must be finite")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestFaultPlanFlag:
     @pytest.mark.parametrize(

@@ -91,6 +91,16 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(duration=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("warmup", float("nan")), ("warmup", float("inf")),
+         ("duration", float("nan")), ("duration", float("inf"))],
+    )
+    def test_run_length_finite(self, field, value):
+        """NaN passes a plain sign check and measures nothing; inf never ends."""
+        with pytest.raises(ValueError, match="finite"):
+            SimulationConfig(**{field: value})
+
     def test_visibility_rate_range(self):
         with pytest.raises(ValueError):
             SimulationConfig(visibility_sample_rate=1.5)

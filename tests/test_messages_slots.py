@@ -3,7 +3,10 @@
 The simulation allocates one message object per protocol step, so a slotless
 dataclass (whose instances carry a ``__dict__``) is a hot-path regression.
 A future field added without ``slots=True`` would silently reintroduce the
-per-instance dict — this test catches that.
+per-instance dict — this test catches that.  Every message, ``Version`` and
+``ReadResult`` must also come from the one record factory, so that a record
+declared with a bare ``@dataclass(frozen=True, slots=True)`` (immutable, but
+paying ``object.__setattr__`` per field) fails here.
 """
 
 from __future__ import annotations
@@ -13,9 +16,13 @@ import inspect
 
 import pytest
 
+from repro.consistency.events import CommitEvent, ReadEvent
 from repro.core import messages
+from repro.core.client import ReadResult, TransactionHandle
+from repro.record import is_record
 from repro.sim.network import Envelope
 from repro.storage.version import Version
+from repro.workload.generator import TransactionSpec
 
 
 def message_classes():
@@ -56,3 +63,13 @@ def test_message_instances_have_no_dict(cls):
 @pytest.mark.parametrize("cls", [Envelope, Version], ids=lambda c: c.__name__)
 def test_fabric_dataclasses_are_slotted(cls):
     assert "__slots__" in vars(cls)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    message_classes()
+    + [Version, ReadResult, TransactionHandle, TransactionSpec, ReadEvent, CommitEvent],
+    ids=lambda c: c.__name__,
+)
+def test_built_by_the_record_factory(cls):
+    assert is_record(cls), f"{cls.__name__} is not built by repro.record.record"

@@ -189,6 +189,20 @@ class TestValidation:
         assert "run parameter 'dcs' must be an integer" in payload["error"]
         assert service.handle("GET", "/jobs")[1]["jobs"] == []
 
+    @pytest.mark.parametrize("field", ["warmup", "duration"])
+    def test_non_finite_run_length_400(self, service, field):
+        """``1e999`` parses as inf: it would hold a serve worker forever."""
+        status, payload = service.handle(
+            "POST", "/runs", body={"params": {**FAST_PARAMS, field: float("inf")}}
+        )
+        assert status == 400
+        assert "must be finite" in payload["error"]
+        spec = {**TestSweepEndpoint.SPEC, "base": {field: float("nan")}}
+        status, payload = service.handle("POST", "/sweeps", body={"spec": spec})
+        assert status == 400
+        assert "must be finite" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
     def test_replay_of_unknown_run_404_at_submission(self, service):
         status, payload = service.handle("POST", "/runs/0123456789abcdef/replay")
         assert status == 404
