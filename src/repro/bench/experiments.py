@@ -121,7 +121,7 @@ def scale_params(scale: BenchScale, **overrides: Any) -> Dict[str, Any]:
     """Flat run parameters of the default workload at ``scale``.
 
     The namespace is the one ``repro run``, sweep specs and ``POST /runs``
-    share (:data:`repro.bench.sweep.PARAM_DEFAULTS`), so any figure run can
+    share (:data:`repro.bench.sweep.PARAMS`), so any figure run can
     be re-run from its parameters.  One thread per client, the paper's four
     partitions per transaction and seed 42 unless ``overrides`` say otherwise
     (``partitions_per_tx=None`` is the namespace's ``min(4, machines)``).

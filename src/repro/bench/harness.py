@@ -607,7 +607,7 @@ def summarize_measures(
         blocking_samples.extend(server["blocking"])
         total_slices += server["read_slices"]
     blocked = len(blocking_samples)
-    blocking_mean = sum(blocking_samples) / blocked if blocked else 0.0
+    blocking_mean = math.fsum(blocking_samples) / blocked if blocked else 0.0
     blocking_p99 = percentile(blocking_samples, 0.99) if blocked else 0.0
     measured = measures["completed_in_window"]
 
@@ -619,7 +619,7 @@ def summarize_measures(
         visibility_curve = mean_cdf(per_server, n_points=100)
         flat = [sample for samples_ in per_server for sample in samples_]
         if flat:
-            visibility_mean = sum(flat) / len(flat)
+            visibility_mean = math.fsum(flat) / len(flat)
             visibility_p99 = percentile(flat, 0.99)
 
     utilizations = [server["utilization"] for server in servers]
@@ -646,14 +646,14 @@ def summarize_measures(
         blocking_mean=blocking_mean,
         blocking_p99=blocking_p99,
         blocked_fraction=blocked / total_slices if total_slices else 0.0,
-        read_phase_blocking=sum(blocking_samples) / measured if measured else 0.0,
+        read_phase_blocking=math.fsum(blocking_samples) / measured if measured else 0.0,
         visibility_cdf=visibility_curve,
         visibility_mean=visibility_mean,
         visibility_p99=visibility_p99,
         ust_staleness=measures["now"] - timestamp_to_seconds(measures["min_ust"]),
         messages_total=measures["messages_total"],
         messages_inter_dc=measures["messages_inter_dc"],
-        mean_cpu_utilization=sum(utilizations) / len(utilizations) if utilizations else 0.0,
+        mean_cpu_utilization=math.fsum(utilizations) / len(utilizations) if utilizations else 0.0,
         metadata_bytes_total=measures["metadata_bytes_total"],
         read_retries_total=measures["read_retries_total"],
     )

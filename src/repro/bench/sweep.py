@@ -23,12 +23,9 @@ The JSON schema, the seed-derivation and resume semantics, and the committed
 example specs are documented in docs/experiments.md; run one with
 ``python -m repro sweep examples/sweeps/locality.json --workers 4``.
 
-Run parameters mirror the flags of ``repro run`` (``dcs``, ``machines``,
-``rf``, ``threads``, ``mix``, ``workload``, ``locality``, ``keys``,
-``warmup``, ``duration``, ``protocol``, ``faults``, ...);
-:func:`config_from_params` is
-the single translation point from flat parameters to a
-:class:`repro.config.SimulationConfig`, shared with the CLI.
+Run parameters are the rows of :data:`PARAMS`, which ``repro run``'s flags
+are generated from; :func:`config_from_params` is the single translation
+point from flat parameters to a :class:`repro.config.SimulationConfig`.
 """
 
 from __future__ import annotations
@@ -75,53 +72,82 @@ if TYPE_CHECKING:  # the repository module imports this one
 #: v6: network jitter/loss streams split per source DC and sessions gained a
 #: deterministic sub-microsecond start stagger (shard-determinism groundwork
 #: for repro.sim.sharded); trajectories moved for every configuration.
-CACHE_VERSION = 6
+#: v7: float reductions (result means, visibility CDF, Zipf normaliser) use
+#: math.fsum, so a result no longer depends on the Python version.
+CACHE_VERSION = 7
 
-#: Run parameters and their defaults (``repro run``'s flags take theirs here).
-#: ``partitions_per_tx=None`` means "min(4, machines)", the CLI's behaviour.
-#: ``workload=None`` means "no profile": the mix alone shapes the workload;
-#: a profile name (see repro.workload.profiles) overrides the mix/skew and
-#: selects key/value distributions and the arrival schedule.
-PARAM_DEFAULTS: Dict[str, Any] = {
-    "protocol": "paris",
-    "dcs": 3,
-    "machines": 2,
-    "rf": 2,
-    "threads": 4,
-    "mix": "95:5",
-    "workload": None,
-    "locality": 0.95,
-    "keys": 100,
-    "partitions_per_tx": None,
-    "warmup": 1.0,
-    "duration": 1.5,
-    "visibility_sample_rate": 0.0,
-    "faults": None,
-    "preset": None,
+#: The Python values each JSON type of a run parameter admits.  ``bool`` is
+#: an ``int`` to Python but never a number here; an ``object`` may also be a
+#: :class:`FaultPlan` already parsed from one.
+JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "integer": (int,),
+    "number": (int, float),
+    "string": (str,),
+    "object": (Mapping, FaultPlan),
+    "null": (type(None),),
 }
 
-#: The seed of a run that names none (``repro run``, ``POST /runs``).
-DEFAULT_SEED = 1
 
-_INT, _REAL, _STR, _NONE = (int,), (int, float), (str,), (type(None),)
+@dataclass(frozen=True)
+class Param:
+    """One run parameter: default, JSON types, and its ``--flag``'s help text.
 
-#: The JSON type each run parameter's value must have, and how to say so.
-#: ``faults`` is checked by :func:`resolve_fault_plan`.  ``bool`` is an
-#: ``int`` to Python but never a number here.
-PARAM_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
-    **dict.fromkeys(("dcs", "machines", "rf", "threads", "keys", "seed"), (_INT, "an integer")),
-    "partitions_per_tx": (_INT + _NONE, "an integer or null"),
-    **dict.fromkeys(("locality", "warmup", "duration", "visibility_sample_rate"), (_REAL, "a number")),
-    **dict.fromkeys(("protocol", "mix"), (_STR, "a string")),
-    **dict.fromkeys(("workload", "preset"), (_STR + _NONE, "a string or null")),
-}
+    Ranges and registry names are checked where the configuration is built.
+    """
 
-#: Parameters a spec may set in ``base``.
-BASE_PARAMS = frozenset(PARAM_DEFAULTS)
+    name: str
+    default: Any
+    types: Tuple[str, ...]
+    help: str
+    metavar: Optional[str] = None
+
+    def check(self, value: Any) -> None:
+        """Refuse ``value`` unless it has one of this parameter's JSON types."""
+        accepted = tuple(t for kind in self.types for t in JSON_TYPES[kind])
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = " or ".join(
+                kind if kind == "null" else f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}"
+                for kind in self.types
+            )
+            raise SweepSpecError(f"run parameter {self.name!r} must be {expected}: {value!r}")
+
+
+#: Every run parameter, in canonical order: ``repro run``'s flags, sweep
+#: ``base``/``axes`` names and ``POST /runs`` params are these.
+PARAMS: Dict[str, Param] = {param.name: param for param in (
+    Param("protocol", "paris", ("string",), "registered protocol to run (see 'repro protocols')",
+          "NAME"),
+    Param("dcs", 3, ("integer",), "number of DCs"),
+    Param("machines", 2, ("integer",), "machines (partition replicas) per DC"),
+    Param("rf", 2, ("integer",), "replication factor"),
+    Param("threads", 4, ("integer",), "closed-loop threads per client process"),
+    Param("mix", "95:5", ("string",), "read:write mix: 95:5 or 50:50", "R:W"),
+    Param("workload", None, ("string", "null"),
+          "named workload profile overriding --mix (see 'repro profiles')", "PROFILE"),
+    Param("locality", 0.95, ("number",), "fraction of single-DC transactions"),
+    Param("keys", 100, ("integer",), "keys per partition"),
+    Param("partitions_per_tx", None, ("integer", "null"),
+          "partitions per transaction (default: min(4, machines))"),
+    Param("warmup", 1.0, ("number",), "simulated seconds before the measurement window"),
+    Param("duration", 1.5, ("number",), "simulated seconds of the measurement window"),
+    Param("visibility_sample_rate", 0.0, ("number",),
+          "fraction of commits probed for visibility latency"),
+    Param("faults", None, ("object", "string", "null"), "fault plan (JSON, see docs/faults.md; "
+          "'repro chaos' writes one) applied during the run", "PLAN_JSON"),
+    Param("preset", None, ("string", "null"), "geo-real topology preset naming one cloud "
+          "region per DC (see docs/topologies.md); must match --dcs", "NAME"),
+    Param("seed", 1, ("integer",), "simulation seed"),
+)}
+
+#: Each run parameter's default, in the table's order.
+PARAM_DEFAULTS: Dict[str, Any] = {name: param.default for name, param in PARAMS.items()}
 
 #: Parameters a spec may sweep over.  ``seed`` is special: listing it as an
 #: axis replaces the derived-seed repeats with explicit seeds.
-AXIS_PARAMS = BASE_PARAMS | {"seed"}
+AXIS_PARAMS = frozenset(PARAMS)
+
+#: Parameters a spec may set in ``base`` (its ``seed`` is the derivation root).
+BASE_PARAMS = AXIS_PARAMS - {"seed"}
 
 _SPEC_KEYS = frozenset({"name", "description", "base", "axes", "repeats", "seed"})
 
@@ -138,18 +164,15 @@ def canonical_json(data: Any) -> str:
 # ----------------------------------------------------------------------
 # Parameters -> configuration
 # ----------------------------------------------------------------------
-def resolve_fault_plan(
-    value: Any, base_dir: Optional[pathlib.Path] = None
-) -> Optional[FaultPlan]:
+def resolve_fault_plan(value: Any, base_dir: Optional[pathlib.Path] = None) -> Any:
     """Turn a spec's ``faults`` value into a :class:`FaultPlan`.
 
-    Accepts ``None`` (healthy run), an inline plan mapping, an already built
-    plan, or a path to a plan JSON file — resolved relative to ``base_dir``
-    (the spec file's directory) so committed specs can reference committed
-    plans portably.
+    Parses an inline plan mapping, or loads a path to a plan JSON file —
+    resolved relative to ``base_dir`` (the spec file's directory) so
+    committed specs can reference committed plans portably.  Anything else
+    (``None`` for a healthy run, an already built plan) is returned as is;
+    :func:`resolve_params` has refused every other type.
     """
-    if value is None or isinstance(value, FaultPlan):
-        return value
     if isinstance(value, Mapping):
         return FaultPlan.from_dict(dict(value))
     if isinstance(value, str):
@@ -160,9 +183,7 @@ def resolve_fault_plan(
             return FaultPlan.load(str(path))
         except OSError as exc:
             raise SweepSpecError(f"cannot read fault plan {str(path)!r}: {exc}") from exc
-    raise SweepSpecError(
-        f"'faults' must be null, a plan mapping, or a path string: {value!r}"
-    )
+    return value
 
 
 def resolve_params(
@@ -171,26 +192,23 @@ def resolve_params(
     """Fully resolve flat run parameters: defaults filled, policies applied.
 
     This is the canonical form the content-addressing scheme hashes
-    (:func:`run_key`): unknown names and mistyped values
-    (:data:`PARAM_TYPES`) are rejected, unset parameters take
-    :data:`PARAM_DEFAULTS`, and the ``partitions_per_tx=None`` placeholder
-    resolves to the CLI's ``min(4, machines)`` policy.  Both the sweep
-    expansion and the run repository (:mod:`repro.serve.repository`) resolve
-    through here, so a CLI run, a served run, and a sweep cell with the
-    same effective parameters share one identity.
+    (:func:`run_key`): unknown names and values of the wrong JSON type
+    (:data:`PARAMS`) are rejected, unset parameters take their defaults
+    (``seed`` only when not ``require_seed``), and the
+    ``partitions_per_tx=None`` placeholder resolves to the
+    ``min(4, machines)`` policy.  The CLI, the sweep expansion and the run
+    repository (:mod:`repro.serve.repository`) all resolve through here, so
+    a CLI run, a served run, and a sweep cell with the same effective
+    parameters share one identity.
     """
-    unknown = set(params) - BASE_PARAMS - {"seed"}
+    unknown = set(params) - AXIS_PARAMS
     if unknown:
         raise SweepSpecError(f"unknown run parameter(s): {sorted(unknown)}")
     if require_seed and "seed" not in params:
         raise SweepSpecError("run parameters must include 'seed'")
-    merged = dict(PARAM_DEFAULTS)
-    merged.update(params)
+    merged = {**PARAM_DEFAULTS, **params}
     for name, value in merged.items():
-        if name in PARAM_TYPES:
-            types, expected = PARAM_TYPES[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise SweepSpecError(f"run parameter {name!r} must be {expected}: {value!r}")
+        PARAMS[name].check(value)
     if merged["partitions_per_tx"] is None:
         merged["partitions_per_tx"] = min(4, merged["machines"])
     return merged
@@ -202,8 +220,8 @@ def config_from_params(params: Mapping[str, Any]) -> Tuple[SimulationConfig, str
     This is the one translation point between the flat parameter namespace
     (sweep specs, ``repro run`` flags, served launch requests) and
     :class:`SimulationConfig`; it returns the configuration together with
-    the protocol name.  Unset parameters take :data:`PARAM_DEFAULTS`;
-    ``seed`` is required.
+    the protocol name.  Unset parameters take their defaults
+    (:data:`PARAMS`); ``seed`` is required.
     """
     merged = resolve_params(params)
     protocol = merged["protocol"]
@@ -311,11 +329,9 @@ class SweepSpec:
         for name, values in axes.items():
             if not values:
                 raise SweepSpecError(f"axis {name!r} has no values")
-            seen: List[Any] = []
-            for value in values:
-                if value in seen:
+            for index, value in enumerate(values):
+                if value in values[:index]:
                     raise SweepSpecError(f"axis {name!r} repeats value {value!r}")
-                seen.append(value)
         if not isinstance(self.repeats, int) or self.repeats < 1:
             raise SweepSpecError(f"repeats must be a positive integer: {self.repeats!r}")
         if "seed" in axes and self.repeats != 1:
@@ -350,25 +366,18 @@ class SweepSpec:
         base = dict(data.get("base", {}))
         if not isinstance(data.get("axes", {}), Mapping):
             raise SweepSpecError("'axes' must be a mapping of parameter -> values")
-        for name, values in data.get("axes", {}).items():
-            if not isinstance(values, (list, tuple)):
-                raise SweepSpecError(
-                    f"axis {name!r} must be a list of values, got {values!r}"
-                )
-        axes = {name: tuple(values) for name, values in data.get("axes", {}).items()}
-        # Inline fault plans up front: validates them early and makes the
-        # cache content-addressed (editing the plan file invalidates runs).
-        for container in (base, axes):
-            if "faults" in container:
-                value = container["faults"]
-                if container is base:
-                    plan = resolve_fault_plan(value, base_dir)
-                    base["faults"] = plan.to_dict() if plan is not None else None
-                else:
-                    container["faults"] = tuple(
-                        resolve_fault_plan(v, base_dir).to_dict() if v is not None else None
-                        for v in value
-                    )
+        axes = dict(data.get("axes", {}))
+
+        def inline(value: Any) -> Any:
+            # Inline fault plans up front: validates them early and makes the
+            # cache content-addressed (editing the plan file invalidates runs).
+            plan = resolve_fault_plan(value, base_dir)
+            return plan.to_dict() if isinstance(plan, FaultPlan) else plan
+
+        if "faults" in base:
+            base["faults"] = inline(base["faults"])
+        if isinstance(axes.get("faults"), (list, tuple)):
+            axes["faults"] = [inline(value) for value in axes["faults"]]
         return cls(
             name=data["name"],
             base=base,
@@ -429,11 +438,9 @@ class RunSpec:
         for name, value in self.params.items():
             if name == "seed":
                 continue
-            default = PARAM_DEFAULTS.get(name)
-            if name == "partitions_per_tx" and default is None:
-                # The resolved stand-in for the CLI's min(4, machines) policy.
-                default = min(4, self.params["machines"])
-            if name in self.axis_names or value != default:
+            # The value this run would have had without setting ``name``.
+            unset = resolve_params({n: v for n, v in self.params.items() if n != name})
+            if name in self.axis_names or value != unset[name]:
                 parts.append(f"{name}={short_value(value)}")
         parts.append(f"seed={self.params['seed']}")
         return " ".join(parts)

@@ -55,7 +55,7 @@ from .bench import experiments as exp
 from .bench import figures, report, results, sweep
 from .bench.harness import ExperimentResult, run_experiment, run_recorded
 from .cluster.topology import ClusterSpec
-from .config import DEFAULT_REPO_DIR, MIXES, SimulationConfig
+from .config import DEFAULT_REPO_DIR, SimulationConfig
 from .consistency.streaming import StreamingChecker, Violation, check_trace
 from .faults import FaultPlan, random_plan
 from .protocols import get_protocol, is_registered, protocol_names
@@ -71,16 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = commands.add_parser("run", help="run one experiment")
-    _add_cluster_args(run_cmd)
-    _add_protocol_arg(run_cmd)
+    _add_run_params(run_cmd)
     run_cmd.add_argument(
         "--json", action="store_true", help="emit the result as JSON instead of text"
-    )
-    run_cmd.add_argument(
-        "--faults",
-        metavar="PLAN_JSON",
-        help="fault plan (JSON, see docs/faults.md; 'repro chaos' writes "
-        "one) applied during the run",
     )
     run_cmd.add_argument(
         "--big",
@@ -125,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare_cmd = commands.add_parser(
         "compare", help="run several protocols on one config, side by side"
     )
-    _add_cluster_args(compare_cmd)
+    _add_run_params(compare_cmd, skip=("protocol", "faults"))
     compare_cmd.add_argument(
         "--protocol",
+        dest="protocols",
         metavar="NAME",
         type=_protocol_name,
         nargs="+",
@@ -146,14 +140,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out')",
     )
     _add_window_arg(check_cmd)
-    _add_protocol_arg(
-        check_cmd, "judge at the consistency level this registered protocol claims"
+    check_cmd.add_argument(
+        "--protocol",
+        metavar="NAME",
+        type=_protocol_name,
+        default=sweep.PARAM_DEFAULTS["protocol"],
+        help="judge at the consistency level this registered protocol claims",
     )
 
     chaos_cmd = commands.add_parser(
         "chaos", help="write a seeded random fault plan for a deployment"
     )
-    _add_cluster_args(chaos_cmd)
+    # chaos reads the deployment, horizon and seed: no flag it would ignore.
+    _add_run_params(
+        chaos_cmd, skip=("protocol", "faults", "partitions_per_tx", "visibility_sample_rate")
+    )
     chaos_cmd.add_argument(
         "--episodes", type=_positive_int, default=6, help="fault episodes to generate"
     )
@@ -353,19 +354,6 @@ def _add_window_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_protocol_arg(
-    parser: argparse.ArgumentParser,
-    help: str = "registered protocol to run (see 'repro protocols')",
-) -> None:
-    parser.add_argument(
-        "--protocol",
-        metavar="NAME",
-        type=_protocol_name,
-        default=sweep.PARAM_DEFAULTS["protocol"],
-        help=help,
-    )
-
-
 def _add_repo_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--repo",
@@ -376,30 +364,29 @@ def _add_repo_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
-    # Every run parameter, flag or not, defaults to the namespace's own value.
-    parser.set_defaults(**sweep.PARAM_DEFAULTS, seed=sweep.DEFAULT_SEED)
-    parser.add_argument("--dcs", type=int, help="number of DCs")
-    parser.add_argument(
-        "--preset",
-        metavar="NAME",
-        help="geo-real topology preset naming one cloud region per DC "
-        "(see docs/topologies.md); must match --dcs",
-    )
-    parser.add_argument("--machines", type=int, help="machines per DC")
-    parser.add_argument("--rf", type=int, help="replication factor")
-    parser.add_argument("--threads", type=int, help="threads per client")
-    parser.add_argument("--mix", choices=tuple(MIXES))
-    parser.add_argument(
-        "--workload",
-        metavar="PROFILE",
-        help="named workload profile overriding --mix (see 'repro profiles')",
-    )
-    parser.add_argument("--locality", type=float)
-    parser.add_argument("--keys", type=int, help="keys per partition")
-    parser.add_argument("--warmup", type=float, help="simulated seconds")
-    parser.add_argument("--duration", type=float, help="simulated seconds")
-    parser.add_argument("--seed", type=int)
+#: Text to the JSON type of a flag's run parameter; strings pass through.
+_FROM_TEXT = {"integer": int, "number": float}
+
+
+def _add_run_params(parser: argparse.ArgumentParser, skip: Sequence[str] = ()) -> None:
+    """One flag per run parameter (:data:`repro.bench.sweep.PARAMS`).
+
+    Every parameter, flag or not, defaults to the table's value.  The flags
+    only turn text into the parameter's JSON type; ranges and names are
+    refused where the configuration is built (exit 2).  ``--protocol``
+    also lists the registry at the parser, as ``compare`` and ``check`` do.
+    """
+    parser.set_defaults(**sweep.PARAM_DEFAULTS)
+    for param in sweep.PARAMS.values():
+        if param.name in skip:
+            continue
+        convert = next((_FROM_TEXT[t] for t in param.types if t in _FROM_TEXT), None)
+        parser.add_argument(
+            f"--{param.name.replace('_', '-')}",
+            type=_protocol_name if param.name == "protocol" else convert,
+            metavar=param.metavar,
+            help=param.help,
+        )
 
 
 def params_from_args(
@@ -412,11 +399,7 @@ def params_from_args(
     repository persists, so a saved record replays identically wherever the
     original plan file ends up.
     """
-    params = {name: getattr(args, name) for name in (*sweep.PARAM_DEFAULTS, "seed")}
-    if not isinstance(params["protocol"], str):
-        # `compare` takes a protocol *list*; the shared config is
-        # protocol-agnostic and each run names its protocol explicitly.
-        params["protocol"] = sweep.PARAM_DEFAULTS["protocol"]
+    params = {name: getattr(args, name) for name in sweep.PARAMS}
     params["faults"] = params["faults"] or None
     if inline_faults and params["faults"] is not None:
         params["faults"] = FaultPlan.load(params["faults"]).to_dict()
@@ -601,7 +584,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare``: several protocols on one configuration."""
     with _configuring():
         config = config_from_args(args)
-    protocols = list(dict.fromkeys(args.protocol))
+    protocols = list(dict.fromkeys(args.protocols))
     results = {p: run_experiment(config, protocol=p) for p in protocols}
     rows = [
         (
@@ -734,13 +717,14 @@ def cmd_runs(args: argparse.Namespace) -> int:
     from .serve.repository import RunRepository
 
     repository = RunRepository(args.repo)
-    entries = repository.list(
-        protocol=args.protocol,
-        workload=args.workload,
-        preset=args.preset,
-        source=args.source,
-        limit=args.limit if args.limit > 0 else None,
-    )
+    with _configuring():
+        entries = repository.list(
+            protocol=args.protocol,
+            workload=args.workload,
+            preset=args.preset,
+            source=args.source,
+            limit=args.limit,
+        )
     if not entries:
         if len(repository) == 0:
             print(

@@ -59,6 +59,7 @@ from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..clocks.hlc import micros_to_timestamp
+from ..record import record
 from ..sim.trace import TraceError, TraceWriter, read_jsonl
 from ..storage.version import TransactionId, Version
 from .events import (
@@ -125,7 +126,7 @@ class _Session:
         self.last: Tuple[VersionId, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RetiredTip:
     """Per-key digest of the newest version retired from the window.
 

@@ -276,8 +276,12 @@ class RunRepository:
 
         ``since``/``until`` bound the creation time (unix seconds);
         ``source`` matches exactly (``cli``, ``serve``) or, for runs a
-        sweep executed, the ``sweep:<name>`` form.
+        sweep executed, the ``sweep:<name>`` form.  ``limit`` keeps the
+        newest entries; ``None`` or 0 keeps all, and a negative limit is a
+        ``ValueError``.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0 (0 = all): {limit}")
         with self._lock:
             entries = list(self._index.values())
         if protocol is not None:
@@ -293,9 +297,7 @@ class RunRepository:
         if until is not None:
             entries = [e for e in entries if e["created_unix"] <= until]
         entries.sort(key=lambda e: (-e["created_unix"], e["run_id"]))
-        if limit is not None:
-            entries = entries[: max(0, limit)]
-        return entries
+        return entries[:limit] if limit else entries
 
     # ------------------------------------------------------------------
     # The index (a derived, rebuildable view)

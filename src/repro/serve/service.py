@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..bench import results as results_mod
 from ..bench.sweep import (
-    DEFAULT_SEED,
+    PARAM_DEFAULTS,
     SweepSpec,
     SweepSpecError,
     config_from_params,
@@ -49,6 +49,13 @@ Response = Tuple[int, Dict[str, Any]]
 
 #: Job lifecycle states.
 JOB_STATES = ("pending", "running", "done", "failed")
+
+#: Admission bounds of a served run or sweep cell (docs/serving.md): past
+#: either, the request is a 400 before any job is queued.  A run has
+#: ``dcs x machines x threads`` sessions, and each one computes its Zipf
+#: normaliser in O(keys).  The CLI, figures and the ledger are not bounded.
+MAX_SESSIONS = 4_096
+MAX_KEYS = 100_000
 
 
 @dataclass
@@ -255,7 +262,10 @@ class ServeService:
         }
         if unknown:
             raise _BadRequest(f"unknown query parameter(s): {sorted(unknown)}")
-        entries = self.repository.list(**filters)
+        try:
+            entries = self.repository.list(**filters)
+        except ValueError as exc:
+            raise _BadRequest(str(exc)) from exc
         return 200, {"total": len(entries), "runs": entries}
 
     def _get_run(self, run_id: str) -> Response:
@@ -276,13 +286,12 @@ class ServeService:
         unknown = set(body) - {"params", "trace"}
         if unknown:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
-        params = dict(params)
-        params.setdefault("seed", DEFAULT_SEED)
         try:
-            resolved = resolve_params(params)
+            resolved = resolve_params({"seed": PARAM_DEFAULTS["seed"], **params})
             config_from_params(resolved)  # full validation before queuing
         except (SweepSpecError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
+        _admit(resolved)
 
         def execute() -> Dict[str, Any]:
             record = _execute_and_persist(self.repository, resolved, want_trace)
@@ -321,9 +330,11 @@ class ServeService:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
         try:
             spec = SweepSpec.from_dict(spec_data)
-            expand(spec)  # every cell's parameters configure before queuing
+            runs = expand(spec)  # every cell's parameters configure before queuing
         except (SweepSpecError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
+        for run in runs:
+            _admit(run.params)
         workers = body.get("workers", 1)
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise _BadRequest(f"'workers' must be a JSON integer >= 1: {workers!r}")
@@ -382,6 +393,17 @@ def _execute_and_persist(
 
 class _BadRequest(ValueError):
     """Internal: turned into a 400 response by the dispatcher."""
+
+
+def _admit(params: Mapping[str, Any]) -> None:
+    """Refuse a resolved run past :data:`MAX_SESSIONS` or :data:`MAX_KEYS`."""
+    sessions = params["dcs"] * params["machines"] * params["threads"]
+    for value, what, bound in (
+        (sessions, "sessions (dcs x machines x threads)", MAX_SESSIONS),
+        (params["keys"], "keys per partition", MAX_KEYS),
+    ):
+        if value > bound:
+            raise _BadRequest(f"{value} {what} exceed the served bound of {bound}")
 
 
 def _require_body(body: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:

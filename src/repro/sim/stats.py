@@ -53,6 +53,6 @@ def mean_cdf(per_source_samples: Iterable[Sequence[float]], n_points: int = 100)
     averaged = []
     for i in range(n_points):
         fraction = curves[0][i][1]
-        value = sum(curve[i][0] for curve in curves) / len(curves)
+        value = math.fsum(curve[i][0] for curve in curves) / len(curves)
         averaged.append((value, fraction))
     return averaged

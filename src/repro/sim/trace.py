@@ -37,11 +37,11 @@ import io
 import json
 import pathlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from ..record import record
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceRecord:
     """One traced event."""
 

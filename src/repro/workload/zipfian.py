@@ -22,6 +22,7 @@ sequences — property-tested in ``tests/test_workload.py``.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, List
 
@@ -45,7 +46,7 @@ class ZipfianGenerator:
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        return math.fsum(1.0 / (i ** theta) for i in range(1, n + 1))
 
     def sample(self, rng: random.Random) -> int:
         """One rank draw; rank 0 is the hottest item."""

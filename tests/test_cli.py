@@ -35,14 +35,13 @@ class TestParser:
     @pytest.mark.parametrize("command", ["run", "compare", "chaos"])
     def test_flag_defaults_are_the_param_defaults(self, command):
         """One table of run-parameter defaults: the flags take theirs from it."""
-        from repro.bench.sweep import DEFAULT_SEED, PARAM_DEFAULTS, resolve_params
+        from repro.bench.sweep import PARAM_DEFAULTS, resolve_params
 
         required = ["--plan-out", "plan.json"] if command == "chaos" else []
         args = cli.build_parser().parse_args([command, *required])
-        for name in set(PARAM_DEFAULTS) - {"protocol"}:  # compare's is a list
-            assert getattr(args, name) == PARAM_DEFAULTS[name], name
-        assert args.seed == DEFAULT_SEED
-        assert cli.params_from_args(args) == resolve_params({"seed": DEFAULT_SEED})
+        for name, default in PARAM_DEFAULTS.items():
+            assert getattr(args, name) == default, name
+        assert cli.params_from_args(args) == resolve_params({"seed": args.seed})
 
     def test_config_from_args(self):
         args = cli.build_parser().parse_args(["run", *FAST, "--mix", "50:50"])
@@ -379,6 +378,18 @@ class TestRunRepositoryCommands:
         listing = capsys.readouterr().out
         assert "paris" in listing
         assert "1 shown of 1 persisted" in listing
+
+    def test_runs_limit_zero_is_all_and_negative_exit_2(self, tmp_path, capsys):
+        from repro.serve.repository import RunRepository
+
+        repo = str(tmp_path / "results")
+        RunRepository(repo).save_run({"seed": 1}, {"throughput": 1.0})
+        assert cli.main(["runs", "--repo", repo, "--limit", "0"]) == 0
+        assert "1 shown of 1 persisted" in capsys.readouterr().out
+        assert cli.main(["runs", "--repo", repo, "--limit", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro runs: error: limit must be >= 0 (0 = all): -1\n"
 
     def test_runs_empty_repository_message(self, tmp_path, capsys):
         assert cli.main(["runs", "--repo", str(tmp_path / "results")]) == 0

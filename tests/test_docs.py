@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -220,9 +221,16 @@ class TestFigureCatalogue:
         assert names == list(FIGURES)
 
     def test_every_run_parameter_is_documented(self):
-        from repro.bench.sweep import PARAM_DEFAULTS
+        """Name, default and JSON type of every row match the table in code."""
+        from repro.bench.sweep import PARAMS
 
         page = (DOCS / "experiments.md").read_text(encoding="utf-8")
         table = _section(page, "### Run parameters")
-        documented = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
-        assert documented == list(PARAM_DEFAULTS)
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", table, re.MULTILINE)
+        assert [name for name, _, _ in rows] == list(PARAMS)
+        for name, default, types in rows:
+            documented = json.loads(default.strip("`"))
+            assert (documented, type(documented)) == (
+                PARAMS[name].default, type(PARAMS[name].default)
+            ), name
+            assert types == " or ".join(PARAMS[name].types), name

@@ -107,6 +107,33 @@ class TestSummarizeThroughput:
         assert result.throughput == 0.0
 
 
+class TestExactReductions:
+    """Result means are exactly rounded, so no Python version moves a digest.
+
+    A naive left-to-right ``sum`` of ``[1e16, 1.0, -1e16]`` is 0.0 (3.11 and
+    older); ``math.fsum`` and 3.12's compensated ``sum`` give 1.0.
+    """
+
+    def test_means_use_exact_sums(self, tiny_config):
+        measures = _window_measures(0.0, 1.0, 1)
+        measures["servers"] = {
+            (0, index): {
+                "blocking": [value],
+                "read_slices": 1,
+                "visibility": [value],
+                "utilization": value,
+            }
+            for index, value in enumerate([1e16, 1.0, -1e16])
+        }
+        config = tiny_config.with_(visibility_sample_rate=0.5)
+        result = summarize_measures(config, "paris", measures)
+        assert result.blocking_mean == 1.0 / 3
+        assert result.read_phase_blocking == 1.0
+        assert result.visibility_mean == 1.0 / 3
+        assert {value for value, _ in result.visibility_cdf} == {1.0 / 3}
+        assert result.mean_cpu_utilization == 1.0 / 3
+
+
 class TestRunExperiment:
     def test_result_fields_are_sane(self, tiny_config):
         result = run_experiment(tiny_config, protocol="paris")

@@ -17,8 +17,10 @@ import pickle
 import pytest
 
 from repro.consistency.events import CommitEvent, ReadEvent
+from repro.consistency.streaming import RetiredTip
 from repro.core import messages
 from repro.core.client import ReadResult, TransactionHandle
+from repro.sim.trace import TraceRecord
 from repro.storage.version import Version
 from repro.workload.generator import TransactionSpec
 
@@ -48,7 +50,10 @@ RECORDS = [
     cls
     for _, cls in inspect.getmembers(messages, inspect.isclass)
     if cls.__module__ == messages.__name__
-] + [Version, ReadResult, TransactionHandle, TransactionSpec, ReadEvent, CommitEvent]
+] + [
+    Version, ReadResult, TransactionHandle, TransactionSpec, ReadEvent, CommitEvent,
+    TraceRecord, RetiredTip,
+]
 
 
 def values(cls):
@@ -79,6 +84,13 @@ def test_fields_refuse_assignment_and_deletion(cls):
         with pytest.raises(AttributeError):
             delattr(record, field.name)
         assert getattr(record, field.name) == value
+
+
+@by_name
+def test_unknown_attributes_are_refused(cls):
+    record = build(cls)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.not_a_field = 1
 
 
 @by_name

@@ -181,6 +181,13 @@ class TestQuery:
         times = [e["created_unix"] for e in repo.list()]
         assert times == sorted(times, reverse=True)
 
+    def test_zero_or_none_limit_is_all_and_negative_refused(self, tmp_path):
+        repo = RunRepository(tmp_path / "results")
+        repo.save_run(FAST_PARAMS, {"throughput": 1.0})
+        assert len(repo.list(limit=0)) == len(repo.list(limit=None)) == 1
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            repo.list(limit=-1)
+
     def test_index_entry_shape(self, tmp_path):
         repo = RunRepository(tmp_path / "results")
         run_and_save(repo, {"workload": "ycsb_a"})

@@ -173,6 +173,42 @@ class TestValidation:
         assert status == 200
         assert payload["total"] == 2
 
+    def test_zero_limit_lists_all_and_negative_is_400(self, service):
+        service.repository.save_run(FAST_PARAMS, {"throughput": 1.0})
+        assert service.handle("GET", "/runs", query={"limit": "0"})[1]["total"] == 1
+        status, payload = service.handle("GET", "/runs", query={"limit": "-1"})
+        assert status == 400
+        assert "limit must be >= 0" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "params, words",
+        [
+            ({"dcs": 8, "machines": 64, "threads": 9}, "4608 sessions"),
+            ({"keys": 10**12}, "1000000000000 keys per partition exceed"),
+        ],
+    )
+    def test_oversized_run_400_before_queuing(self, service, params, words):
+        status, payload = service.handle("POST", "/runs", body={"params": params})
+        assert status == 400
+        assert words in payload["error"]
+        spec = {**TestSweepEndpoint.SPEC, "axes": {"seed": [1, 2]}, "base": params}
+        status, payload = service.handle("POST", "/sweeps", body={"spec": spec})
+        assert status == 400
+        assert words in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
+
+    def test_committed_sweeps_are_admitted(self):
+        import pathlib
+
+        from repro.bench.sweep import SweepSpec, expand
+        from repro.serve.service import _admit
+
+        specs = sorted(pathlib.Path(__file__).parent.parent.glob("examples/sweeps/*.json"))
+        assert specs
+        for path in specs:
+            for run in expand(SweepSpec.load(path)):
+                _admit(run.params)
+
     @pytest.mark.parametrize("workers", ["abc", None, 2.5, True, 0])
     def test_bad_sweep_workers_400(self, service, workers):
         status, payload = service.handle(

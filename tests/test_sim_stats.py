@@ -69,5 +69,9 @@ class TestCdf:
         curve = mean_cdf([[], [1.0, 3.0]], n_points=3)
         assert [v for v, _ in curve] == pytest.approx([1.0, 2.0, 3.0])
 
+    def test_mean_cdf_averages_exactly(self):
+        curve = mean_cdf([[1e16, 1e16], [1.0, 1.0], [-1e16, -1e16]], n_points=3)
+        assert [v for v, _ in curve] == [1.0 / 3] * 3
+
     def test_mean_cdf_all_empty(self):
         assert mean_cdf([[], []]) == []

@@ -40,6 +40,10 @@ def chi_square(counts: Counter, probs: list, total: int, bins=BINS) -> float:
 
 
 class TestZipfian:
+    def test_normaliser_is_exactly_rounded(self):
+        # Builtin sum() gives ...f26p+2 on 3.11 and ...f27p+2 on 3.12.
+        assert ZipfianGenerator._zeta(50, 0.99) == float.fromhex("0x1.24e3c4fb99f27p+2")
+
     def test_ranks_in_range(self):
         gen = ZipfianGenerator(100, theta=0.99)
         rng = random.Random(1)
