@@ -54,7 +54,6 @@ from ..protocols import is_registered as protocol_is_registered
 from ..protocols import protocol_names
 from ..workload.profiles import get_profile
 from . import runner
-from .harness import run_experiment
 
 if TYPE_CHECKING:  # the repository module imports this one
     from ..serve.repository import RunRepository
@@ -332,13 +331,13 @@ class SweepSpec:
             for index, value in enumerate(values):
                 if value in values[:index]:
                     raise SweepSpecError(f"axis {name!r} repeats value {value!r}")
-        if not isinstance(self.repeats, int) or self.repeats < 1:
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int) or self.repeats < 1:
             raise SweepSpecError(f"repeats must be a positive integer: {self.repeats!r}")
         if "seed" in axes and self.repeats != 1:
             raise SweepSpecError(
                 "an explicit 'seed' axis replaces derived repeats; drop 'repeats'"
             )
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise SweepSpecError(f"seed must be an integer: {self.seed!r}")
 
     # ------------------------------------------------------------------
@@ -539,15 +538,13 @@ def _execute_and_record(task: Tuple[Dict[str, Any], str, str]) -> None:
     """Worker entry point: execute one run and write its repository record.
 
     The worker (not the parent) writes ``runs/<id>.json``, atomically, so
-    every completed run survives even if the coordinating process is killed
-    mid-sweep.  Only the parent writes the index.
+    every completed run is in the repository even if the coordinating
+    process is killed mid-sweep.
     """
-    from ..serve.repository import write_record  # serve imports this module
+    from ..serve.repository import execute_and_record  # serve imports this module
 
     params, root, source = task
-    config, protocol = config_from_params(params)
-    result = run_experiment(config, protocol=protocol)
-    write_record(root, params, result.to_dict(), source=source)
+    execute_and_record(root, params, source=source)
 
 
 @dataclass
@@ -587,8 +584,7 @@ def execute_sweep(
     misses are executed across ``workers`` processes and stored with source
     ``sweep:<name>``.  The report's records are read back from the
     repository in the sweep's deterministic run order, so they are
-    independent of worker count and of which runs were hits; the index is
-    written once, here, after the workers return.
+    independent of worker count and of which runs were hits.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
@@ -619,7 +615,6 @@ def execute_sweep(
         if record is None:  # pragma: no cover - worker failures raise above
             raise RuntimeError(f"run {run.key} left no intact repository record")
         report.records.append(record)
-    repository.register(report.records)
     return report
 
 

@@ -101,21 +101,6 @@ def load_goldens(path: Optional[pathlib.Path] = None) -> Dict[str, str]:
         return {}
 
 
-def update_goldens(
-    names: Optional[Sequence[str]] = None, path: Optional[pathlib.Path] = None
-) -> Dict[str, str]:
-    """Recompute digests for ``names`` (default: every registered protocol)."""
-    from .registry import protocol_names
-
-    target = path or GOLDEN_PATH
-    digests = load_goldens(target)
-    for name in names or protocol_names():
-        digests[name] = golden_digest(name)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return digests
-
-
 #: The committed checker verdicts, beside the protocol digests.
 VERDICTS_PATH = GOLDEN_PATH.with_name("checker_verdicts.json")
 
@@ -258,10 +243,12 @@ def _compare(
     fresh: Dict[str, Any],
     update: bool,
     line: Callable[[str, Any], str],
+    indent: int = 1,
 ) -> int:
     """Print ``line`` and ok/DIFFERS per fresh entry; exit 1 on a difference.
 
-    With ``update`` the fresh entries are written into ``path`` instead.
+    With ``update`` the fresh entries are written into ``path`` instead
+    (sorted keys, ``indent`` as each golden file has always been written).
     """
     committed = load_goldens(path)
     for key, entry in fresh.items():
@@ -269,7 +256,9 @@ def _compare(
     if not update:
         return int(any(committed.get(key) != entry for key, entry in fresh.items()))
     committed.update(fresh)
-    path.write_text(json.dumps(committed, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(
+        json.dumps(committed, indent=indent, sort_keys=True) + "\n", encoding="utf-8"
+    )
     print(f"wrote {path}")
     return 0
 
@@ -321,21 +310,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"tcc: {entry['tcc']['violations']:>3}"
             ),
         )
-    names = args.names or list(protocol_names())
-    if args.update:
-        digests = update_goldens(names)
-        for name in names:
-            print(f"{name:<12} {digests[name]}")
-        print(f"wrote {GOLDEN_PATH}")
-        return 0
-    committed = load_goldens()
-    status = 0
-    for name in names:
-        digest = golden_digest(name)
-        match = committed.get(name) == digest
-        print(f"{name:<12} {digest}  {'ok' if match else 'DIFFERS'}")
-        status |= 0 if match else 1
-    return status
+    return _compare(
+        GOLDEN_PATH,
+        {name: golden_digest(name) for name in args.names or protocol_names()},
+        args.update,
+        lambda name, digest: f"{name:<12} {digest}",
+        indent=2,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -3,7 +3,7 @@
 The package behind ``repro serve`` / ``repro replay`` (docs/serving.md):
 
 * :mod:`repro.serve.repository` — the content-addressed run repository
-  under ``results/`` (records, traces, index, query API);
+  under ``results/`` (records, traces, query API);
 * :mod:`repro.serve.replay` — byte-identical re-execution of any persisted
   run, asserting digest equality against the stored summary and trace;
 * :mod:`repro.serve.service` — the framework-neutral HTTP service core and

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..bench.harness import run_recorded
 from ..bench.results import result_digest
 from ..bench.sweep import config_from_params
 from .repository import RepositoryError, RunRepository, _sha256_file
@@ -116,28 +117,22 @@ def replay_run(
     config, protocol = config_from_params(record["params"])
 
     stored_trace_digest = record.get("trace_digest")
-    replayed_trace_digest: Optional[str] = None
-    trace_ok: Optional[bool] = None
+    if stored_trace_digest is not None and repository.trace_path(run_id) is None:
+        raise RepositoryError(
+            f"run {run_id[:12]} stored trace digest "
+            f"{stored_trace_digest[:12]} but its trace file is missing "
+            f"({repository.traces_dir / (run_id + '.jsonl')})"
+        )
 
-    from ..bench.harness import run_experiment, run_recorded
-
-    if stored_trace_digest is None:
-        result = run_experiment(config, protocol=protocol)
-    else:
-        # The run was recorded through run_recorded; replaying through the
-        # same function is what makes the trace bytes comparable.
-        stored_trace = repository.trace_path(run_id)
-        if stored_trace is None:
-            raise RepositoryError(
-                f"run {run_id[:12]} stored trace digest "
-                f"{stored_trace_digest[:12]} but its trace file is missing "
-                f"({repository.traces_dir / (run_id + '.jsonl')})"
-            )
-        with tempfile.TemporaryDirectory(prefix="replay_") as scratch:
-            target = Path(trace_out) if trace_out is not None else Path(scratch, "trace.jsonl")
-            result = run_recorded(config, protocol, trace_out=target)
-            replayed_trace_digest = _sha256_file(target)
-        trace_ok = replayed_trace_digest == stored_trace_digest
+    # A recorded run is replayed through the same run_recorded call that
+    # recorded it, which is what makes the trace bytes comparable.
+    with tempfile.TemporaryDirectory(prefix="replay_") as scratch:
+        target = None
+        if stored_trace_digest is not None:
+            target = Path(trace_out or Path(scratch, "trace.jsonl"))
+        result = run_recorded(config, protocol, trace_out=target)
+        replayed_trace_digest = _sha256_file(target) if target is not None else None
+    trace_ok = None if target is None else replayed_trace_digest == stored_trace_digest
 
     replayed_summary_digest = result_digest(result.to_dict())
     return ReplayReport(

@@ -14,10 +14,6 @@ JSON record under ``results/`` (layout in docs/serving.md):
     Optionally, the run's consistency-event trace (the JSONL format of
     :mod:`repro.consistency.events`), byte-digested so replays can prove the
     *whole observable history* reproduced, not just the summary.
-``index.json``
-    One small entry per run (protocol, workload, preset, creation time,
-    headline metrics) powering the query API and the ``GET /runs`` endpoint
-    without touching the per-run files.
 
 The run id is :func:`repro.bench.sweep.run_key` — the SHA-256 of the
 canonical resolved parameters.  Identity therefore follows content:
@@ -26,23 +22,25 @@ run with the same parameters are one record (so either reuses the other),
 and editing a parameter (or the cache version) yields a new entry instead
 of silently shadowing an old one.  :func:`write_record` is the one place a
 record is built; it writes atomically (:func:`repro.bench.runner.write_json`),
-so sweep worker processes call it directly.  The index is a derived view,
-written only by the process holding the :class:`RunRepository`, and can
-always be rebuilt by scanning ``runs/``.
+and :func:`execute_and_record` is the one way a run becomes a record (sweep
+worker processes and served jobs both call it).  The records are the only
+store: listing scans ``runs/``, so every handle on a root — a serving
+process, a CLI ``--save``, a sweep killed mid-way — sees every record on
+disk, and there is no second file to keep consistent.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import threading
+import tempfile
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..bench import runner
+from ..bench.harness import run_recorded
 from ..bench.results import result_digest
-from ..bench.sweep import resolve_params, run_key
+from ..bench.sweep import config_from_params, resolve_params, run_key
 
 #: Bumped when the record layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -91,8 +89,7 @@ def write_record(
     completed exactly like the CLI and sweep engine complete them);
     ``result`` is the run's ``ExperimentResult.to_dict()``.  When
     ``trace_path`` names the run's JSONL consistency trace, the file is
-    copied into ``<root>/traces/`` and its byte digest recorded.  The index
-    is not touched: see :meth:`RunRepository.register`.
+    copied into ``<root>/traces/`` and its byte digest recorded.
     """
     root = pathlib.Path(root)
     resolved = resolve_params(params)
@@ -120,30 +117,44 @@ def _store_trace(traces_dir: pathlib.Path, run_id: str, trace_path: runner.PathL
     source = pathlib.Path(trace_path)
     if not source.is_file():
         raise RepositoryError(f"trace file not found: {source}")
-    target = traces_dir / f"{run_id}.jsonl"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-    tmp.write_bytes(source.read_bytes())
-    os.replace(tmp, target)
+    target = runner.write_bytes(traces_dir / f"{run_id}.jsonl", source.read_bytes())
     return _sha256_file(target)
+
+
+def execute_and_record(
+    root: runner.PathLike,
+    params: Mapping[str, Any],
+    *,
+    source: str,
+    trace: bool = False,
+) -> Dict[str, Any]:
+    """Run resolved ``params`` and write the run's record; returns it.
+
+    With ``trace`` the run's consistency events are recorded (through
+    :func:`~repro.bench.harness.run_recorded`, as ``repro replay`` records
+    them) and stored beside the record.
+    """
+    config, protocol = config_from_params(params)
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as scratch:
+        trace_path = pathlib.Path(scratch, "trace.jsonl") if trace else None
+        result = run_recorded(config, protocol, trace_out=trace_path)
+        return write_record(
+            root, params, result.to_dict(), source=source, trace_path=trace_path
+        )
 
 
 class RunRepository:
     """Content-addressed persistence and query surface for completed runs.
 
-    Thread-safe within one process (the serve worker pool saves
-    concurrently); cross-process writers are serialised only per file — the
-    atomic record writes can never corrupt each other, and a stale index is
-    repaired by :meth:`rebuild_index`.
+    A handle holds only its paths: every query reads ``runs/``, so any
+    number of handles, threads and processes share one root.  Writers
+    never corrupt each other because each record is written atomically.
     """
 
     def __init__(self, root: runner.PathLike) -> None:
         self.root = pathlib.Path(root)
         self.runs_dir = self.root / "runs"
         self.traces_dir = self.root / "traces"
-        self.index_path = self.root / "index.json"
-        self._lock = threading.Lock()
-        self._index: Dict[str, Dict[str, Any]] = self._load_index()
 
     # ------------------------------------------------------------------
     # Writing
@@ -156,19 +167,8 @@ class RunRepository:
         source: str = "cli",
         trace_path: Optional[runner.PathLike] = None,
     ) -> Dict[str, Any]:
-        """Persist and index one completed run (see :func:`write_record`)."""
-        record = write_record(
-            self.root, params, result, source=source, trace_path=trace_path
-        )
-        self.register([record])
-        return record
-
-    def register(self, records: Iterable[Mapping[str, Any]]) -> None:
-        """Index records already written to ``runs/``; one index write."""
-        with self._lock:
-            for record in records:
-                self._index[record["run_id"]] = self._index_entry(record)
-            self._write_index()
+        """Persist one completed run (see :func:`write_record`)."""
+        return write_record(self.root, params, result, source=source, trace_path=trace_path)
 
     # ------------------------------------------------------------------
     # Reading
@@ -181,14 +181,7 @@ class RunRepository:
             raise RepositoryError(
                 f"run id prefix must be >= {MIN_PREFIX} hex chars: {run_id_or_prefix!r}"
             )
-        with self._lock:
-            matches = sorted(rid for rid in self._index if rid.startswith(prefix))
-        if not matches:
-            # The index is a derived view; fall back to the ground truth.
-            matches = sorted(
-                path.stem
-                for path in self.runs_dir.glob(f"{prefix}*.json")
-            )
+        matches = sorted(path.stem for path in self.runs_dir.glob(f"{prefix}*.json"))
         if not matches:
             raise RepositoryError(f"no persisted run matches {run_id_or_prefix!r}")
         if len(matches) > 1:
@@ -251,12 +244,10 @@ class RunRepository:
         return path if path.exists() else None
 
     def __contains__(self, run_id: str) -> bool:
-        with self._lock:
-            return run_id in self._index
+        return (self.runs_dir / f"{run_id}.json").is_file()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)
+        return sum(1 for _ in self.runs_dir.glob("*.json"))
 
     # ------------------------------------------------------------------
     # Querying
@@ -272,7 +263,7 @@ class RunRepository:
         until: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Query the index: newest first, every filter conjunctive.
+        """Query the records: newest first, every filter conjunctive.
 
         ``since``/``until`` bound the creation time (unix seconds);
         ``source`` matches exactly (``cli``, ``serve``) or, for runs a
@@ -282,8 +273,12 @@ class RunRepository:
         """
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0 (0 = all): {limit}")
-        with self._lock:
-            entries = list(self._index.values())
+        entries = []
+        for path in self.runs_dir.glob("*.json"):
+            try:
+                entries.append(self._entry(self._load(path.stem)))
+            except RepositoryError:
+                continue  # a corrupt record surfaces via get(), not listing
         if protocol is not None:
             entries = [e for e in entries if e["protocol"] == protocol]
         if workload is not None:
@@ -299,12 +294,9 @@ class RunRepository:
         entries.sort(key=lambda e: (-e["created_unix"], e["run_id"]))
         return entries[:limit] if limit else entries
 
-    # ------------------------------------------------------------------
-    # The index (a derived, rebuildable view)
-    # ------------------------------------------------------------------
     @staticmethod
-    def _index_entry(record: Mapping[str, Any]) -> Dict[str, Any]:
-        """The compact per-run line the index (and ``GET /runs``) serves."""
+    def _entry(record: Mapping[str, Any]) -> Dict[str, Any]:
+        """The compact per-run line ``repro runs`` and ``GET /runs`` serve."""
         params = record["params"]
         result = record["result"]
         return {
@@ -321,45 +313,3 @@ class RunRepository:
             "has_trace": record.get("trace_digest") is not None,
             "summary_digest": record["summary_digest"],
         }
-
-    def _load_index(self) -> Dict[str, Dict[str, Any]]:
-        """Read the committed index; an unreadable one is rebuilt lazily."""
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            if self.runs_dir.is_dir():
-                return self._scan()
-            return {}
-        entries = data.get("runs", {})
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_index(self) -> None:
-        """Persist the in-memory index atomically (caller holds the lock)."""
-        runner.write_json(
-            self.index_path, {"schema": SCHEMA_VERSION, "runs": self._index}
-        )
-
-    def _scan(self) -> Dict[str, Dict[str, Any]]:
-        """Derive index entries from the per-run records on disk."""
-        entries: Dict[str, Dict[str, Any]] = {}
-        for path in sorted(self.runs_dir.glob("*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue  # unreadable entries surface via get(), not listing
-            if isinstance(record, dict) and {"run_id", "params", "result"} <= set(record):
-                entries[record["run_id"]] = self._index_entry(record)
-        return entries
-
-    def rebuild_index(self) -> int:
-        """Rescan ``runs/`` and rewrite the index; returns the entry count.
-
-        The repair path for a stale or lost index (e.g. concurrent CLI and
-        serve writers racing the index file): records are the ground truth,
-        the index only accelerates queries.
-        """
-        entries = self._scan()
-        with self._lock:
-            self._index = entries
-            self._write_index()
-        return len(entries)

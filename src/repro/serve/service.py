@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import pathlib
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +40,7 @@ from ..bench.sweep import (
 )
 from ..config import ServeConfig
 from .replay import replay_run
-from .repository import RepositoryError, RunRepository
+from .repository import RepositoryError, RunRepository, execute_and_record
 
 #: Response payload type: JSON status + body.
 Response = Tuple[int, Dict[str, Any]]
@@ -50,12 +48,14 @@ Response = Tuple[int, Dict[str, Any]]
 #: Job lifecycle states.
 JOB_STATES = ("pending", "running", "done", "failed")
 
-#: Admission bounds of a served run or sweep cell (docs/serving.md): past
-#: either, the request is a 400 before any job is queued.  A run has
+#: Admission bounds of a served run or sweep (docs/serving.md): past any of
+#: them, the request is a 400 before any job is queued.  A run has
 #: ``dcs x machines x threads`` sessions, and each one computes its Zipf
-#: normaliser in O(keys).  The CLI, figures and the ledger are not bounded.
+#: normaliser in O(keys); a sweep's runs are counted before any cell is
+#: configured.  The CLI, figures and the ledger are not bounded.
 MAX_SESSIONS = 4_096
 MAX_KEYS = 100_000
+MAX_SWEEP_RUNS = 1_000
 
 
 @dataclass
@@ -294,7 +294,9 @@ class ServeService:
         _admit(resolved)
 
         def execute() -> Dict[str, Any]:
-            record = _execute_and_persist(self.repository, resolved, want_trace)
+            record = execute_and_record(
+                self.repository.root, resolved, source="serve", trace=want_trace
+            )
             return {
                 "run_id": record["run_id"],
                 "summary_digest": record["summary_digest"],
@@ -330,6 +332,11 @@ class ServeService:
             raise _BadRequest(f"unknown body field(s): {sorted(unknown)}")
         try:
             spec = SweepSpec.from_dict(spec_data)
+            count = math.prod(len(values) for values in spec.axes.values()) * spec.repeats
+            if count > MAX_SWEEP_RUNS:
+                raise _BadRequest(
+                    f"{count} runs exceed the served sweep bound of {MAX_SWEEP_RUNS}"
+                )
             runs = expand(spec)  # every cell's parameters configure before queuing
         except (SweepSpecError, ValueError) as exc:
             raise _BadRequest(str(exc)) from exc
@@ -374,21 +381,6 @@ class ServeService:
     def close(self) -> None:
         """Drain the pool (used by tests and graceful shutdown)."""
         self.jobs.shutdown(wait=True)
-
-
-def _execute_and_persist(
-    repository: RunRepository, resolved: Mapping[str, Any], want_trace: bool
-) -> Dict[str, Any]:
-    """Run one simulation from resolved params and persist it (+ trace)."""
-    from ..bench.harness import run_recorded
-
-    config, protocol = config_from_params(resolved)
-    with tempfile.TemporaryDirectory(prefix="serve_run_") as scratch:
-        trace = pathlib.Path(scratch, "trace.jsonl") if want_trace else None
-        result = run_recorded(config, protocol, trace_out=trace)
-        return repository.save_run(
-            resolved, result.to_dict(), source="serve", trace_path=trace
-        )
 
 
 class _BadRequest(ValueError):

@@ -321,6 +321,17 @@ class TestSweepCommand:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("field", ["repeats", "seed"])
+    def test_boolean_repeats_or_seed_is_one_line_and_exit_2(self, tmp_path, capsys, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**self.SPEC, field: True}))
+        assert cli.main(["sweep", str(bad), "--repo", str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro sweep: error: {field} must be ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "base, axes",
         [({"duration": float("inf")}, {"locality": [0.5]}), ({}, {"warmup": [0.5, float("nan")]})],

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.harness import run_experiment
 from repro.bench.sweep import (
     SweepSpec,
@@ -134,11 +137,46 @@ class TestResolvePrefix:
 
     @pytest.mark.parametrize("pattern", ["????????", "********", "[0-9a-f]*x"])
     def test_glob_characters_rejected(self, tmp_path, pattern):
-        """Prefixes reach a glob when the index lacks an id: hex only."""
+        """A prefix becomes a glob pattern over ``runs/``: hex only."""
         repo = RunRepository(tmp_path / "results")
         write_record(repo.root, FAST_PARAMS, {"throughput": 1.0}, source="cli")
         with pytest.raises(RepositoryError, match="hex"):
             repo.resolve(pattern)
+
+
+class TestAtomicWrites:
+    def test_concurrent_writers_of_one_path(self, tmp_path, monkeypatch):
+        """Two jobs with one run id write one record path at once."""
+        barrier = threading.Barrier(2, timeout=10)
+        replace = os.replace
+        staged = []
+
+        def replace_together(src, dst):
+            staged.append(os.path.basename(src))
+            barrier.wait()  # both writers have written before either replaces
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_together)
+        target = tmp_path / "runs" / "a.json"
+        errors = []
+
+        def write(text):
+            try:
+                runner.write_text(target, text)
+            except Exception as exc:  # noqa: BLE001 - the assertion reports it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(text,)) for text in "xy"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert errors == []
+        assert target.read_text() in ("x", "y")
+        assert [path.name for path in target.parent.iterdir()] == ["a.json"]
+        assert len(set(staged)) == 2
+        assert not any(name.endswith(".json") for name in staged)
 
 
 class TestCorruption:
@@ -198,16 +236,45 @@ class TestQuery:
         assert len(entry["summary_digest"]) == 64
 
 
-class TestIndexDurability:
-    def test_rebuild_index_from_records(self, tmp_path):
+class TestRecordsAreTheStore:
+    def test_every_handle_on_a_root_sees_every_record(self, tmp_path):
+        """A serving process and a CLI ``--save`` on one root, say."""
+        root = tmp_path / "results"
+        served, cli = RunRepository(root), RunRepository(root)
+        first = served.save_run(FAST_PARAMS, {"throughput": 1.0}, source="serve")
+        second = cli.save_run({**FAST_PARAMS, "seed": 2}, {"throughput": 2.0})
+        both = {first["run_id"], second["run_id"]}
+        for handle in (RunRepository(root), served, cli):
+            assert {entry["run_id"] for entry in handle.list()} == both
+            assert len(handle) == 2
+            assert all(run_id in handle for run_id in both)
+
+    def test_unregistered_worker_record_is_listed(self, tmp_path):
+        """A record a sweep worker wrote is listed with no parent step."""
+        root = tmp_path / "results"
+        repo = RunRepository(root)
+        repo.save_run(FAST_PARAMS, {"throughput": 1.0})
+        record = write_record(
+            root, {**FAST_PARAMS, "seed": 2}, {"throughput": 2.0}, source="sweep:killed"
+        )
+        (entry,) = repo.list(source="sweep:killed")
+        assert entry["run_id"] == record["run_id"]
+        assert len(repo) == 2
+
+    def test_an_older_index_file_is_ignored(self, tmp_path):
+        root = tmp_path / "results"
+        record = RunRepository(root).save_run(FAST_PARAMS, {"throughput": 1.0})
+        (root / "index.json").write_text(json.dumps({"schema": 1, "runs": {"f" * 64: {}}}))
+        repo = RunRepository(root)
+        assert [entry["run_id"] for entry in repo.list()] == [record["run_id"]]
+        assert len(repo) == 1
+
+    def test_corrupt_record_is_not_listed(self, tmp_path):
         repo = RunRepository(tmp_path / "results")
-        run_and_save(repo)
-        run_and_save(repo, {"seed": 2})
-        repo.index_path.unlink()
-        fresh = RunRepository(tmp_path / "results")
-        assert len(fresh) == 2
-        assert fresh.rebuild_index() == 2
-        assert json.loads(fresh.index_path.read_text())["runs"]
+        kept = repo.save_run(FAST_PARAMS, {"throughput": 1.0})
+        bad = repo.save_run({**FAST_PARAMS, "seed": 2}, {"throughput": 2.0})
+        (repo.runs_dir / f"{bad['run_id']}.json").write_text("{truncated")
+        assert [entry["run_id"] for entry in repo.list()] == [kept["run_id"]]
 
     def test_second_handle_sees_persisted_runs(self, tmp_path):
         repo = RunRepository(tmp_path / "results")

@@ -201,13 +201,51 @@ class TestValidation:
         import pathlib
 
         from repro.bench.sweep import SweepSpec, expand
-        from repro.serve.service import _admit
+        from repro.serve.service import MAX_SWEEP_RUNS, _admit
 
         specs = sorted(pathlib.Path(__file__).parent.parent.glob("examples/sweeps/*.json"))
         assert specs
         for path in specs:
-            for run in expand(SweepSpec.load(path)):
+            runs = expand(SweepSpec.load(path))
+            assert len(runs) <= MAX_SWEEP_RUNS
+            for run in runs:
                 _admit(run.params)
+
+    @pytest.mark.parametrize(
+        "axes, repeats, count",
+        [
+            (
+                {
+                    "seed": list(range(100)),
+                    "keys": list(range(1, 101)),
+                    "locality": [i / 100 for i in range(100)],
+                },
+                1,
+                1_000_000,
+            ),
+            ({"locality": [1.0, 0.5]}, 501, 1_002),
+        ],
+    )
+    def test_oversized_sweep_400_before_expanding(
+        self, service, monkeypatch, axes, repeats, count
+    ):
+        monkeypatch.setattr(
+            service.jobs, "submit", lambda *args: pytest.fail("an oversized sweep was queued")
+        )
+        spec = {"name": "huge", "axes": axes, "repeats": repeats}
+        started = time.monotonic()
+        status, payload = service.handle("POST", "/sweeps", body={"spec": spec})
+        assert time.monotonic() - started < 0.5
+        assert status == 400
+        assert f"{count} runs exceed the served sweep bound of 1000" in payload["error"]
+
+    @pytest.mark.parametrize("field", ["repeats", "seed"])
+    def test_boolean_repeats_or_seed_400(self, service, field):
+        spec = {**TestSweepEndpoint.SPEC, field: True}
+        status, payload = service.handle("POST", "/sweeps", body={"spec": spec})
+        assert status == 400
+        assert f"{field} must be" in payload["error"]
+        assert service.handle("GET", "/jobs")[1]["jobs"] == []
 
     @pytest.mark.parametrize("workers", ["abc", None, 2.5, True, 0])
     def test_bad_sweep_workers_400(self, service, workers):
@@ -249,7 +287,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("pattern", ["????????", "********"])
     def test_glob_pattern_run_id_404(self, service, pattern):
-        """With a stale index the prefix reaches a glob: it must be hex."""
+        """The prefix becomes a glob pattern over ``runs/``: it must be hex."""
         from repro.serve.repository import write_record
 
         write_record(service.repository.root, FAST_PARAMS, {"throughput": 1.0}, source="cli")
@@ -305,6 +343,17 @@ class TestLaunchAndReplay:
         status, payload = service.handle("POST", f"/runs/{run_id}/replay")
         replay = wait_job(service, payload["job"]["job_id"])
         assert replay["result"]["trace_ok"] is True
+
+    def test_runs_saved_by_another_handle_are_served(self, service):
+        """A CLI ``--save`` into the served root, beside a served run."""
+        from repro.serve.repository import RunRepository
+
+        service.repository.save_run(FAST_PARAMS, {"throughput": 1.0}, source="serve")
+        RunRepository(service.repository.root).save_run(
+            {**FAST_PARAMS, "seed": 2}, {"throughput": 2.0}
+        )
+        assert service.handle("GET", "/runs")[1]["total"] == 2
+        assert service.handle("GET", "/health")[1]["runs"] == 2
 
     def test_list_filters_by_protocol(self, service):
         for protocol in ("paris", "cure"):

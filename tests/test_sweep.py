@@ -110,6 +110,11 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match="repeats"):
             make_spec(repeats=0)
 
+    @pytest.mark.parametrize("field", ["repeats", "seed"])
+    def test_boolean_repeats_or_seed_rejected(self, field):
+        with pytest.raises(SweepSpecError, match=f"{field} must be"):
+            make_spec(**{field: True})
+
     def test_seed_axis_excludes_repeats(self):
         with pytest.raises(SweepSpecError, match="drop 'repeats'"):
             make_spec(axes={"seed": [1, 2, 3]}, repeats=2)
